@@ -3,7 +3,7 @@
 :class:`SeedAesKeySearch` restores the hot paths exactly as they
 shipped before the vectorisation PR — the Python dict fingerprint join
 (with its band ``.copy().view(uint16)`` double-copy), the per-round
-verification loop, the pure-Python per-ballot
+verification loop, the unpruned neighbour walk, the pure-Python per-ballot
 ``reconstruct_schedule``/``expand_key`` recovery machinery, the
 popcount-table region scoring, and the word-list greedy schedule
 repair.  :func:`legacy_recover_keys` likewise reproduces the seed
@@ -25,8 +25,10 @@ from repro.attack.aes_search import (
     AesVariant,
     RecoveredAesKey,
     ScheduleHit,
+    _all_pairs,
     _fingerprints,
     _t_forward,
+    reconstruct_schedule,
 )
 from repro.attack.keymine import (
     DEFAULT_SCAN_LIMIT_BYTES,
@@ -188,6 +190,28 @@ def _seed_repair_observed_table(
 class SeedAesKeySearch(AesKeySearch):
     """:class:`AesKeySearch` exactly as the seed implemented it."""
 
+    def _window_candidates(
+        self, span: np.ndarray, round_index: int, repair_bits: int
+    ) -> list[bytes]:
+        """Master-key ballots from one descrambled window (+ bit repairs)."""
+        window = span[: self.variant.window_bytes]
+        masters: list[bytes] = []
+        repairs = [()] if repair_bits == 0 else [(), *((bit,) for bit in range(len(window) * 8))]
+        for flips in repairs:
+            candidate = window.copy()
+            for bit in flips:
+                candidate[bit // 8] ^= 0x80 >> (bit % 8)
+            words = [
+                int.from_bytes(candidate[4 * i : 4 * i + 4].tobytes(), "big")
+                for i in range(self.variant.nk)
+            ]
+            try:
+                schedule = reconstruct_schedule(words, 4 * round_index, self.variant.key_bits)
+            except ValueError:
+                continue
+            masters.append(schedule[: self.variant.key_bits // 8])
+        return masters
+
     def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
         score = 0
         for round_index, span in spans:
@@ -303,6 +327,29 @@ class SeedAesKeySearch(AesKeySearch):
                     )
                 )
         return hits
+
+    def _extend_hits(
+        self,
+        blocks: np.ndarray,
+        block_indices: np.ndarray,
+        tolerance_bits: int,
+        base: int | None = None,
+    ) -> list[ScheduleHit]:
+        """The unpruned neighbour walk: verify every (block, key) pair of
+        the neighbourhood at every offset and phase, keeping only hits
+        whose table starts at ``base`` when one is given."""
+        pairs = _all_pairs(np.asarray(block_indices, dtype=np.int64), self.keys.shape[0])
+        extended: list[ScheduleHit] = []
+        for offset in self.offsets:
+            for phase in self.variant.phases():
+                for hit in self._verify_pairs(
+                    blocks, pairs, offset, phase, tolerance_bits=tolerance_bits
+                ):
+                    if base is None or hit.table_base == base:
+                        extended.append(hit)
+            if self.on_progress is not None:
+                self.on_progress()
+        return extended
 
     def _recover_from_group(
         self, blocks: np.ndarray, base: int, group: list[ScheduleHit]

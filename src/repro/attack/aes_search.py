@@ -1007,6 +1007,8 @@ class AesKeySearch:
         ):
             raise ValueError("key_cache was built for a different key set or key size")
         self._key_cache = key_cache
+        #: The keys as ``(8, n_keys)`` uint64 words, for :meth:`_region_fit`.
+        self._key_words = np.ascontiguousarray(self.keys).view(np.uint64).T.copy()
         self._flips: dict[int, np.ndarray] = {}
         #: Optional zero-argument liveness hook, called after every
         #: (offset, phase) scan pass.  The sharded orchestrator points
@@ -1317,26 +1319,14 @@ class AesKeySearch:
             return []
         hits: list[ScheduleHit] = []
         n_blocks = blocks.shape[0]
-        nk = self.variant.nk
-        phases = self.variant.phases()
-        phase_relations = {
-            phase: _linear_relation_offsets(nk, phase) for phase in phases
-        }
-        # Phases with identical relation triples (AES-256's even and
-        # odd rounds) see identical fingerprints, so they share the
-        # chunk's tables, probes, and prefiltered pairs — only the
-        # round verification differs.
-        groups: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
-        for phase in phases:
-            groups.setdefault(phase_relations[phase], []).append(phase)
+        groups = self._phase_groups()
         stage = self.stage_seconds
         for start in range(0, n_blocks, SCAN_CHUNK_BLOCKS):
             chunk = blocks[start : start + SCAN_CHUNK_BLOCKS]
-            for relations, group_phases in groups.items():
+            for group_phases in groups:
                 tick = time.perf_counter()
                 streams, band_tables = self._relation_tables(chunk, group_phases[0])
                 stage["join"] += time.perf_counter() - tick
-                ts = [(a - 4 * nk) // 4 for a, _, _ in relations]
                 probe_memo: dict[int, np.ndarray] = {}
                 # Pairs surviving the prefilter accumulate across the
                 # chunk's offsets; the S-box verification then runs
@@ -1352,7 +1342,7 @@ class AesKeySearch:
                     stage["join"] += tock - tick
                     if pairs.shape[0]:
                         pairs = self._prefilter_chunk_pairs(
-                            chunk, streams, pairs, offset, group_phases, ts
+                            chunk, streams, pairs, offset, group_phases, self.verify_tolerance_bits
                         )
                         pairs[:, 0] += start
                         if pairs.shape[0]:
@@ -1379,6 +1369,16 @@ class AesKeySearch:
             if self.on_progress is not None:
                 self.on_progress()
         return hits
+
+    def _phase_groups(self) -> list[list[int]]:
+        """The phases in order, grouped by linear-relation triples: phases
+        sharing them (AES-256's even and odd rounds) share fingerprints,
+        so only their round verification differs."""
+        groups: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
+        for phase in self.variant.phases():
+            relations = _linear_relation_offsets(self.variant.nk, phase)
+            groups.setdefault(relations, []).append(phase)
+        return list(groups.values())
 
     def _relation_tables(
         self, chunk: np.ndarray, phase: int
@@ -1486,14 +1486,15 @@ class AesKeySearch:
         pairs: np.ndarray,
         offset: int,
         phases: list[int],
-        ts: list[int],
+        tolerance: int,
     ) -> np.ndarray:
-        """Drop joined pairs no round of verification could accept.
+        """Drop pairs no round of verification within ``tolerance`` bits
+        could accept.
 
         Exact stages, each a lower bound on *every* compatible round's
         mismatch, so pairs that could pass any round of any of the
         (relation-sharing) ``phases`` always survive — the final hit
-        list is identical to verifying every joined pair.
+        list is identical to verifying every pair, joined or not.
 
         Stage 0 applies the chain bound to the first **two** relations
         only.  Dropping a run's non-negative terms (or whole runs) can
@@ -1517,8 +1518,9 @@ class AesKeySearch:
         transform is SubWord-only (AES-256 odd rounds) bound all 32
         bits of every word — there the bound *is* the round mismatch.
         """
+        nk = self.variant.nk
+        ts = [(a - 4 * nk) // 4 for a, _, _ in _linear_relation_offsets(nk, phases[0])]
         key_fp = self._key_cache.fingerprint_bytes(offset, phases[0])
-        tolerance = self.verify_tolerance_bits
         width = streams.shape[1] // len(ts)
         # Single row gathers: each pair's whole fingerprint neighbourhood
         # (all relations) and its key fingerprint, one take() each —
@@ -1631,31 +1633,47 @@ class AesKeySearch:
 
     # ------------------------------------------------------------- recovery
 
-    def _extend_hits(self, blocks: np.ndarray, seeds: list[ScheduleHit]) -> list[ScheduleHit]:
-        """Re-verify blocks around seed hits without the fingerprint filter.
+    def _extend_hits(
+        self,
+        blocks: np.ndarray,
+        block_indices: np.ndarray,
+        tolerance_bits: int,
+        base: int | None = None,
+    ) -> list[ScheduleHit]:
+        """Verify every (block, key) pair of a neighbourhood, joinlessly.
 
-        The exact fingerprint join misses windows whose relation bytes
-        decayed; the paper's neighbour walk (step 3) recovers them with
-        the Hamming-tolerant verification alone, which is affordable on
-        the small neighbourhoods of confirmed hits.
+        The paper's neighbour walk (step 3) and the pinned-base rescue
+        (:meth:`recover_at_base`) look for windows whose every band
+        decayed, which the join misses.  Each pair instead meets the
+        exact mismatch lower bound of :meth:`_prefilter_chunk_pairs`, so
+        only survivors pay for S-box verification and the hits — per
+        offset, phase and round, in ascending (block, key) order — are
+        exactly those of verifying every pair.  With ``base`` only hits
+        whose table starts there are kept, and offsets that cannot reach
+        it (round keys sit 16 bytes apart) are skipped.
         """
-        n_blocks, n_keys = blocks.shape[0], self.keys.shape[0]
-        radius = self.extension_radius_blocks
-        interesting = sorted(
-            {
-                b
-                for hit in seeds
-                for b in range(max(0, hit.block_index - radius), min(n_blocks, hit.block_index + radius + 1))
-            }
-        )
-        pairs = _all_pairs(np.asarray(interesting, dtype=np.int64), n_keys)
-        extended: list[ScheduleHit] = []
+        block_indices = np.asarray(block_indices, dtype=np.int64)
+        chunk = blocks[block_indices]
+        pairs = _all_pairs(np.arange(block_indices.size, dtype=np.int64), self.keys.shape[0])
+        groups = self._phase_groups()
+        streams = [self._relation_tables(chunk, phases[0])[0] for phases in groups]
+        hits: list[ScheduleHit] = []
         for offset in self.offsets:
-            for phase in self.variant.phases():
-                extended.extend(self._verify_pairs(blocks, pairs, offset, phase))
+            if base is None or (offset - base) % 16 == 0:
+                for group_streams, phases in zip(streams, groups):
+                    survivors = self._prefilter_chunk_pairs(
+                        chunk, group_streams, pairs, offset, phases, tolerance_bits
+                    )
+                    survivors[:, 0] = block_indices[survivors[:, 0]]
+                    for phase in phases:
+                        for hit in self._verify_pairs(
+                            blocks, survivors, offset, phase, tolerance_bits
+                        ):
+                            if base is None or hit.table_base == base:
+                                hits.append(hit)
             if self.on_progress is not None:
                 self.on_progress()
-        return extended
+        return hits
 
     def _flip_matrix(self, n_bytes: int) -> np.ndarray:
         """Rows of single-bit flips over ``n_bytes`` (bit 0 = MSB of byte 0)."""
@@ -1674,8 +1692,9 @@ class AesKeySearch:
 
         Returns ``(masters, schedules)``: the ``(n, key_bytes)`` master
         keys and the ``(n, schedule_bytes)`` full expansions, one row
-        per ballot.  Row order matches the scalar path
-        (:meth:`_window_candidates`): the unrepaired window first, then
+        per ballot.  Row order matches the seed's scalar path
+        (``SeedAesKeySearch._window_candidates`` in
+        ``benchmarks/legacy_scan.py``): the unrepaired window first, then
         one row per flipped bit.  Since the backward recurrence ends at
         word 0 and the forward pass re-derives everything from there,
         each schedule row *is* ``expand_key`` of its master — recovery
@@ -1692,77 +1711,80 @@ class AesKeySearch:
         schedules = batch_expand_from_window(windows, 4 * round_index, self.variant.nk)
         return schedules[:, : self.variant.key_bits // 8], schedules
 
-    def _window_candidates(
-        self, span: np.ndarray, round_index: int, repair_bits: int
-    ) -> list[bytes]:
-        """Master-key ballots from one descrambled window (+ bit repairs)."""
-        window = span[: self.variant.window_bytes]
-        masters: list[bytes] = []
-        repairs = [()] if repair_bits == 0 else [(), *((bit,) for bit in range(len(window) * 8))]
-        for flips in repairs:
-            candidate = window.copy()
-            for bit in flips:
-                candidate[bit // 8] ^= 0x80 >> (bit % 8)
-            words = [
-                int.from_bytes(candidate[4 * i : 4 * i + 4].tobytes(), "big")
-                for i in range(self.variant.nk)
-            ]
-            try:
-                schedule = reconstruct_schedule(words, 4 * round_index, self.variant.key_bits)
-            except ValueError:
-                continue
-            masters.append(schedule[: self.variant.key_bits // 8])
-        return masters
+    def _region_fit(
+        self, blocks: np.ndarray, base: int, expansions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each expansion's best scrambler key per block of its region.
 
-    def _span_score(self, expansion: np.ndarray, spans: list[tuple[int, np.ndarray]]) -> int:
-        """Total Hamming distance between an expansion and observed windows."""
-        score = 0
-        for round_index, span in spans:
-            expected = expansion[16 * round_index : 16 * round_index + len(span)]
-            score += int(np.bitwise_count(expected ^ span).sum())
-        return score
+        The attacker does not know the keys of the blocks a schedule
+        overlaps, so each block takes the candidate key whose
+        descrambling of its slice lies closest to the expansion.  A
+        block whose best key still differs on more than ~35 % of the
+        slice is *unscoreable*: its key was never mined.
 
-    def _region_mismatch(
-        self, blocks: np.ndarray, base: int, expansion: np.ndarray
-    ) -> tuple[int, int]:
-        """(mismatch bits, counted bits) of the full schedule region.
-
-        For every block the schedule overlaps, the best candidate key is
-        chosen (the attacker does not know neighbouring blocks' keys up
-        front); a true schedule matches up to decay, while a false
-        positive finds no key that makes random bytes match.
-
-        Blocks for which *no* candidate key comes close (best mismatch
-        above ~35 %) are treated as "scrambler key not in the pool" and
-        excluded from the score rather than counted against it — the
-        miner cannot expose a key whose index never held a zero page.
-        At least half the region must remain scoreable, or the candidate
-        is rejected outright.
+        ``expansions`` is an ``(n, length)`` batch.  Returns ``(mismatch,
+        key, scoreable, bounds)`` — best distance in bits, first key
+        reaching it and the 35 % verdict, each ``(n, blocks)``, and each
+        block's region-relative ``(lo, hi)`` — or ``None`` off the image.
+        Keys are held as a transposed ``(8, n_keys)`` uint64 matrix, so a
+        distance sums at most eight contiguous rows of word popcounts
+        instead of reducing bytes along a short axis.
         """
-        length = len(expansion)
+        n, length = expansions.shape
         first = base // BLOCK_SIZE
         last = (base + length - 1) // BLOCK_SIZE
         if first < 0 or last >= blocks.shape[0]:
-            return (8 * length, 8 * length)  # runs off the image: reject
-        mismatch = 0
-        counted_bits = 0
-        for b in range(first, last + 1):
-            lo = max(base, b * BLOCK_SIZE)
-            hi = min(base + length, (b + 1) * BLOCK_SIZE)
-            expected = expansion[lo - base : hi - base]
-            observed = blocks[b, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-            per_key = np.bitwise_count(
-                (observed ^ self.keys[:, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]) ^ expected
-            ).sum(axis=1, dtype=np.int64)
-            best = int(per_key.min())
-            slice_bits = 8 * (hi - lo)
-            if best > 0.35 * slice_bits:
-                continue  # this block's key was never mined; skip it
-            mismatch += best
-            counted_bits += slice_bits
-        if counted_bits < 4 * length:  # less than half the region scoreable
-            return (8 * length, 8 * length)
-        return (mismatch, counted_bits)
+            return None
+        # The region laid over its whole blocks: observed ^ expected
+        # bytes, zero (and masked out of the keys) outside the region.
+        start = base - first * BLOCK_SIZE
+        observed = blocks[first : last + 1].reshape(-1)[start : start + length]
+        target = np.zeros((n, (last - first + 1) * BLOCK_SIZE), dtype=np.uint8)
+        target[:, start : start + length] = expansions ^ observed
+        mask = np.zeros(target.shape[1], dtype=np.uint8)
+        mask[start : start + length] = 0xFF
+        target_words = target.view(np.uint64).reshape(n, -1, 8)
+        mask_words = mask.view(np.uint64).reshape(-1, 8)
+        n_region = target_words.shape[1]
+        mismatch = np.empty((n, n_region), dtype=np.int64)
+        best = np.empty((n, n_region), dtype=np.int64)
+        # Block r's slice: in-block bytes [lo, hi), region bytes bounds[r].
+        lo = np.maximum(start - BLOCK_SIZE * np.arange(n_region), 0)
+        hi = np.minimum(start + length - BLOCK_SIZE * np.arange(n_region), BLOCK_SIZE)
+        bounds = np.stack((lo, hi), axis=1) + (BLOCK_SIZE * np.arange(n_region) - start)[:, None]
+        for r in range(n_region):
+            words = slice(lo[r] // 8, -(-hi[r] // 8))
+            keys = self._key_words[words] & mask_words[r, words, None]
+            per_key = np.bitwise_count(keys ^ target_words[:, r, words, None]).sum(
+                axis=1, dtype=np.uint16
+            )
+            mismatch[:, r] = per_key.min(axis=1)
+            best[:, r] = per_key.argmin(axis=1)
+        return mismatch, best, mismatch <= 0.35 * 8 * (hi - lo), bounds
+
+    def _region_mismatch(
+        self, blocks: np.ndarray, base: int, expansions: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """(mismatch bits, counted bits) of the full schedule region, per
+        row of ``expansions``.
+
+        Unscoreable blocks (:meth:`_region_fit`) are left out of the
+        score rather than counted against it; with less than half the
+        region scoreable, or the region off the image, the row is
+        rejected outright.
+        """
+        length = expansions.shape[1]
+        reject = (8 * length, 8 * length)
+        fit = self._region_fit(blocks, base, expansions)
+        if fit is None:
+            return [reject] * expansions.shape[0]
+        mismatch, _, scoreable, bounds = fit
+        counted = scoreable @ (8 * (bounds[:, 1] - bounds[:, 0]))
+        totals = (mismatch * scoreable).sum(axis=1)
+        return [
+            (int(total), int(bits)) if bits >= 4 * length else reject
+            for total, bits in zip(totals, counted)
+        ]
 
     def _observed_table(
         self, blocks: np.ndarray, base: int, guess: np.ndarray
@@ -1770,43 +1792,26 @@ class AesKeySearch:
         """Descramble the full schedule region using per-block best keys.
 
         ``guess`` (an expansion that is at least mostly right) selects
-        each overlapping block's scrambler key by minimum mismatch; the
-        concatenated descrambled slices are the schedule as it actually
-        survived in the dump — true schedule bytes plus decay.
-
-        Returns ``(table, known)`` where ``known`` marks bytes whose
-        block had a plausible candidate key.  Blocks with no close key
-        (their index never exposed a zero page — which happens when the
-        key table itself overwrote the only zero page of its index) are
-        filled from the guess and marked unknown, so the ballot and
-        repair stages never trust them.
+        each overlapping block's scrambler key (:meth:`_region_fit`); the
+        descrambled slices are the schedule as it actually survived in
+        the dump — true schedule bytes plus decay.  Returns ``(table,
+        known)``: unscoreable blocks (e.g. the key table overwrote the
+        only zero page of their index) keep the guess's bytes and are
+        marked unknown, so the ballot and repair stages never trust them.
         """
-        length = len(guess)
-        first = base // BLOCK_SIZE
-        last = (base + length - 1) // BLOCK_SIZE
-        if first < 0 or last >= blocks.shape[0]:
+        fit = self._region_fit(blocks, base, guess[None, :])
+        if fit is None:
             return None
-        pieces = []
-        known_pieces = []
-        for b in range(first, last + 1):
-            lo = max(base, b * BLOCK_SIZE)
-            hi = min(base + length, (b + 1) * BLOCK_SIZE)
-            observed = blocks[b, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-            per_key = np.bitwise_count(
-                (observed ^ self.keys[:, lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE])
-                ^ guess[lo - base : hi - base]
-            ).sum(axis=1, dtype=np.int64)
-            best = int(per_key.min())
-            if best > 0.35 * 8 * (hi - lo):
-                pieces.append(guess[lo - base : hi - base].copy())
-                known_pieces.append(np.zeros(hi - lo, dtype=bool))
-            else:
-                pieces.append(
-                    observed
-                    ^ self.keys[int(per_key.argmin()), lo - b * BLOCK_SIZE : hi - b * BLOCK_SIZE]
-                )
-                known_pieces.append(np.ones(hi - lo, dtype=bool))
-        return np.concatenate(pieces), np.concatenate(known_pieces)
+        _, best, scoreable, bounds = fit
+        table = np.array(guess, dtype=np.uint8)
+        known = np.zeros(len(table), dtype=bool)
+        for r, (lo, hi) in enumerate(bounds):
+            if scoreable[0, r]:
+                block, at = divmod(base + lo, BLOCK_SIZE)
+                key = self.keys[best[0, r]]
+                table[lo:hi] = blocks[block, at : at + hi - lo] ^ key[at : at + hi - lo]
+                known[lo:hi] = True
+        return table, known
 
     def _decode_table(
         self,
@@ -2196,7 +2201,7 @@ class AesKeySearch:
         decoded = result.tables[0]
         master = decoded[: variant.key_bits // 8].tobytes()
         expansion = np.frombuffer(expand_key(master), dtype=np.uint8)
-        mismatch, counted_bits = self._region_mismatch(blocks, base, expansion)
+        mismatch, counted_bits = self._region_mismatch(blocks, base, expansion[None, :])[0]
         fraction = mismatch / counted_bits
         if fraction > self.accept_mismatch_fraction:
             return None
@@ -2274,14 +2279,21 @@ class AesKeySearch:
         #: accepted master's expansion is one the decoder produced.
         decode_certainty: dict[bytes, float] = {}
         schedule_bits = 8 * 4 * variant.total_words
+        #: Region confirmation per master: every expansion is its
+        #: master's, so a ballot ranked again by a later pass is not
+        #: rescored.
+        region_fits: dict[bytes, tuple[int, int]] = {}
 
         def consider(scored: dict[bytes, int], expansions: dict[bytes, np.ndarray]) -> None:
-            """Region-confirm the span-score-ranked ballots."""
+            """Region-confirm the span-score-ranked ballots, in one batch."""
             nonlocal best_master, best_fraction, best_agreement, best_counted_bits
-            for master, _span_score in sorted(scored.items(), key=lambda item: item[1])[:8]:
-                mismatch, counted_bits = self._region_mismatch(
-                    blocks, base, expansions[master]
-                )
+            ranked = [m for m, _score in sorted(scored.items(), key=lambda item: item[1])[:8]]
+            fresh = [m for m in ranked if m not in region_fits]
+            if fresh:
+                batch = np.stack([expansions[m] for m in fresh])
+                region_fits.update(zip(fresh, self._region_mismatch(blocks, base, batch)))
+            for master in ranked:
+                mismatch, counted_bits = region_fits[master]
                 fraction = mismatch / counted_bits
                 if fraction < best_fraction:
                     best_fraction = fraction
@@ -2435,42 +2447,15 @@ class AesKeySearch:
         if base < 0:
             return None
         blocks = image.blocks_matrix()
-        hits = self._region_hits(blocks, base, loose_tolerance_bits)
+        last = (base + 4 * self.variant.total_words - 1) // BLOCK_SIZE
+        if last >= blocks.shape[0]:
+            return None
+        hits = self._extend_hits(
+            blocks, np.arange(base // BLOCK_SIZE, last + 1), loose_tolerance_bits, base=base
+        )
         if not hits:
             return None
         return self._recover_from_group(blocks, base, hits, pinned=True)
-
-    def _region_hits(
-        self, blocks: np.ndarray, base: int, tolerance_bits: int
-    ) -> list[ScheduleHit]:
-        """Joinless verification of a pinned table base.
-
-        Every (region block, key, offset, round) whose window lands
-        exactly on ``base`` is verified directly — no fingerprint gate,
-        so windows whose every band decayed still surface.  With the
-        base fixed, only ~1 in 200 (offset, round) cells can even claim
-        it, which is what makes the loose Hamming budget affordable.
-        """
-        variant = self.variant
-        schedule_len = 4 * variant.total_words
-        first = base // BLOCK_SIZE
-        last = (base + schedule_len - 1) // BLOCK_SIZE
-        if first < 0 or last >= blocks.shape[0]:
-            return []
-        pairs = _all_pairs(
-            np.arange(first, last + 1, dtype=np.int64), self.keys.shape[0]
-        )
-        hits: list[ScheduleHit] = []
-        for offset in self.offsets:
-            for phase in variant.phases():
-                for hit in self._verify_pairs(
-                    blocks, pairs, offset, phase, tolerance_bits=tolerance_bits
-                ):
-                    if hit.table_base == base:
-                        hits.append(hit)
-            if self.on_progress is not None:
-                self.on_progress()
-        return hits
 
     def _competitive_overlap_filter(
         self, recovered: list[RecoveredAesKey]
@@ -2520,9 +2505,13 @@ class AesKeySearch:
         """
         blocks = image.blocks_matrix()
         hits = self.find_hits(image)
-        if hits and self.extension_radius_blocks:
+        radius = self.extension_radius_blocks
+        if hits and radius:
+            seeds = np.unique([h.block_index for h in hits])
+            near = np.unique(seeds[:, None] + np.arange(-radius, radius + 1))
+            near = near[(near >= 0) & (near < blocks.shape[0])]
             merged = {(h.block_index, h.key_index, h.offset, h.round_index): h for h in hits}
-            for hit in self._extend_hits(blocks, hits):
+            for hit in self._extend_hits(blocks, near, self.verify_tolerance_bits):
                 merged.setdefault(
                     (hit.block_index, hit.key_index, hit.offset, hit.round_index), hit
                 )

@@ -62,6 +62,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -231,9 +232,11 @@ def _search_shard(
     return search.recover_keys(MemoryImage(shard_data))
 
 
-#: Per-process scan state installed by :func:`_init_scan_worker`: the
-#: attached dump buffer, the key matrix, and the key-side fingerprint
-#: cache every shard task in this process reuses.
+#: Per-process scan state installed by :func:`_init_scan_worker` in
+#: process-pool workers: the attached dump buffer, the key matrix, and
+#: the key-side fingerprint cache every shard task in that process
+#: reuses.  Serial and thread-pool scans bind their own state to the
+#: run instead, so concurrent scans in one process stay apart.
 _WORKER_STATE: dict = {}
 
 
@@ -289,6 +292,26 @@ def _init_scan_worker(
 
     ``heartbeat_ref``/``heartbeat_slots`` (optional) attach this process
     to the watchdog's beat board so shard tasks publish liveness.
+    """
+    _release_worker_state()
+    _WORKER_STATE.update(_attach_scan_state(dump_ref, keys_ref, key_bits, keys_crc, cache_ref))
+    if heartbeat_ref is not None:
+        attach_worker_heartbeat(heartbeat_ref, heartbeat_slots or {})
+
+
+def _attach_scan_state(
+    dump_ref: tuple,
+    keys_ref: tuple,
+    key_bits: int,
+    keys_crc: int | None = None,
+    cache_ref: tuple | None = None,
+) -> dict:
+    """Resolve one scan's buffer references into the state shard tasks read.
+
+    The state holds the dump view, the key matrix, ``keys_crc``, the
+    key-side fingerprint cache, and the ``holders`` whose mappings keep
+    the views alive (``None`` for in-process buffers, which need no
+    closing).
 
     ``cache_ref`` (optional) carries the orchestrator's fingerprint
     cache: ``("cache", obj)`` for thread pools (the object itself —
@@ -301,7 +324,6 @@ def _init_scan_worker(
     pure function of the keys, so correctness never depends on the
     blob).
     """
-    _release_worker_state()
     dump_holder, dump_view = _resolve_buffer(dump_ref)
     keys_holder, keys_view = _resolve_buffer(keys_ref)
     keys = np.frombuffer(keys_view, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
@@ -324,7 +346,7 @@ def _init_scan_worker(
             key_cache = None
     if key_cache is None:
         key_cache = KeyFingerprintCache(keys, key_bits)
-    _WORKER_STATE.update(
+    return dict(
         dump=dump_view,
         keys=keys,
         key_bits=key_bits,
@@ -332,8 +354,6 @@ def _init_scan_worker(
         key_cache=key_cache,
         holders=(dump_holder, keys_holder, cache_holder),
     )
-    if heartbeat_ref is not None:
-        attach_worker_heartbeat(heartbeat_ref, heartbeat_slots or {})
 
 
 def _scan_shard_task(
@@ -341,16 +361,20 @@ def _scan_shard_task(
     shard_offset: int,
     attempt: int,
     in_subprocess: bool,
+    state: dict | None = None,
 ) -> list[RecoveredAesKey]:
     """Worker: search one shard of the pre-attached dump.
 
     The payload is ``(length, fault_plan)`` — with the dump and keys
-    attached by :func:`_init_scan_worker`, a shard is just a window
-    ``[shard_offset, shard_offset + length)`` over the shared buffer.
+    attached, a shard is just a window ``[shard_offset, shard_offset +
+    length)`` over the shared buffer.  ``state`` is the run's own scan
+    state (serial and thread pools bind it); process-pool workers leave
+    it unset and read what :func:`_init_scan_worker` installed.
     Retries re-enter here with a bumped ``attempt`` and re-ship nothing.
     """
     length, fault_plan = payload
-    state = _WORKER_STATE
+    if state is None:
+        state = _WORKER_STATE
     if "dump" not in state:
         raise RuntimeError("scan worker used before _init_scan_worker ran")
     # First beat arms the watchdog's stall clock for this shard: from
@@ -649,6 +673,12 @@ def resilient_recover_keys(
                     offset: slot for slot, offset in enumerate(sorted(jobs))
                 }
                 monitor = HeartbeatMonitor(board, heartbeat_slots, watchdog)
+        report.executor = "serial" if effective_workers == 1 else pool_kind
+        # Serial and thread scans share this address space with any other
+        # scan the process runs (the job service runs several at once),
+        # so their state is bound to this run, not to module state.
+        in_process = report.executor != "process"
+        state: dict = {}
         try:
             # Journal the instant each shard completes — a scan killed
             # mid-run must find every finished shard on disk when it
@@ -686,26 +716,36 @@ def resilient_recover_keys(
                         report.checkpoint_path = str(journal.path)
 
             keys_crc = zlib.crc32(keys_mat.tobytes()) & 0xFFFFFFFF
-            report.executor = "serial" if effective_workers == 1 else pool_kind
+            if in_process:
+                state.update(_attach_scan_state(dump_ref, keys_ref, key_bits, keys_crc, cache_ref))
+                worker = partial(_scan_shard_task, state=state)
+                initializer, initargs = None, ()
+            else:
+                worker, initializer = _scan_shard_task, _init_scan_worker
+                initargs = (
+                    dump_ref, keys_ref, key_bits, keys_crc,
+                    heartbeat_ref, heartbeat_slots, cache_ref,
+                )
             runner = ResilientShardRunner(
-                _scan_shard_task,
+                worker,
                 policy=policy,
                 workers=effective_workers,
                 on_event=on_event,
                 on_result=on_result,
-                initializer=_init_scan_worker,
-                initargs=(
-                    dump_ref, keys_ref, key_bits, keys_crc,
-                    heartbeat_ref, heartbeat_slots, cache_ref,
-                ),
+                initializer=initializer,
+                initargs=initargs,
                 pool_kind=pool_kind,
             )
             run_ledger = runner.run(jobs, deadline=deadline, stop=stop, watchdog=monitor)
         finally:
-            # The parent may itself have attached (serial or degraded
-            # execution runs the initializer in-process) — release its
-            # state before destroying the segments.
-            _release_worker_state()
+            # Drop the dump and key references before the segments go —
+            # this run's own, or those of a process pool that degraded
+            # to serial here — so no hung thread or failed task's
+            # traceback keeps the dump's buffer exported past the run.
+            if in_process:
+                state.clear()
+            else:
+                _release_worker_state()
             for buffer in published:
                 buffer.unlink()
             if board is not None:

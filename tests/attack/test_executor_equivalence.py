@@ -10,6 +10,9 @@ could plausibly diverge (different retry accounting, different attach
 protocol).
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.attack.parallel import resilient_recover_keys, shard_image
@@ -58,6 +61,43 @@ def test_pool_executors_match_serial_byte_for_byte(dump, serial_scan, executor):
     if executor == "thread":
         assert scan.resource_backend == "buffer"
     assert scan.recovered == serial_scan.recovered
+
+
+def test_concurrent_thread_scans_keep_their_own_state():
+    """Two thread-pool scans running at once in one process (as the job
+    service runs them) each recover exactly their own dump's keys, with
+    no shard failed or retried — neither sees the other's dump, keys or
+    fingerprint cache, and neither tears the other's state down."""
+    # The planted tables sit in the first and the last shard, so a shard
+    # task reading the other scan's state shows as a missing or foreign key.
+    dumps = [
+        synthetic_dump(bit_error_rate=0.002, table_block=block, seed=seed)
+        for seed, block in ((5, 700), (6, 10000))
+    ]
+    scans: list = [None] * len(dumps)
+    start = threading.Barrier(len(dumps))
+
+    def scan(index: int) -> None:
+        start.wait(timeout=60)
+        scans[index] = resilient_recover_keys(
+            dumps[index][0], key_bits=256, workers=2, n_shards=N_SHARDS, executor="thread"
+        )
+
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(dumps))]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(previous)
+    for thread, (_, master, _), scan in zip(threads, dumps, scans):
+        assert not thread.is_alive()
+        assert {r.master_key for r in scan.recovered} == {master[:32], master[32:]}
+        assert scan.complete
+        assert [o.attempts for o in scan.ledger.outcomes.values()] == [1] * N_SHARDS
 
 
 def test_auto_prefers_threads_without_isolation_needs(dump):

@@ -285,7 +285,11 @@ def test_consecutive_stalls_trip_the_circuit_breaker_to_serial():
             ),
             on_event=events.append,
         )
-        ledger = runner.run(jobs, watchdog=monitor)
+        try:
+            ledger = runner.run(jobs, watchdog=monitor)
+        finally:
+            # Serial execution ran the initializer in this process.
+            detach_worker_heartbeat()
 
     assert ledger.stall_kills >= config.max_stall_kills
     assert ledger.degraded_to_serial
