@@ -10,6 +10,8 @@ repair.  :func:`legacy_recover_keys` likewise reproduces the seed
 dispatch — pickling every shard's bytes and the whole key matrix into
 each task — and mines with :func:`seed_mine_scrambler_keys`, the dict
 walk + popcount-table merge the vectorised miner replaced.
+:func:`claim_free_recover_keys` freezes the group loop of
+``recover_keys`` as it ran before decoded keys claimed their regions.
 
 Keeping the old code importable (rather than checking out an old
 commit) lets ``benchmarks/harness.py`` measure the speedup *and* assert
@@ -352,8 +354,15 @@ class SeedAesKeySearch(AesKeySearch):
         return extended
 
     def _recover_from_group(
-        self, blocks: np.ndarray, base: int, group: list[ScheduleHit]
-    ) -> RecoveredAesKey | None:
+        self,
+        blocks: np.ndarray,
+        base: int,
+        group: list[ScheduleHit],
+        span_gate=None,
+        pinned: bool = False,
+    ) -> tuple[RecoveredAesKey | None, bool]:
+        # The seed never decoded: ``span_gate`` and ``pinned`` go unused,
+        # and no key it returns claims a region.
         variant = self.variant
         spans: list[tuple[int, np.ndarray]] = []
         for hit in group:
@@ -424,7 +433,7 @@ class SeedAesKeySearch(AesKeySearch):
                     break
 
         if best_master is None or best_fraction > self.accept_mismatch_fraction:
-            return None
+            return None, False
         expansion = np.frombuffer(expand_key(best_master), dtype=np.uint8)
         votes = sum(
             1
@@ -444,7 +453,29 @@ class SeedAesKeySearch(AesKeySearch):
             match_fraction=1.0 - best_fraction,
             region_agreement=best_agreement,
             hits=tuple(sorted(group, key=lambda h: (h.block_index, h.offset))),
-        )
+        ), False
+
+
+def claim_free_recover_keys(
+    search: AesKeySearch, image: MemoryImage
+) -> list[RecoveredAesKey]:
+    """``AesKeySearch.recover_keys`` before decoded keys claimed regions.
+
+    Every group goes through ``_recover_from_group`` in address order,
+    and only then do ``_competitive_overlap_filter`` and the master
+    dedup (``_settle``) drop overlapping and duplicate results — so
+    every shifted alias of a decoded schedule is decoded too.  Patch it
+    over ``AesKeySearch.recover_keys`` to get the reference outputs and
+    decode counts the region claims must reproduce.
+    """
+    blocks, groups = search._schedule_groups(image)
+    recovered = []
+    for base in sorted(groups):
+        span_gate = search._span_table_from_hits(blocks, base, groups[base])
+        result, _decoded = search._recover_from_group(blocks, base, groups[base], span_gate)
+        if result is not None:
+            recovered.append(result)
+    return search._settle(recovered)
 
 
 def _seed_search_shard(

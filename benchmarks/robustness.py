@@ -255,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed artifact to gate regressions against")
     args = parser.parse_args(argv)
     rates = (0.002, 0.012, 0.040, 0.080) if args.quick else DEFAULT_RATES
+    # Read the baseline before the sweep writes: ``--baseline`` may name
+    # the ``--output`` file, and the gate must compare against the old one.
+    baseline = None
+    if args.baseline:
+        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
     record = robustness_sweep(rates, seed=args.seed)
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     acceptance = record["acceptance"]
@@ -276,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         and acceptance["exact_at_twice_classical_crossover"]
         and acceptance["abstains_not_wrong"]
     )
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+    if baseline is not None:
         problems = compare_to_baseline(record, baseline)
         for problem in problems:
             print(f"REGRESSION: {problem}")

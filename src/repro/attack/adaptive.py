@@ -673,9 +673,11 @@ class AdaptiveRecovery:
     quarantined: list[RegionQuarantineError] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     #: Aggregated belief-propagation telemetry (``None`` when the
-    #: decoded stage never ran): tables attempted, total sweeps,
-    #: converged/abstained counts, mean posterior entropy, and whether
-    #: a deadline interrupted a decode mid-sweep.
+    #: decoded stage never saw a base): tables attempted, total sweeps,
+    #: converged/abstained counts, bases the span pre-gate rejected
+    #: (``gated``) or skipped inside a decoded key's region
+    #: (``claimed``), mean posterior entropy, and whether a deadline
+    #: interrupted a decode mid-sweep.
     decode: dict | None = None
     #: Structured evidence for every table the decoder declined to
     #: turn into a key (:class:`~repro.resilience.errors.DecodeAbstainError`).
@@ -896,6 +898,8 @@ class AdaptiveRecoveryEngine:
             "abstained": 0,
             "checks_updated": 0,
             "checks_dense": 0,
+            "gated": 0,
+            "claimed": 0,
             "posterior_entropy_sum": 0.0,
             "interrupted": False,
         }
@@ -910,6 +914,8 @@ class AdaptiveRecoveryEngine:
                 "abstained",
                 "checks_updated",
                 "checks_dense",
+                "gated",
+                "claimed",
             ):
                 decode_totals[key_name] += search.decode_stats[key_name]
             decode_totals["posterior_entropy_sum"] += search.decode_stats[
@@ -1027,7 +1033,7 @@ class AdaptiveRecoveryEngine:
             finally:
                 stage_seconds[stage.name] = time.monotonic() - stage_start
         decode_block = None
-        if decode_totals["tables"] or decode_totals["interrupted"]:
+        if decode_totals["tables"] or decode_totals["gated"] or decode_totals["interrupted"]:
             tables = decode_totals["tables"]
             decode_block = {
                 "tables": tables,
@@ -1036,6 +1042,8 @@ class AdaptiveRecoveryEngine:
                 "abstained": decode_totals["abstained"],
                 "checks_updated": decode_totals["checks_updated"],
                 "checks_dense": decode_totals["checks_dense"],
+                "gated": decode_totals["gated"],
+                "claimed": decode_totals["claimed"],
                 "workers": self.decode_workers,
                 "mean_posterior_entropy": (
                     decode_totals["posterior_entropy_sum"] / tables if tables else 0.0

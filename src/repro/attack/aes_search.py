@@ -989,7 +989,10 @@ class AesKeySearch:
             "iterations": 0,
             "converged": 0,
             "abstained": 0,
+            # Bases the span pre-gate rejected, and bases skipped
+            # because a decoded key already claimed their region.
             "gated": 0,
+            "claimed": 0,
             "posterior_entropy_sum": 0.0,
             # Residual-schedule savings: check-message updates actually
             # computed vs what dense sweeps over the same live tables
@@ -1837,7 +1840,6 @@ class AesKeySearch:
         """
         key_bits = self.variant.key_bits
         if schedule_plausibility(table, known, key_bits) < _DECODE_MIN_CLEAN_CHECKS:
-            self.decode_stats["gated"] += 1
             return None
         if self.decay_rate is not None:
             # A single-sighting pool key carries the dump's flip rate
@@ -1963,8 +1965,8 @@ class AesKeySearch:
 
     def _span_table_from_hits(
         self, blocks: np.ndarray, base: int, group: list[ScheduleHit]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(table, known) assembled purely from hit spans.
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """(table, known, score) assembled purely from hit spans.
 
         Unlike :meth:`_observed_table` this needs no expansion guess:
         each verified hit pins its own 3-round stretch of the table
@@ -1972,7 +1974,9 @@ class AesKeySearch:
         Bytes covered by several hits take the lowest-mismatch one —
         spans are written in decreasing-mismatch order so the best
         sighting lands last.  Uncovered bytes stay unknown; the decoder
-        treats them as erasures.
+        treats them as erasures.  ``score`` is the table's
+        :func:`schedule_plausibility`, the decode path's junk pre-gate
+        and :meth:`recover_keys`'s visit order.
         """
         variant = self.variant
         length = 4 * variant.total_words
@@ -1989,7 +1993,7 @@ class AesKeySearch:
             )
             table[lo:hi] = span[: hi - lo]
             known[lo:hi] = True
-        return table, known
+        return table, known, schedule_plausibility(table, known, variant.key_bits)
 
     def _block_key_candidates(
         self, blocks: np.ndarray, base: int
@@ -2033,7 +2037,12 @@ class AesKeySearch:
         return out
 
     def _decode_group(
-        self, blocks: np.ndarray, base: int, group: list[ScheduleHit], pinned: bool = False
+        self,
+        blocks: np.ndarray,
+        base: int,
+        group: list[ScheduleHit],
+        span_gate: tuple[np.ndarray, np.ndarray, int],
+        pinned: bool = False,
     ) -> tuple[RecoveredAesKey | None, bool]:
         """List-decode path: junk gate → candidate lists → BP per combo.
 
@@ -2041,7 +2050,8 @@ class AesKeySearch:
         before it can even assemble an observed table; at the decoded
         stage's channel no ballot produces one.  This path goes the
         other way.  The verified hit spans *are* partial observations
-        of the table, so the plausibility pre-gate sorts junk bases
+        of the table (``span_gate``, from :meth:`_span_table_from_hits`),
+        so the plausibility pre-gate sorts junk bases
         from real ones before anything expensive runs (``pinned``
         bases — vouched for by a recovered XTS partner — skip it,
         since their groups may be pure junk-tail even when the table
@@ -2063,11 +2073,8 @@ class AesKeySearch:
         never looked like a schedule at all.
         """
         variant = self.variant
-        span_table, span_known = self._span_table_from_hits(blocks, base, group)
-        span_plausible = (
-            schedule_plausibility(span_table, span_known, variant.key_bits)
-            >= _DECODE_SEED_MIN_CLEAN_CHECKS
-        )
+        span_table, span_known, span_score = span_gate
+        span_plausible = span_score >= _DECODE_SEED_MIN_CLEAN_CHECKS
         if not pinned and not span_plausible:
             self.decode_stats["gated"] += 1
             return None, True
@@ -2118,7 +2125,6 @@ class AesKeySearch:
                 schedule_plausibility(table, known, variant.key_bits)
                 < _DECODE_MIN_CLEAN_CHECKS
             ):
-                self.decode_stats["gated"] += 1
                 continue
             combo_tables.append(table)
             combo_knowns.append(known)
@@ -2238,9 +2244,15 @@ class AesKeySearch:
         blocks: np.ndarray,
         base: int,
         group: list[ScheduleHit],
+        span_gate: tuple[np.ndarray, np.ndarray, int],
         pinned: bool = False,
-    ) -> RecoveredAesKey | None:
-        """Reconstruct, repair, and confirm one schedule's master key."""
+    ) -> tuple[RecoveredAesKey | None, bool]:
+        """Reconstruct, repair, and confirm one schedule's master key.
+
+        Returns ``(key, decoded)``; ``decoded`` is true when the decode
+        path produced the key, which then claims its region (see
+        :meth:`recover_keys`).
+        """
         variant = self.variant
         if self.schedule_decode:
             # The decode path runs first: at this stage's channel the
@@ -2253,11 +2265,13 @@ class AesKeySearch:
             # stage's wall time doing it).  Falling through on a
             # genuine abstain keeps the classical rescue as the safety
             # net for plausible bases the decoder could not settle.
-            decoded, gated = self._decode_group(blocks, base, group, pinned=pinned)
+            decoded, gated = self._decode_group(
+                blocks, base, group, span_gate, pinned=pinned
+            )
             if decoded is not None:
-                return decoded
+                return decoded, True
             if gated:
-                return None
+                return None, False
         spans: list[tuple[int, np.ndarray]] = []
         for hit in group:
             span = (
@@ -2403,7 +2417,7 @@ class AesKeySearch:
                     break
 
         if best_master is None or best_fraction > self.accept_mismatch_fraction:
-            return None
+            return None, False
         expansion = np.frombuffer(expand_key(best_master), dtype=np.uint8)
         votes = sum(
             1
@@ -2429,7 +2443,7 @@ class AesKeySearch:
                 coverage=best_counted_bits / schedule_bits,
                 posterior_certainty=decode_certainty.get(expansion.tobytes()),
             ),
-        )
+        ), False
 
     def recover_at_base(
         self, image: MemoryImage, base: int, loose_tolerance_bits: int = 40
@@ -2455,7 +2469,8 @@ class AesKeySearch:
         )
         if not hits:
             return None
-        return self._recover_from_group(blocks, base, hits, pinned=True)
+        span_gate = self._span_table_from_hits(blocks, base, hits)
+        return self._recover_from_group(blocks, base, hits, span_gate, pinned=True)[0]
 
     def _competitive_overlap_filter(
         self, recovered: list[RecoveredAesKey]
@@ -2493,15 +2508,14 @@ class AesKeySearch:
         kept.sort(key=lambda r: r.hits[0].table_base)
         return kept
 
-    def recover_keys(self, image: MemoryImage) -> list[RecoveredAesKey]:
-        """Locate every schedule, reconstruct its master key, confirm it.
+    def _schedule_groups(
+        self, image: MemoryImage
+    ) -> tuple[np.ndarray, dict[int, list[ScheduleHit]]]:
+        """The image's block matrix and its verified hits by table base.
 
-        Steps 2–4 of §III-C with decay hardening: seed hits come from the
-        fingerprint-joined scan; neighbourhoods of seeds are re-verified
-        tolerantly; every window of a schedule casts a reconstruction
-        ballot (optionally with single-bit repairs); the ballot whose
-        expansion best explains *all* observed windows wins; and the
-        winner must match the full schedule region in the dump.
+        Seed hits come from the fingerprint-joined scan; the blocks
+        around each seed are re-verified tolerantly and their hits
+        merged in.  Hits whose table would start before the image drop.
         """
         blocks = image.blocks_matrix()
         hits = self.find_hits(image)
@@ -2520,11 +2534,10 @@ class AesKeySearch:
         for hit in hits:
             if hit.table_base >= 0:
                 groups.setdefault(hit.table_base, []).append(hit)
-        recovered = []
-        for base in sorted(groups):
-            result = self._recover_from_group(blocks, base, groups[base])
-            if result is not None:
-                recovered.append(result)
+        return blocks, groups
+
+    def _settle(self, recovered: list[RecoveredAesKey]) -> list[RecoveredAesKey]:
+        """One schedule per region, then one result per master key."""
         recovered = self._competitive_overlap_filter(recovered)
         # One schedule can surface under several nearby bases if decay
         # spoofs an extra window; keep the best-confirmed per master key.
@@ -2536,6 +2549,47 @@ class AesKeySearch:
         final = list(unique.values())
         final.sort(key=lambda r: (-r.votes, -r.match_fraction, r.first_block_index))
         return final
+
+    def recover_keys(self, image: MemoryImage) -> list[RecoveredAesKey]:
+        """Locate every schedule, reconstruct its master key, confirm it.
+
+        Steps 2–4 of §III-C with decay hardening: seed hits come from the
+        fingerprint-joined scan; neighbourhoods of seeds are re-verified
+        tolerantly; every window of a schedule casts a reconstruction
+        ballot (optionally with single-bit repairs); the ballot whose
+        expansion best explains *all* observed windows wins; and the
+        winner must match the full schedule region in the dump.
+
+        Bases are visited from the most schedule-like span table down
+        (ties by base).  A key the decode path returns claims its
+        schedule region, and later bases inside a claimed region are
+        skipped without a decode.  They are shifted aliases of the
+        claimed schedule: the true base normally outscores them and
+        claims first, and :meth:`_competitive_overlap_filter` would
+        drop them anyway (``docs/robustness.md`` §9, "Region claims").  Classical
+        keys claim nothing, so without ``schedule_decode`` every base
+        is visited.
+        """
+        blocks, groups = self._schedule_groups(image)
+        span_gates = {
+            base: self._span_table_from_hits(blocks, base, group)
+            for base, group in groups.items()
+        }
+        schedule_len = 4 * self.variant.total_words
+        claims: list[int] = []
+        recovered = []
+        for base in sorted(groups, key=lambda b: (-span_gates[b][2], b)):
+            if any(abs(base - claim) < schedule_len for claim in claims):
+                self.decode_stats["claimed"] += 1
+                continue
+            result, decoded = self._recover_from_group(
+                blocks, base, groups[base], span_gates[base]
+            )
+            if result is not None:
+                recovered.append(result)
+                if decoded:
+                    claims.append(base)
+        return self._settle(recovered)
 
 
 def exhaustive_hits(

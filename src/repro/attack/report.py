@@ -266,11 +266,17 @@ def report_to_markdown(report: AttackReport, include_keys: bool = False) -> str:
         )
         decode = report.adaptive.get("decode")
         if decode:
+            notes = [f"{decode['iterations']} sweeps"]
+            # Reports written before these counters existed lack them.
+            notes += [
+                f"{decode[name]} bases {name}" for name in ("gated", "claimed") if name in decode
+            ]
+            if decode.get("interrupted"):
+                notes.append("interrupted by deadline")
             lines.append(
                 f"* decoded stage: {decode['converged']} converged / "
                 f"{decode['abstained']} abstained of {decode['tables']} tables "
-                f"({decode['iterations']} sweeps"
-                + (", interrupted by deadline)" if decode.get("interrupted") else ")")
+                f"({', '.join(notes)})"
             )
         for region in report.quarantined_regions:
             lines.append(

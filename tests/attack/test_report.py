@@ -309,6 +309,42 @@ class TestV6DecodeMigration:
         assert "decoded stage: 2 converged / 7 abstained of 9 tables" in text
         assert "interrupted by deadline" in text
 
+    def decoded_report(self, **counters):
+        from repro.attack.pipeline import AttackReport
+
+        return AttackReport(
+            adaptive={
+                "estimated_decay_rate": 0.024,
+                "decay_source": "litmus-mismatch",
+                "stages_run": ["strict", "calibrated", "decoded"],
+                "n_recovered": 2,
+                "decode": {"tables": 65, "converged": 8, "abstained": 57,
+                           "iterations": 869, "interrupted": False, **counters},
+            },
+        )
+
+    def test_markdown_reports_gated_and_claimed_bases(self, tmp_path):
+        report = self.decoded_report(gated=1141, claimed=26)
+        text = report_to_markdown(report)
+        assert "of 65 tables (869 sweeps, 1141 bases gated, 26 bases claimed)" in text
+        path = tmp_path / "v7.json"
+        save_report_json(report, path)
+        decode = load_report_json(path)["robustness"]["decode"]
+        assert (decode["gated"], decode["claimed"]) == (1141, 26)
+
+    def test_decode_block_without_the_counters_still_renders(self, tmp_path):
+        """Reports written before ``gated``/``claimed`` were folded in
+        lack both; they load and render without inventing zeros."""
+        report = self.decoded_report()
+        path = tmp_path / "older.json"
+        save_report_json(report, path)
+        loaded = load_report_json(path)
+        assert "gated" not in loaded["robustness"]["decode"]
+        assert migrate_report_dict(loaded) == loaded
+        text = report_to_markdown(report)
+        assert "of 65 tables (869 sweeps)" in text
+        assert "gated" not in text and "claimed" not in text
+
 
 class TestV7ServiceMigration:
     def versioned_dict(self, version: int) -> dict:

@@ -608,6 +608,20 @@ def test_robust_baseline_gate_catches_regressions():
     assert compare_to_baseline(fresh, baseline) == []
 
 
+def test_robust_baseline_gate_reads_the_baseline_it_overwrites(tmp_path, monkeypatch):
+    """Regenerating in place (``--baseline`` naming the ``--output``
+    file) must gate against the old record, not the one just written."""
+    from benchmarks import robustness
+
+    path = tmp_path / "ROBUST_decay.json"
+    path.write_text(json.dumps(_valid_robust_record()))
+    fresh = _valid_robust_record()
+    fresh["points"][1]["adaptive_exact_keys"] = 1
+    monkeypatch.setattr(robustness, "robustness_sweep", lambda rates, seed: fresh)
+    assert robustness.main(["--output", str(path), "--baseline", str(path)]) == 1
+    assert json.loads(path.read_text()) == fresh
+
+
 def test_committed_robust_record_validates():
     """The checked-in ROBUST_decay.json must satisfy its own schema and
     certify the decoded-stage acceptance bar."""
