@@ -1,21 +1,24 @@
-"""The seed scan, frozen in time: the benchmark harness's baseline.
+"""The seed scan, frozen in time: the benchmark baseline and test oracle.
 
 :class:`SeedAesKeySearch` restores the hot paths exactly as they
-shipped before the vectorisation PR — the Python dict fingerprint join
-(with its band ``.copy().view(uint16)`` double-copy), the per-round
-verification loop, the unpruned neighbour walk, the pure-Python per-ballot
-``reconstruct_schedule``/``expand_key`` recovery machinery, the
-popcount-table region scoring, and the word-list greedy schedule
-repair.  :func:`legacy_recover_keys` likewise reproduces the seed
-dispatch — pickling every shard's bytes and the whole key matrix into
-each task — and mines with :func:`seed_mine_scrambler_keys`, the dict
-walk + popcount-table merge the vectorised miner replaced.
+shipped before the vectorisation PR — the scan that re-reads the whole
+dump once per (offset, phase), joining it against the keys with a
+Python dict per band (after a band ``.copy().view(uint16)``
+double-copy, and probing the 16 one-bit neighbours at join radius 1),
+the per-round verification loop, the unpruned neighbour walk, the
+pure-Python per-ballot ``reconstruct_schedule``/``expand_key`` recovery
+machinery, the popcount-table region scoring, and the word-list greedy
+schedule repair.  :func:`legacy_recover_keys` likewise reproduces the
+seed dispatch — pickling every shard's bytes and the whole key matrix
+into each task — and mines with :func:`seed_mine_scrambler_keys`, the
+dict walk + popcount-table merge the vectorised miner replaced.
 :func:`claim_free_recover_keys` freezes the group loop of
 ``recover_keys`` as it ran before decoded keys claimed their regions.
 
 Keeping the old code importable (rather than checking out an old
 commit) lets ``benchmarks/harness.py`` measure the speedup *and* assert
-byte-identical results in a single process, on identical inputs.
+byte-identical results in a single process, on identical inputs, and
+lets the tests pin the fused scan and the pruned recovery to it.
 """
 
 from __future__ import annotations
@@ -279,7 +282,22 @@ class SeedAesKeySearch(AesKeySearch):
                 known_pieces.append(np.ones(hi - lo, dtype=bool))
         return np.concatenate(pieces), np.concatenate(known_pieces)
 
+    def find_hits(self, image: MemoryImage) -> list[ScheduleHit]:
+        """One full-dump join and verify pass per (offset, phase)."""
+        blocks = image.blocks_matrix()
+        hits: list[ScheduleHit] = []
+        for offset in self.offsets:
+            for phase in self.variant.phases():
+                pairs = self._candidate_pairs(blocks, offset, phase)
+                hits.extend(self._verify_pairs(blocks, pairs, offset, phase))
+            if self.on_progress is not None:
+                self.on_progress()
+        hits.sort(key=lambda h: (h.block_index, h.offset, h.round_index))
+        return hits
+
     def _candidate_pairs(self, blocks: np.ndarray, offset: int, phase: int) -> np.ndarray:
+        """``(block, key)`` pairs sharing any fingerprint band (within one
+        bit at join radius 1), in ascending lexicographic order."""
         span = self.variant.span_bytes
         nk = self.variant.nk
         block_fp = _fingerprints(blocks[:, offset : offset + span], nk, phase)
@@ -291,7 +309,20 @@ class SeedAesKeySearch(AesKeySearch):
         key_bands = (
             key_fp.reshape(-1, n_bands, 2).copy().view(np.uint16).reshape(-1, n_bands)
         )
-        return self._banded_join_dict(block_bands, key_bands)
+        probe_masks = [0] if not self.join_radius_bits else [0, *(1 << i for i in range(16))]
+        pairs: set[tuple[int, int]] = set()
+        for band in range(n_bands):
+            key_lookup: dict[int, list[int]] = {}
+            for k, value in enumerate(key_bands[:, band].tolist()):
+                key_lookup.setdefault(value, []).append(k)
+            for b, value in enumerate(block_bands[:, band].tolist()):
+                for mask in probe_masks:
+                    hit_keys = key_lookup.get(value ^ mask)
+                    if hit_keys is not None:
+                        pairs.update((b, k) for k in hit_keys)
+        if not pairs:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.asarray(sorted(pairs), dtype=np.int64)
 
     def _verify_pairs(
         self,

@@ -46,10 +46,6 @@ class AttackConfig:
     #: Cap on candidate keys fed to the search (highest frequency first);
     #: None means use all mined candidates.
     max_candidate_keys: int | None = None
-    #: Fingerprint-join implementation: ``"sorted"`` (vectorised) or
-    #: ``"dict"`` (the original Python hash join, kept for equivalence
-    #: testing and benchmark baselines).
-    join: str = "sorted"
     #: Run the decay-adaptive engine instead of the fixed budgets: the
     #: dump's decay rate is estimated, damaged regions are quarantined,
     #: and the Hamming budgets escalate stage by stage until schedules
@@ -246,7 +242,6 @@ class Ddr4ColdBootAttack:
             keys_matrix(candidates),
             key_bits=config.key_bits,
             verify_tolerance_bits=config.verify_tolerance_bits,
-            join=config.join,
         )
         start = time.perf_counter()
         report.recovered_keys = search.recover_keys(dump)
@@ -411,7 +406,6 @@ class Ddr4ColdBootAttack:
                 keys_matrix(candidates),
                 key_bits=self.config.key_bits,
                 verify_tolerance_bits=self.config.verify_tolerance_bits,
-                join=self.config.join,
             )
             for base in sorted(by_base):
                 after = search.recover_at_base(dump, base + stride)

@@ -6,6 +6,9 @@ import pytest
 from repro.attack.aes_search import (
     AesKeySearch,
     AesVariant,
+    KeyFingerprintCache,
+    _fingerprints,
+    default_scan_offsets,
     exhaustive_hits,
     reconstruct_schedule,
 )
@@ -133,6 +136,29 @@ class TestFingerprintJoinEquivalence:
         }
         assert fast_hits == slow_hits
         assert fast_hits  # non-trivial
+
+
+class TestKeyBandByteOrder:
+    """Key-side band values are little-endian on every host, so they
+    equal the block side's arithmetic ``lo | hi << 8`` composition."""
+
+    @pytest.mark.parametrize("key_bits", [128, 192, 256])
+    def test_bands_compose_low_byte_first(self, key_bits):
+        keys = np.random.default_rng(key_bits).integers(0, 256, size=(5, 64), dtype=np.uint8)
+        variant = AesVariant(key_bits)
+        cache = KeyFingerprintCache(keys, key_bits).precompute()
+        attached = KeyFingerprintCache.attach(keys, key_bits, cache.export_blob())
+        for offset in default_scan_offsets(key_bits):
+            for phase in variant.phases():
+                fp = _fingerprints(
+                    keys[:, offset : offset + variant.span_bytes], variant.nk, phase
+                ).astype(np.uint16)
+                expected = fp[:, 0::2] | fp[:, 1::2] << np.uint16(8)
+                for values in (cache.bands(offset, phase)[0], attached.bands(offset, phase)[0]):
+                    assert values.dtype == np.dtype("<u2")
+                    assert np.array_equal(values, expected)
+                # The attached entry is a view of the blob, not a rebuild.
+                assert not attached.bands(offset, phase)[0].flags.writeable
 
 
 class TestDecayedSearch:

@@ -1,11 +1,13 @@
-"""The vectorised fingerprint join is *identical* to the seed's dict join.
+"""The fused scan's join and verify are *identical* to the seed's.
 
-The sorted join (per-band ``argsort``/``searchsorted``) replaced the
-per-block Python dict join purely for speed; any behavioural difference
-is a bug.  Hypothesis drives both implementations — plus the frozen
-seed code in :mod:`benchmarks.legacy_scan` — across random key/block
-matrices with planted schedules and random decay, asserting the joined
-pairs and the verified hits match exactly (values *and* order).
+The direct-address probe over a chunk's relation tables replaced the
+seed's per-(offset, phase) Python dict join purely for speed; any
+behavioural difference is a bug.  Hypothesis drives both — the fused
+kernel's pieces and the frozen seed code in :mod:`benchmarks.legacy_scan`
+— across random key/block matrices with planted schedules and random
+decay, at both join radii and across the verify budgets the adaptive
+ladder uses, asserting the joined pairs and the verified hits match
+exactly (values *and* order).
 """
 
 import sys
@@ -33,9 +35,11 @@ from repro.crypto.aes import expand_key  # noqa: E402
     n_blocks=st.integers(1, 24),
     planted=st.integers(0, 3),
     decay_bits=st.integers(0, 96),
+    radius=st.sampled_from((0, 1)),
+    tolerance=st.sampled_from((16, 28, 40)),
 )
 def test_sorted_join_matches_dict_join(
-    seed, key_bits, n_keys, n_blocks, planted, decay_bits
+    seed, key_bits, n_keys, n_blocks, planted, decay_bits, radius, tolerance
 ):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 256, size=(n_keys, 64), dtype=np.uint8)
@@ -54,18 +58,20 @@ def test_sorted_join_matches_dict_join(
         block = int(rng.integers(0, n_blocks))
         blocks[block, int(rng.integers(0, 64))] ^= np.uint8(1 << int(rng.integers(0, 8)))
 
-    fast = AesKeySearch(keys, key_bits=key_bits, join="sorted")
-    dict_join = AesKeySearch(keys, key_bits=key_bits, join="dict")
-    frozen_seed = SeedAesKeySearch(keys, key_bits=key_bits)
+    options = dict(key_bits=key_bits, join_radius_bits=radius, verify_tolerance_bits=tolerance)
+    fast = AesKeySearch(keys, **options)
+    frozen_seed = SeedAesKeySearch(keys, **options)
 
-    for offset in fast.offsets:
-        for phase in fast.variant.phases():
-            pairs = fast._candidate_pairs(blocks, offset, phase)
-            assert np.array_equal(pairs, dict_join._candidate_pairs(blocks, offset, phase))
-            assert np.array_equal(pairs, frozen_seed._candidate_pairs(blocks, offset, phase))
-            assert fast._verify_pairs(blocks, pairs, offset, phase) == (
-                frozen_seed._verify_pairs(blocks, pairs, offset, phase)
-            )
+    # The whole block matrix is one chunk of the fused scan.
+    for phases in fast._phase_groups():
+        _, band_tables = fast._relation_tables(blocks, phases[0])
+        for offset in fast.offsets:
+            for phase in phases:
+                pairs = fast._probe_chunk(band_tables, offset, phase)
+                assert np.array_equal(pairs, frozen_seed._candidate_pairs(blocks, offset, phase))
+                assert fast._verify_pairs(blocks, pairs, offset, phase) == (
+                    frozen_seed._verify_pairs(blocks, pairs, offset, phase)
+                )
 
 
 def test_recover_keys_identical_to_seed_on_synthetic_dump():
