@@ -4,7 +4,7 @@
 Builds a pinned-seed batch of candidate key-schedule tables — a few
 true AES schedules flipped at the configured bit-error rate plus a
 majority of junk tables, the mix the adaptive ladder's decoded rung
-actually sees — then decodes it three ways::
+actually sees — then decodes it two ways::
 
     python benchmarks/decode_harness.py                  # full record
     python benchmarks/decode_harness.py --smoke          # CI-sized pass
@@ -12,20 +12,17 @@ actually sees — then decodes it three ways::
     python benchmarks/decode_harness.py --min-speedup 5  # regression gate
 
 * ``stages.decode`` — the live residual-scheduled decoder
-  (:func:`repro.attack.decode.decode_schedules`) over the whole batch
-  in one call, the shape :meth:`AesKeySearch._decode_batch` uses.
-* ``stages.decode_sharded`` —
-  :func:`repro.attack.decode_shard.decode_schedules_sharded` across
-  thread workers; must match ``stages.decode`` byte-for-byte.
+  (:func:`repro.attack.decode.decode_schedule`) over the whole batch
+  in one call, the shape :meth:`AesKeySearch._decode` uses for the
+  list-decode combos.
 * ``baseline.decode`` — the frozen pre-rewrite dense decoder
   (:mod:`benchmarks.legacy_decode`) run per-table, sequentially, the
   way the seed's ``_decode_group`` loop ran it.
 
 The identity gates are the point, not a side check: the converged set
 (equivalently, the abstain set) and every recovered master key must
-agree between the live decoder and the frozen reference, and the
-sharded run must reproduce the unsharded tables exactly.  Abstained
-tables are *expected* to differ byte-wise — the f32 fast path keeps
+agree between the live decoder and the frozen reference.  Abstained
+tables are *expected* to differ byte-wise — the float32 decoder keeps
 hard decisions, not message bits — which is why the gate compares
 decisions and keys, not raw posterior dumps.
 
@@ -55,18 +52,16 @@ for _path in (str(_REPO_ROOT / "src"), str(_REPO_ROOT)):
 from repro.attack.decode import (  # noqa: E402
     ChannelModel,
     DecodeResult,
-    decode_schedules,
+    decode_schedule,
 )
-from repro.attack.decode_shard import decode_schedules_sharded  # noqa: E402
 from repro.crypto.aes import expand_key  # noqa: E402
 
 from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
 
 #: Schema tag written into (and required from) every BENCH_decode.json.
-BENCH_SCHEMA = "bench-decode/v1"
+BENCH_SCHEMA = "bench-decode/v2"
 #: Required fields of every stage record.
-STAGE_FIELDS = ("wall_s", "tables_per_s", "sweeps", "converged", "abstained",
-                "workers")
+STAGE_FIELDS = ("wall_s", "tables_per_s", "sweeps", "converged", "abstained")
 #: Stages a complete record must report.
 REQUIRED_STAGES = ("decode",)
 
@@ -113,8 +108,6 @@ def validate_bench_record(record: dict) -> None:
                 raise ValueError(
                     f"{where}[{name}] has negative converged/abstained"
                 )
-            if int(stage["workers"]) < 1:
-                raise ValueError(f"{where}[{name}].workers must be >= 1")
 
     check_stages(record.get("stages"), "stages")
     if record.get("baseline") is not None:
@@ -167,7 +160,6 @@ def _recovered_keys(result: DecodeResult, key_bits: int) -> dict[int, bytes]:
 def _stage(
     wall_s: float,
     result: DecodeResult,
-    workers: int,
     samples: list[float] | None = None,
     **extra: object,
 ) -> dict:
@@ -180,7 +172,6 @@ def _stage(
         else int(result.iterations) * batch,
         "converged": int(result.converged.sum()),
         "abstained": int(batch - result.converged.sum()),
-        "workers": workers,
     }
     if samples is not None and len(samples) > 1:
         record["wall_s_samples"] = samples
@@ -195,7 +186,6 @@ def run_benchmark(
     bit_error_rate: float = DEFAULT_BIT_ERROR_RATE,
     seed: int = DEFAULT_SEED,
     max_iters: int = DEFAULT_MAX_ITERS,
-    workers: int = 2,
     with_baseline: bool = True,
     smoke: bool = False,
     repeat: int = 1,
@@ -217,37 +207,19 @@ def run_benchmark(
     )
 
     decode_samples: list[float] = []
-    sharded_samples: list[float] = []
-    fast = sharded = None
+    fast = None
     for rep in range(repeat):
         start = time.perf_counter()
-        fast = decode_schedules(
+        fast = decode_schedule(
             observed, key_bits, channel, max_iters=max_iters
         )
         decode_samples.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        sharded = decode_schedules_sharded(
-            observed, key_bits, channel, max_iters=max_iters, workers=workers
-        )
-        sharded_samples.append(time.perf_counter() - start)
         print(
             f"[decode-harness] rep {rep + 1}/{repeat}: decode "
             f"{decode_samples[-1]:.2f}s ({int(fast.converged.sum())} converged"
-            f"/{batch}), sharded {sharded_samples[-1]:.2f}s "
-            f"({workers} workers)"
+            f"/{batch})"
         )
 
-    sharded_identical = bool(
-        np.array_equal(fast.tables, sharded.tables)
-        and np.array_equal(fast.converged, sharded.converged)
-        and np.array_equal(fast.table_iterations, sharded.table_iterations)
-    )
-    if not sharded_identical:
-        raise SystemExit(
-            "[decode-harness] FATAL: sharded decode diverged from the "
-            "unsharded batch"
-        )
     fast_keys = _recovered_keys(fast, key_bits)
     planted = set(masters)
     if not planted <= set(fast_keys.values()):
@@ -270,16 +242,11 @@ def run_benchmark(
         },
         "stages": {
             "decode": _stage(
-                statistics.median(decode_samples), fast, 1,
+                statistics.median(decode_samples), fast,
                 samples=decode_samples,
-            ),
-            "decode_sharded": _stage(
-                statistics.median(sharded_samples), sharded, workers,
-                samples=sharded_samples,
             ),
         },
         "baseline": None,
-        "sharded_identical": sharded_identical,
     }
 
     if with_baseline:
@@ -319,18 +286,13 @@ def run_benchmark(
             certainty=np.concatenate([p.certainty for p in parts]),
         )
         record["baseline"] = {
-            "decode": _stage(legacy_s, legacy, 1, sweeps=legacy_sweeps),
+            "decode": _stage(legacy_s, legacy, sweeps=legacy_sweeps),
         }
         record["identical_keys"] = identical_keys
         record["identical_abstains"] = identical_abstains
         record["speedup_vs_baseline"] = {
             "decode": (legacy_s / record["stages"]["decode"]["wall_s"])
             if record["stages"]["decode"]["wall_s"] > 0
-            else float("inf"),
-            "decode_sharded": (
-                legacy_s / record["stages"]["decode_sharded"]["wall_s"]
-            )
-            if record["stages"]["decode_sharded"]["wall_s"] > 0
             else float("inf"),
         }
         speedup = record["speedup_vs_baseline"]["decode"]
@@ -364,8 +326,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_BIT_ERROR_RATE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="thread shards for the sharded stage (default 2)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="skip the frozen-reference baseline run")
     parser.add_argument("--smoke", action="store_true",
@@ -385,8 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n-true must be at least 1")
     if args.n_junk < 0:
         parser.error("--n-junk must be >= 0")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     if args.min_speedup is not None and args.no_baseline:
@@ -401,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         bit_error_rate=args.bit_error_rate,
         seed=args.seed,
         max_iters=args.max_iters,
-        workers=args.workers,
         with_baseline=not args.no_baseline,
         smoke=args.smoke,
         repeat=args.repeat,

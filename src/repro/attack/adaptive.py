@@ -731,7 +731,6 @@ class AdaptiveRecoveryEngine:
         scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
         max_stage: str | None = None,
         decode_iters: int = DEFAULT_DECODE_ITERS,
-        decode_workers: int = 1,
         decode_state_store=None,
     ) -> None:
         if not 0.0 <= prior_rate < 0.5:
@@ -742,8 +741,6 @@ class AdaptiveRecoveryEngine:
             raise ValueError(f"max_stage must be one of {STAGE_ORDER}, got {max_stage!r}")
         if decode_iters < 1:
             raise ValueError("decode_iters must be at least 1")
-        if decode_workers < 1:
-            raise ValueError("decode_workers must be at least 1")
         self.key_bits = key_bits
         self.total_work = total_work
         self.prior_rate = prior_rate
@@ -753,8 +750,6 @@ class AdaptiveRecoveryEngine:
         #: Ceiling on the escalation ladder (see :data:`STAGE_ORDER`).
         self.max_stage = max_stage
         self.decode_iters = decode_iters
-        #: Thread shards for the decoded rung's batched combo decodes.
-        self.decode_workers = int(decode_workers)
         #: Optional :class:`~repro.resilience.checkpoint.DecodeStateStore`
         #: for resumable mid-decode checkpoints.
         self.decode_state_store = decode_state_store
@@ -986,7 +981,6 @@ class AdaptiveRecoveryEngine:
                     decay_rate=effective_rate,
                     schedule_decode=stage.schedule_decode,
                     decode_iters=self.decode_iters,
-                    decode_workers=self.decode_workers,
                     decode_state_store=self.decode_state_store,
                     deadline=deadline,
                 )
@@ -1044,7 +1038,6 @@ class AdaptiveRecoveryEngine:
                 "checks_dense": decode_totals["checks_dense"],
                 "gated": decode_totals["gated"],
                 "claimed": decode_totals["claimed"],
-                "workers": self.decode_workers,
                 "mean_posterior_entropy": (
                     decode_totals["posterior_entropy_sum"] / tables if tables else 0.0
                 ),

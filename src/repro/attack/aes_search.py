@@ -58,7 +58,6 @@ from repro.attack.decode import (
     decode_schedule,
     schedule_plausibility,
 )
-from repro.attack.decode_shard import decode_schedules_sharded
 from repro.crypto.aes import (
     INV_SBOX,
     SBOX,
@@ -900,7 +899,6 @@ class AesKeySearch:
         schedule_decode: bool = False,
         decode_iters: int = DEFAULT_DECODE_ITERS,
         decode_damping: float = DEFAULT_DAMPING,
-        decode_workers: int = 1,
         decode_state_store=None,
         deadline: Deadline | float | None = None,
     ) -> None:
@@ -965,12 +963,6 @@ class AesKeySearch:
             raise ValueError("decode_damping must lie in [0, 1)")
         self.decode_iters = int(decode_iters)
         self.decode_damping = float(decode_damping)
-        if decode_workers < 1:
-            raise ValueError("decode_workers must be at least 1")
-        #: Thread shards for batched combo decodes: candidate tables
-        #: are split across the resilient thread pool (the WHT kernels
-        #: release the GIL), byte-identically to an unsharded decode.
-        self.decode_workers = int(decode_workers)
         #: Optional :class:`~repro.resilience.checkpoint.DecodeStateStore`
         #: holding partial decode posteriors across a deadline, keyed by
         #: table base; with it a ``--resume`` warm-starts mid-decode and
@@ -1679,31 +1671,26 @@ class AesKeySearch:
                 known[lo:hi] = True
         return table, known
 
-    def _decode_table(
+    def _decode(
         self,
-        table: np.ndarray,
-        known: np.ndarray,
-        base: int,
+        tables: np.ndarray,
+        knowns: np.ndarray,
         state_key: str,
         rate_hint: float,
-        evidence: bool = True,
-    ) -> DecodeResult | None:
-        """Belief-propagation pass over one observed table.
+    ) -> DecodeResult:
+        """Belief-propagation pass over one observed table or a batch.
 
-        Returns ``None`` without decoding when the table fails the
-        plausibility gate — too few intact checks to be a schedule at
-        any decodable rate, i.e. junk that slipped the wide verify
-        budget.  Otherwise loads any checkpointed partial posteriors
-        for ``state_key``, runs the decode under the search deadline —
-        saving fresh partial state back through the store before
-        re-raising on expiry, so a ``--resume`` warm-starts mid-decode
-        — and folds the outcome into the search's decode telemetry.
-        An abstain is recorded as structured evidence; the caller
-        decides whether to fall back to vote+repair.
+        Loads any checkpointed partial posteriors for ``state_key``,
+        runs :func:`decode_schedule` under the search deadline — saving
+        fresh partial state back through the store before re-raising on
+        expiry, so a ``--resume`` warm-starts mid-decode — and folds the
+        outcome into the search's decode telemetry.  The list-decode
+        trials of :meth:`_decode_group` arrive as one batch keyed per
+        group (``{base:#x}:combos``), so a deadline hit mid-group
+        resumes every combo's messages, not just the one in flight.
+        Callers apply the plausibility gate first and record abstain
+        evidence themselves.
         """
-        key_bits = self.variant.key_bits
-        if schedule_plausibility(table, known, key_bits) < _DECODE_MIN_CLEAN_CHECKS:
-            return None
         if self.decay_rate is not None:
             # A single-sighting pool key carries the dump's flip rate
             # itself, so the observed table's bytes see the decay twice
@@ -1712,119 +1699,49 @@ class AesKeySearch:
             rate = 2.0 * self.decay_rate * (1.0 - self.decay_rate)
         else:
             rate = rate_hint
-        channel = ChannelModel.symmetric(clamp_rate(rate))
-        state = None
-        if self.decode_state_store is not None:
-            payload = self.decode_state_store.load(state_key)
-            if payload is not None:
-                state = DecodeState.from_dict(payload)
+        store = self.decode_state_store
+        payload = store.load(state_key) if store is not None else None
         try:
             result = decode_schedule(
-                table,
-                self.variant.key_bits,
-                channel,
-                known=known,
-                max_iters=self.decode_iters,
-                damping=self.decode_damping,
-                on_progress=self.on_progress,
-                deadline=self.deadline,
-                state=state,
-            )
-        except DeadlineExceededError as error:
-            partial = getattr(error, "decode_state", None)
-            if partial is not None and self.decode_state_store is not None:
-                self.decode_state_store.save(state_key, partial.to_dict())
-            raise
-        if self.decode_state_store is not None:
-            self.decode_state_store.discard(state_key)
-        stats = self.decode_stats
-        stats["tables"] += 1
-        stats["iterations"] += result.iterations
-        stats["posterior_entropy_sum"] += float(result.posterior_entropy[0])
-        stats["checks_updated"] += result.checks_updated
-        stats["checks_dense"] += result.checks_dense
-        if result.abstained():
-            stats["abstained"] += 1
-            # List-decode combo attempts pass evidence=False so a junk
-            # base leaves one summarizing abstain, not one per combo.
-            if evidence:
-                self.decode_abstains.append(
-                    DecodeAbstainError(
-                        table_base=base,
-                        iterations=result.iterations,
-                        syndrome_weight=int(result.syndrome_weight[0]),
-                        posterior_entropy=float(result.posterior_entropy[0]),
-                    )
-                )
-        else:
-            stats["converged"] += 1
-        return result
-
-    def _decode_batch(
-        self,
-        tables: np.ndarray,
-        knowns: np.ndarray,
-        base: int,
-        state_key: str,
-        rate_hint: float,
-    ) -> DecodeResult:
-        """One batched (optionally sharded) decode over combo tables.
-
-        The list-decode trials of :meth:`_decode_group` share a channel
-        and differ only in their observed bytes, so all of them run as
-        one ``decode_schedules`` batch — per-table freeze masks mean
-        the batch costs what its slowest live table costs, not the sum
-        of every combo, and ``decode_workers > 1`` splits the tables
-        across the resilient thread pool on top.  Checkpoint state is
-        keyed per *group* (``{base:#x}:combos``) and covers the whole
-        batch, so a deadline hit mid-group resumes every combo's
-        messages, not just the one in flight.
-        """
-        key_bits = self.variant.key_bits
-        if self.decay_rate is not None:
-            rate = 2.0 * self.decay_rate * (1.0 - self.decay_rate)
-        else:
-            rate = rate_hint
-        channel = ChannelModel.symmetric(clamp_rate(rate))
-        state = None
-        if self.decode_state_store is not None:
-            payload = self.decode_state_store.load(state_key)
-            if payload is not None:
-                state = DecodeState.from_dict(payload)
-        try:
-            result = decode_schedules_sharded(
                 tables,
-                key_bits,
-                channel,
+                self.variant.key_bits,
+                ChannelModel.symmetric(clamp_rate(rate)),
                 known=knowns,
                 max_iters=self.decode_iters,
                 damping=self.decode_damping,
                 on_progress=self.on_progress,
                 deadline=self.deadline,
-                state=state,
-                workers=self.decode_workers,
+                state=None if payload is None else DecodeState.from_dict(payload),
             )
         except DeadlineExceededError as error:
             partial = getattr(error, "decode_state", None)
-            if partial is not None and self.decode_state_store is not None:
-                self.decode_state_store.save(state_key, partial.to_dict())
+            if partial is not None and store is not None:
+                store.save(state_key, partial.to_dict())
             raise
-        if self.decode_state_store is not None:
-            self.decode_state_store.discard(state_key)
+        if store is not None:
+            store.discard(state_key)
         stats = self.decode_stats
-        batch = int(tables.shape[0])
+        batch = result.converged.size
         converged = int(result.converged.sum())
         stats["tables"] += batch
-        if result.table_iterations is not None:
-            stats["iterations"] += int(result.table_iterations.sum())
-        else:
-            stats["iterations"] += result.iterations * batch
+        stats["iterations"] += int(result.table_iterations.sum())
         stats["posterior_entropy_sum"] += float(result.posterior_entropy.sum())
         stats["converged"] += converged
         stats["abstained"] += batch - converged
         stats["checks_updated"] += result.checks_updated
         stats["checks_dense"] += result.checks_dense
         return result
+
+    def _record_abstain(self, base: int, result: DecodeResult) -> None:
+        """File one table's abstain as structured evidence."""
+        self.decode_abstains.append(
+            DecodeAbstainError(
+                table_base=base,
+                iterations=result.iterations,
+                syndrome_weight=int(result.syndrome_weight[0]),
+                posterior_entropy=float(result.posterior_entropy[0]),
+            )
+        )
 
     def _span_table_from_hits(
         self, blocks: np.ndarray, base: int, group: list[ScheduleHit]
@@ -1967,10 +1884,10 @@ class AesKeySearch:
         # right order of magnitude.
         rate_hint = 1.3 * min(h.mismatch_bits for h in group) / 700.0
         # Assemble every plausible combo table up front: the trials
-        # share one channel, so they decode as a single batched
-        # (optionally thread-sharded) call instead of one kernel launch
-        # per combo — the per-table freeze masks mean converged and
-        # stalled combos drop out of the batch as they settle.
+        # share one channel, so they decode as a single batched call
+        # instead of one kernel launch per combo — the per-table freeze
+        # masks mean converged and stalled combos drop out of the batch
+        # as they settle.
         combo_tables: list[np.ndarray] = []
         combo_knowns: list[np.ndarray] = []
         for _adopted, _total, choice in combos:
@@ -1993,10 +1910,9 @@ class AesKeySearch:
             combo_knowns.append(known)
         best: tuple[int, DecodeResult, np.ndarray, np.ndarray] | None = None
         if combo_tables:
-            batched = self._decode_batch(
+            batched = self._decode(
                 np.stack(combo_tables),
                 np.stack(combo_knowns),
-                base,
                 f"{base:#x}:combos",
                 rate_hint,
             )
@@ -2036,26 +1952,21 @@ class AesKeySearch:
                 if (next_table == table).all() and (next_known == known).all():
                     break
                 table, known = next_table, next_known
-                result = self._decode_table(
-                    table, known, base, f"{base:#x}:boot{round_index}",
-                    rate_hint, evidence=False,
-                )
-                if result is None:
+                if (
+                    schedule_plausibility(table, known, variant.key_bits)
+                    < _DECODE_MIN_CLEAN_CHECKS
+                ):
                     break
+                result = self._decode(
+                    table, known, f"{base:#x}:boot{round_index}", rate_hint
+                )
                 final = result
                 if not result.abstained():
                     return self._decoded_key(result, blocks, base, group), False
         if final is not None and final.abstained():
             # One summarizing abstain for the whole base, in place of
-            # the per-combo evidence the trials suppressed.
-            self.decode_abstains.append(
-                DecodeAbstainError(
-                    table_base=base,
-                    iterations=final.iterations,
-                    syndrome_weight=int(final.syndrome_weight[0]),
-                    posterior_entropy=float(final.posterior_entropy[0]),
-                )
-            )
+            # per-combo evidence.
+            self._record_abstain(base, final)
         return None, False
 
     def _decoded_key(
@@ -2234,14 +2145,18 @@ class AesKeySearch:
                     # is not retried on later rescue iterations, whose
                     # observed table barely differs.
                     decode_attempted = True
-                    result = self._decode_table(
-                        table, known, base, f"{base:#x}", before
-                    )
-                    if result is not None and not result.abstained():
-                        table = result.tables[0].copy()
-                        known = np.ones_like(known)
-                        decoded_clean = True
-                        decode_certainty[table.tobytes()] = float(result.certainty[0])
+                    if (
+                        schedule_plausibility(table, known, variant.key_bits)
+                        >= _DECODE_MIN_CLEAN_CHECKS
+                    ):
+                        result = self._decode(table, known, f"{base:#x}", before)
+                        if result.abstained():
+                            self._record_abstain(base, result)
+                        else:
+                            table = result.tables[0].copy()
+                            known = np.ones_like(known)
+                            decoded_clean = True
+                            decode_certainty[table.tobytes()] = float(result.certainty[0])
                 if not decoded_clean:
                     if self.schedule_vote:
                         # Consistency voting first: it corrects dense decay

@@ -23,15 +23,14 @@ check exits early the moment every equation is satisfied.
 The sweep engine is *residual-scheduled* in the Gauss–Seidel tradition
 of LDPC decoding practice: most messages stop changing after a few
 sweeps, so each sweep only recomputes the checks whose input
-posteriors accumulated drift above ``residual_tol`` since that check
+posteriors accumulated drift above ``RESIDUAL_TOL`` since that check
 last ran.  Convergence is tracked per table — a table whose syndrome
 hits zero (or that trips the stagnation abstain) is frozen and dropped
 from the batched WHT kernels mid-run, so one call can carry a whole
 candidate list and pay only for the tables still undecided.  Messages
-default to float32 (float64 remains the checkpoint format, which
-stores float32 values exactly); ``residual_tol=0.0`` with
-``message_dtype="float64"`` reproduces the dense reference
-sweep-for-sweep.
+are float32 (float64 remains the checkpoint format, which stores
+float32 values exactly); the dense float64 decoder they replaced is
+frozen in ``benchmarks/legacy_decode.py`` as the test oracle.
 
 Channel priors come from the asymmetric ground-state decay model: DRAM
 cells only leak *toward* their ground state, so the flip probability of
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import zlib
 from dataclasses import dataclass, field
 
@@ -70,12 +68,10 @@ DEFAULT_DECODE_ITERS = 72
 #: noticeably slowing convergence.
 DEFAULT_DAMPING = 0.2
 
-#: Default residual tolerance for check scheduling.  A check is only
+#: Residual tolerance for check scheduling.  A check is only
 #: recomputed once the message residuals that touched its variables
-#: accumulate past this probability-domain drift; 0.0 disables the
-#: skip (only exactly-unchanged neighbourhoods rest) and reproduces
-#: the dense reference trajectory.
-DEFAULT_RESIDUAL_TOL = 1e-3
+#: accumulate past this probability-domain drift.
+RESIDUAL_TOL = 1e-3
 
 #: Hopeless-table triage: after this many total sweeps, a fully
 #: observed table whose best hard-decision syndrome still violates
@@ -183,6 +179,9 @@ class ConstraintGraph:
     transform is a byte bijection.  ``var_in_edges`` lists, per
     variable, the flat edge ids (``3·check + slot``) it touches, padded
     with ``n_edges`` (a dummy edge carrying a unit message).
+    ``check_vars`` stacks the t/s/p variables per check, and
+    ``fwd_take``/``inv_take`` are the permutations again as intp, the
+    gather index dtype, so sweeps never re-cast the uint8 tables.
     """
 
     key_bits: int
@@ -195,6 +194,9 @@ class ConstraintGraph:
     inv_lut: np.ndarray
     edge_var: np.ndarray
     var_in_edges: np.ndarray
+    check_vars: np.ndarray
+    fwd_take: np.ndarray
+    inv_take: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -240,14 +242,20 @@ def build_constraint_graph(key_bits: int) -> ConstraintGraph:
     t_idx = np.asarray(t_list, dtype=np.intp)
     s_idx = np.asarray(s_list, dtype=np.intp)
     p_idx = np.asarray(p_list, dtype=np.intp)
-    edge_var = np.stack([t_idx, s_idx, p_idx], axis=1).reshape(-1)
+    check_vars = np.stack([t_idx, s_idx, p_idx], axis=1)
+    edge_var = check_vars.reshape(-1)
     n_edges = 3 * n_checks
     var_in_edges = np.full((n_vars, 3), n_edges, dtype=np.intp)
     fill = np.zeros(n_vars, dtype=np.intp)
     for edge, var in enumerate(edge_var):
         var_in_edges[var, fill[var]] = edge
         fill[var] += 1
-    for array in (t_idx, s_idx, p_idx, fwd_lut, inv_lut, edge_var, var_in_edges):
+    fwd_take = fwd_lut.astype(np.intp)
+    inv_take = inv_lut.astype(np.intp)
+    for array in (
+        t_idx, s_idx, p_idx, fwd_lut, inv_lut, edge_var, var_in_edges,
+        check_vars, fwd_take, inv_take,
+    ):
         array.setflags(write=False)
     graph = ConstraintGraph(
         key_bits=key_bits,
@@ -260,182 +268,12 @@ def build_constraint_graph(key_bits: int) -> ConstraintGraph:
         inv_lut=inv_lut,
         edge_var=edge_var,
         var_in_edges=var_in_edges,
-    )
-    _GRAPH_CACHE[key_bits] = graph
-    return graph
-
-
-# --------------------------------------------------------------------------
-# Decode plan: the precomputed gather tensors of the sweep kernel
-
-
-@dataclass(frozen=True)
-class DecodePlan:
-    """Read-only gather tensors the scheduled sweep kernel runs on.
-
-    Everything here is derived from :class:`ConstraintGraph` once per
-    variant and shared by every decode — the ``check_vars`` table that
-    flattens (table, check) pairs into posterior rows, and the S-box /
-    Rcon permutation tensors the XOR convolution crosses.  A plan can
-    be serialised with :meth:`export_blob` and re-materialised
-    zero-copy with :meth:`attach`, so sharded workers receive it
-    through the same :mod:`repro.resilience.resources` publication
-    chain (shm → mmap file → in-process buffer) as the fingerprint
-    cache instead of rebuilding it per shard.
-    """
-
-    key_bits: int
-    n_vars: int
-    n_checks: int
-    #: ``(n_checks, 3)`` — the t/s/p variable of every check.
-    check_vars: np.ndarray
-    #: ``(n_checks, 256)`` uint8 forward / inverse byte permutations.
-    fwd_lut: np.ndarray
-    inv_lut: np.ndarray
-    #: ``(n_vars, 3)`` flat edge ids per variable, padded with n_edges.
-    var_in_edges: np.ndarray
-    #: The permutations again as intp — ``take_along_axis`` index
-    #: dtype, precomputed so sweeps never re-cast the uint8 tables.
-    fwd_take: np.ndarray
-    inv_take: np.ndarray
-
-    @property
-    def n_edges(self) -> int:
-        return 3 * self.n_checks
-
-    _EXPORT_ARRAYS = ("check_vars", "fwd_lut", "inv_lut", "var_in_edges")
-
-    def export_blob(self) -> bytes:
-        """Serialise the plan: JSON header + raw little-endian arrays."""
-        header: dict = {
-            "magic": "decode-plan/v1",
-            "key_bits": self.key_bits,
-            "n_vars": self.n_vars,
-            "n_checks": self.n_checks,
-            "arrays": [],
-        }
-        payload = bytearray()
-        for name in self._EXPORT_ARRAYS:
-            array = np.ascontiguousarray(getattr(self, name))
-            if array.dtype == np.intp:
-                array = array.astype("<i8")
-            raw = array.tobytes()
-            header["arrays"].append(
-                {
-                    "name": name,
-                    "dtype": array.dtype.str,
-                    "shape": list(array.shape),
-                    "offset": len(payload),
-                    "nbytes": len(raw),
-                }
-            )
-            payload += raw
-        head = json.dumps(header).encode()
-        return len(head).to_bytes(8, "little") + head + bytes(payload)
-
-    @classmethod
-    def attach(cls, blob) -> "DecodePlan":
-        """Re-materialise a plan from :meth:`export_blob` bytes.
-
-        Arrays are zero-copy views into ``blob`` where the buffer
-        allows it (shm / mmap segments), marked read-only either way.
-        """
-        view = memoryview(blob)
-        head_len = int.from_bytes(view[:8], "little")
-        header = json.loads(bytes(view[8 : 8 + head_len]))
-        if header.get("magic") != "decode-plan/v1":
-            raise ValueError("not a decode-plan blob")
-        body = view[8 + head_len :]
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            raw = body[spec["offset"] : spec["offset"] + spec["nbytes"]]
-            array = np.frombuffer(raw, dtype=spec["dtype"]).reshape(spec["shape"])
-            if array.dtype != np.uint8:
-                array = np.ascontiguousarray(array, dtype=np.intp)
-            array.setflags(write=False)
-            arrays[spec["name"]] = array
-        fwd_take = np.ascontiguousarray(arrays["fwd_lut"], dtype=np.intp)
-        inv_take = np.ascontiguousarray(arrays["inv_lut"], dtype=np.intp)
-        fwd_take.setflags(write=False)
-        inv_take.setflags(write=False)
-        return cls(
-            key_bits=int(header["key_bits"]),
-            n_vars=int(header["n_vars"]),
-            n_checks=int(header["n_checks"]),
-            fwd_take=fwd_take,
-            inv_take=inv_take,
-            **arrays,
-        )
-
-
-_PLAN_CACHE: dict[int, DecodePlan] = {}
-
-
-def decode_plan(key_bits: int) -> DecodePlan:
-    """The memoized :class:`DecodePlan` for one AES variant."""
-    cached = _PLAN_CACHE.get(key_bits)
-    if cached is not None:
-        return cached
-    graph = build_constraint_graph(key_bits)
-    check_vars = np.stack([graph.t_idx, graph.s_idx, graph.p_idx], axis=1)
-    fwd_take = graph.fwd_lut.astype(np.intp)
-    inv_take = graph.inv_lut.astype(np.intp)
-    for array in (check_vars, fwd_take, inv_take):
-        array.setflags(write=False)
-    plan = DecodePlan(
-        key_bits=key_bits,
-        n_vars=graph.n_vars,
-        n_checks=graph.n_checks,
         check_vars=check_vars,
-        fwd_lut=graph.fwd_lut,
-        inv_lut=graph.inv_lut,
-        var_in_edges=graph.var_in_edges,
         fwd_take=fwd_take,
         inv_take=inv_take,
     )
-    _PLAN_CACHE[key_bits] = plan
-    return plan
-
-
-def install_plan(plan: DecodePlan) -> DecodePlan:
-    """Seed the module plan cache with an attached plan (worker side).
-
-    Shard initializers resolve the published plan ref and install it
-    here, so every decode in the worker gathers from the shared
-    read-only tensors instead of rebuilding them.
-    """
-    if plan.key_bits not in _PLAN_CACHE:
-        _PLAN_CACHE[plan.key_bits] = plan
-    return _PLAN_CACHE[plan.key_bits]
-
-
-def publish_plan(key_bits: int, policy=None):
-    """Publish the variant's :class:`DecodePlan` blob for shard workers.
-
-    Returns a :class:`~repro.resilience.resources.PublishedBuffer`
-    whose ``ref`` travels to worker initializers (shm → mmap file →
-    in-process buffer, same degradation chain as the dump itself);
-    workers hand it to :func:`install_plan_ref`.  The caller owns the
-    buffer's lifetime.
-    """
-    from repro.resilience.resources import publish_bytes
-
-    return publish_bytes(decode_plan(key_bits).export_blob(), policy=policy)
-
-
-#: Holders for attached plan segments — the attached arrays are
-#: zero-copy views into these mappings, which must outlive the plan.
-_PLAN_HOLDERS: list = []
-
-
-def install_plan_ref(ref) -> DecodePlan:
-    """Worker-side half of :func:`publish_plan`: resolve, attach, install."""
-    from repro.resilience.resources import resolve_ref
-
-    holder, buffer = resolve_ref(ref)
-    if holder is not None:
-        _PLAN_HOLDERS.append(holder)
-    return install_plan(DecodePlan.attach(buffer))
+    _GRAPH_CACHE[key_bits] = graph
+    return graph
 
 
 def schedule_plausibility(
@@ -520,46 +358,14 @@ def _hadamard(n: int) -> np.ndarray:
 #: H256 = H16 ⊗ H16, so a length-256 WHT is two 16×16 matmuls on a
 #: reshaped (…, 16, 16) view — contiguous BLAS kernels, ~20× faster
 #: than strided butterflies on large batches.
-_H16_BY_DTYPE = {
-    np.dtype(np.float32): np.ascontiguousarray(_hadamard(16), dtype=np.float32),
-    np.dtype(np.float64): np.ascontiguousarray(_hadamard(16), dtype=np.float64),
-}
+_H16 = np.ascontiguousarray(_hadamard(16), dtype=np.float32)
 
 
 def _wht(values: np.ndarray) -> np.ndarray:
-    """Walsh–Hadamard transform along the last (256-long) axis.
-
-    float32 (the default message dtype) runs the H16 ⊗ H16 matmul
-    factorisation; float64 keeps the reference butterfly so the
-    ``message_dtype=float64, residual_tol=0`` mode reproduces the dense
-    decoder's floating-point trajectory bit-for-bit.
-    """
-    if values.dtype == np.float64:
-        return _wht_butterfly(values)
-    h16 = _H16_BY_DTYPE[values.dtype]
+    """Walsh–Hadamard transform along the last (256-long) axis."""
     shape = values.shape
     folded = values.reshape(-1, 16, 16)
-    return np.matmul(h16, folded @ h16).reshape(shape)
-
-
-def _wht_butterfly(values: np.ndarray) -> np.ndarray:
-    """The reference WHT: iterative butterflies, bit-exact with the
-    frozen dense decoder's op order, on one working copy plus a reused
-    half-size scratch buffer."""
-    shape = values.shape
-    out = np.array(values, dtype=values.dtype, copy=True).reshape(-1, 256)
-    scratch = np.empty((out.shape[0], 128), dtype=out.dtype)
-    half = 1
-    while half < 256:
-        view = out.reshape(-1, 2, half)
-        low = view[:, 0, :]
-        high = view[:, 1, :]
-        tmp = scratch.reshape(-1, half)[: low.shape[0]]
-        np.subtract(low, high, out=tmp)
-        np.add(low, high, out=low)
-        high[...] = tmp
-        half *= 2
-    return out.reshape(shape)
+    return np.matmul(_H16, folded @ _H16).reshape(shape)
 
 
 _VALUE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
@@ -703,10 +509,6 @@ class DecodeResult:
     #: Per-table mean max-posterior probability — the certainty the
     #: confidence machinery is recalibrated from.
     certainty: np.ndarray
-    #: True when a deadline stopped the decode before convergence; the
-    #: partial posteriors are in ``state``.
-    interrupted: bool = False
-    state: DecodeState | None = field(default=None, repr=False)
     #: Per-table sweeps until that table froze (converged / stalled);
     #: ``None`` only for results built by very old callers.
     table_iterations: np.ndarray | None = None
@@ -731,7 +533,6 @@ class DecodeResult:
             syndrome_weight=self.syndrome_weight[index : index + 1],
             posterior_entropy=self.posterior_entropy[index : index + 1],
             certainty=self.certainty[index : index + 1],
-            interrupted=self.interrupted,
             table_iterations=(
                 titers[index : index + 1] if titers is not None else None
             ),
@@ -825,7 +626,7 @@ class _SweepSchedule:
         return sched
 
 
-def decode_schedules(
+def decode_schedule(
     observed: np.ndarray,
     key_bits: int,
     channel: ChannelModel,
@@ -837,11 +638,8 @@ def decode_schedules(
     state: DecodeState | None = None,
     beat_every: int = 4,
     stall_sweeps: int = 8,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    message_dtype=np.float32,
-    keep_state: bool = False,
 ) -> DecodeResult:
-    """Sum-product decode of a batch of observed schedule tables.
+    """Sum-product decode of one observed schedule table or a batch.
 
     ``observed`` is ``(batch, n_bytes)`` (or ``(n_bytes,)``) uint8 —
     every candidate schedule decodes in one set of batched kernels.
@@ -851,7 +649,7 @@ def decode_schedules(
     batched call returns byte-identical results to decoding each table
     alone while paying only for the tables still in play.  Within a
     table, only checks whose input variables accumulated message drift
-    above ``residual_tol`` are recomputed each sweep (Gauss–Seidel /
+    above ``RESIDUAL_TOL`` are recomputed each sweep (Gauss–Seidel /
     residual scheduling); a table with no dirty checks left can never
     change again and freezes immediately.
 
@@ -878,17 +676,13 @@ def decode_schedules(
     and abstains immediately instead of feeding the stagnation
     counter.  Setting ``stall_sweeps=0`` disables both abstains.
 
-    Messages run in ``message_dtype`` (float32 by default; checkpoints
-    always store float64, which represents every float32 exactly, so
-    interrupt/resume stays bit-exact).  ``residual_tol=0.0`` together
-    with ``message_dtype=np.float64`` reproduces the dense reference
-    decoder's trajectory.
+    Messages run in float32 (checkpoints always store float64, which
+    represents every float32 exactly, so interrupt/resume stays
+    bit-exact).
     """
     graph = build_constraint_graph(key_bits)
-    plan = decode_plan(key_bits)
     observed = np.asarray(observed, dtype=np.uint8)
-    squeeze = observed.ndim == 1
-    if squeeze:
+    if observed.ndim == 1:
         observed = observed[None, :]
         if known is not None:
             known = np.asarray(known, dtype=bool)[None, :]
@@ -899,29 +693,30 @@ def decode_schedules(
         )
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-    if residual_tol < 0.0:
-        raise ValueError("residual_tol must be non-negative")
-    dtype = np.dtype(message_dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("message_dtype must be float32 or float64")
     deadline = Deadline.coerce(deadline)
     batch = observed.shape[0]
     digest = context_digest(observed, known, channel, key_bits, damping)
 
     n_vars = graph.n_vars
     n_checks, n_edges = graph.n_checks, graph.n_edges
-    # Probability floor before the log: 1e-300 keeps the float64 path
-    # on the dense reference's exact trajectory; float32 needs its own
-    # (normal) floor so the log stays finite.
-    tiny = 1e-300 if dtype == np.dtype(np.float64) else float(np.finfo(dtype).tiny)
+    # Probability floor before the log: float32 needs a normal floor so
+    # the log stays finite.
+    tiny = float(np.finfo(np.float32).tiny)
 
-    prior_log = byte_priors(observed, channel, known).astype(dtype)  # (B, V, 256)
+    prior_log = byte_priors(observed, channel, known).astype(np.float32)  # (B, V, 256)
+    # Messages live *only* in the log domain: probability-domain values
+    # are re-derived by exponentiating the already-gathered logs inside
+    # each sweep chunk.  They sit in flat-edge layout with a trailing
+    # zero dummy row, so a variable's posterior is prior + a 3-way
+    # padded gather-sum.
+    cv_log_pad = np.zeros((batch, n_edges + 1, 256), dtype=np.float32)
     if (
         state is not None
         and state.digest == digest
         and state.messages.shape == (batch, n_checks, 3, 256)
     ):
-        cv = state.messages.astype(dtype, copy=True)
+        messages = state.messages.astype(np.float32)
+        cv_log_pad[:, :n_edges, :] = np.log(messages).reshape(batch, n_edges, 256)
         start_iteration = int(state.iteration)
         sched = None
         if state.sched is not None:
@@ -932,29 +727,9 @@ def decode_schedules(
         if sched is None:
             sched = _SweepSchedule(batch, n_checks)
     else:
-        cv = None
+        cv_log_pad[:, :n_edges, :] = np.log(np.float64(1.0) / 256.0)
         start_iteration = 0
         sched = _SweepSchedule(batch, n_checks)
-
-    # The float32 fast path keeps messages *only* in the log domain:
-    # probability-domain values are re-derived by exponentiating the
-    # already-gathered logs inside each sweep chunk, which halves the
-    # resident message state and drops a gather + scatter per chunk.
-    # The float64 path keeps the probability-domain ``cv`` array so its
-    # arithmetic matches the dense reference operation for operation.
-    fast = dtype == np.dtype(np.float32)
-
-    # Messages in flat-edge layout with a trailing zero dummy row, so a
-    # variable's posterior is prior + a 3-way padded gather-sum.
-    cv_log_pad = np.zeros((batch, n_edges + 1, 256), dtype=dtype)
-    if cv is not None:
-        cv_log_pad[:, :n_edges, :] = np.log(cv).reshape(batch, n_edges, 256)
-    else:
-        cv_log_pad[:, :n_edges, :] = np.log(np.float64(1.0) / 256.0)
-        if not fast:
-            cv = np.full((batch, n_checks, 3, 256), 1.0 / 256.0, dtype=dtype)
-    if fast:
-        cv = None
     clp_flat = cv_log_pad.reshape(batch * (n_edges + 1), 256)
 
     # The edge gather leaves advanced-index-first strides on its
@@ -967,9 +742,7 @@ def decode_schedules(
         out=posterior_log,
     )
     post_flat = posterior_log.reshape(batch * n_vars, 256)
-    prior_flat = prior_log.reshape(batch * n_vars, 256)
     hard = posterior_log.argmax(axis=2).astype(np.uint8)
-    hard_flat = hard.reshape(batch * n_vars)
 
     rows = np.arange(n_checks)
     syndrome_weight = np.full(batch, n_checks, dtype=np.int64)
@@ -998,15 +771,12 @@ def decode_schedules(
         return (residue != 0).sum(axis=1)
 
     def snapshot_state(iteration: int) -> DecodeState:
-        if cv is not None:
-            messages = cv.astype(np.float64, copy=True)
-        else:
-            # Fast path: re-exponentiate the log-domain messages.  The
-            # exp/log round-trip through float64 recovers every float32
-            # log exactly, so resuming from the snapshot is bit-exact.
-            messages = np.exp(cv_log_pad[:, :n_edges, :].astype(np.float64)).reshape(
-                batch, n_checks, 3, 256
-            )
+        # Re-exponentiate the log-domain messages.  The exp/log
+        # round-trip through float64 recovers every float32 log
+        # exactly, so resuming from the snapshot is bit-exact.
+        messages = np.exp(cv_log_pad[:, :n_edges, :].astype(np.float64)).reshape(
+            batch, n_checks, 3, 256
+        )
         return DecodeState(
             iteration=iteration,
             messages=messages,
@@ -1078,7 +848,7 @@ def decode_schedules(
         m = sel_t.size
         checks_updated += int(m)
         checks_dense += int((~sched.frozen).sum()) * n_checks
-        flat_v = sel_t[:, None] * n_vars + plan.check_vars[sel_c]  # (M, 3)
+        flat_v = sel_t[:, None] * n_vars + graph.check_vars[sel_c]  # (M, 3)
         flat_e = (
             sel_t[:, None] * (n_edges + 1) + (3 * sel_c)[:, None] + slot[None, :]
         )  # (M, 3)
@@ -1089,73 +859,40 @@ def decode_schedules(
         # of streaming multi-MB arrays through memory once per op.
         for lo in range(0, m, _SWEEP_CHUNK):
             hi = min(m, lo + _SWEEP_CHUNK)
-            ct, cc = sel_t[lo:hi], sel_c[lo:hi]
+            cc = sel_c[lo:hi]
             cfv, cfe = flat_v[lo:hi], flat_e[lo:hi]
-            if fast:
-                # BP messages are scale-invariant (any per-message
-                # factor becomes an additive posterior constant that
-                # the max-shift removes), so the fast path skips every
-                # cosmetic normalisation, folds the damping factor into
-                # the one scale it does apply, and re-derives the old
-                # probability messages from the logs it already
-                # gathered instead of keeping a second array.
-                g = clp_flat[cfe]  # (chunk, 3, 256) log old messages
-                vc = post_flat[cfv]
-                vc -= g
-                vc -= vc.max(axis=-1, keepdims=True)
-                np.exp(vc, out=vc)
-                # Prev operand enters the XOR in its transformed domain.
-                bidx = slot2_base[: hi - lo]
-                vc[:, 2, :] = vc.ravel()[bidx + plan.inv_take[cc]]
-                w = _wht(vc.reshape(-1, 256)).reshape(-1, 3, 256)
-                prods = np.empty_like(w)
-                # XOR convolution: pointwise product in the WHT domain.
-                np.multiply(w[:, 1], w[:, 2], out=prods[:, 0])
-                np.multiply(w[:, 0], w[:, 2], out=prods[:, 1])
-                np.multiply(w[:, 0], w[:, 1], out=prods[:, 2])
-                fresh = _wht(prods.reshape(-1, 256)).reshape(-1, 3, 256)
-                fresh[:, 2, :] = fresh.ravel()[bidx + plan.fwd_take[cc]]
-                np.clip(fresh, tiny, None, out=fresh)
-                fresh *= (1.0 - damping) / fresh.sum(axis=-1, keepdims=True)
-                old = np.exp(g, out=g)
-                fresh += np.multiply(old, damping, out=prods)
-                np.subtract(old, fresh, out=old)
-                np.abs(old, out=old)
-                residual[lo:hi] = old.max(axis=(1, 2))
-                np.log(fresh, out=fresh)
-                clp_flat[cfe.ravel()] = fresh.reshape((hi - lo) * 3, 256)
-                continue
+            # BP messages are scale-invariant (any per-message factor
+            # becomes an additive posterior constant that the max-shift
+            # removes), so the sweep skips every cosmetic normalisation,
+            # folds the damping factor into the one scale it does apply,
+            # and re-derives the old probability messages from the logs
+            # it already gathered instead of keeping a second array.
+            g = clp_flat[cfe]  # (chunk, 3, 256) log old messages
             # Variable→check messages: posterior, own edge divided out.
             vc = post_flat[cfv]
-            vc -= clp_flat[cfe]
+            vc -= g
             vc -= vc.max(axis=-1, keepdims=True)
             np.exp(vc, out=vc)
-            vc /= vc.sum(axis=-1, keepdims=True)
             # Prev operand enters the XOR in its transformed domain.
-            vc_p = np.take_along_axis(vc[:, 2, :], plan.inv_take[cc], axis=1)
-            w_t = _wht(vc[:, 0, :])
-            w_s = _wht(vc[:, 1, :])
-            w_p = _wht(vc_p)
+            bidx = slot2_base[: hi - lo]
+            vc[:, 2, :] = vc.ravel()[bidx + graph.inv_take[cc]]
+            w = _wht(vc.reshape(-1, 256)).reshape(-1, 3, 256)
+            prods = np.empty_like(w)
             # XOR convolution: pointwise product in the WHT domain.
-            to_t = _wht(w_s * w_p)
-            to_s = _wht(np.multiply(w_t, w_p, out=w_p))
-            to_p_check = _wht(np.multiply(w_t, w_s, out=w_s))
-            to_p = np.take_along_axis(to_p_check, plan.fwd_take[cc], axis=1)
-            fresh = np.stack([to_t, to_s, to_p], axis=1)  # (chunk, 3, 256)
+            np.multiply(w[:, 1], w[:, 2], out=prods[:, 0])
+            np.multiply(w[:, 0], w[:, 2], out=prods[:, 1])
+            np.multiply(w[:, 0], w[:, 1], out=prods[:, 2])
+            fresh = _wht(prods.reshape(-1, 256)).reshape(-1, 3, 256)
+            fresh[:, 2, :] = fresh.ravel()[bidx + graph.fwd_take[cc]]
             np.clip(fresh, tiny, None, out=fresh)
-            fresh /= fresh.sum(axis=-1, keepdims=True)
-            old = cv[ct, cc]  # (chunk, 3, 256)
-            # Damped blend, in place: fresh becomes the renormalised new
-            # message; old is then consumed by the residual computation.
-            fresh *= 1.0 - damping
-            fresh += damping * old
-            fresh /= fresh.sum(axis=-1, keepdims=True)
-            new = fresh
-            np.subtract(old, new, out=old)
+            fresh *= (1.0 - damping) / fresh.sum(axis=-1, keepdims=True)
+            old = np.exp(g, out=g)
+            fresh += np.multiply(old, damping, out=prods)
+            np.subtract(old, fresh, out=old)
             np.abs(old, out=old)
             residual[lo:hi] = old.max(axis=(1, 2))
-            cv[ct, cc] = new
-            clp_flat[cfe.ravel()] = np.log(new).reshape((hi - lo) * 3, 256)
+            np.log(fresh, out=fresh)
+            clp_flat[cfe.ravel()] = fresh.reshape((hi - lo) * 3, 256)
         # Refresh posteriors + hard decisions of the touched tables.
         # (Vars whose checks all rested keep their values — their edge
         # messages are unchanged, so recomputing them is a no-op.)
@@ -1176,9 +913,9 @@ def decode_schedules(
         sched.pending[sel_t, sel_c] = 0.0
         act = np.flatnonzero(~sched.frozen)
         sched.pending[act] += perturb.reshape(batch, n_vars)[act][
-            :, plan.check_vars
+            :, graph.check_vars
         ].max(axis=2)
-        sched.dirty[act] = sched.pending[act] > residual_tol
+        sched.dirty[act] = sched.pending[act] > RESIDUAL_TOL
         iterations = iteration + 1
 
     never_frozen = ~sched.frozen
@@ -1203,25 +940,4 @@ def decode_schedules(
         table_iterations=sched.table_iterations.copy(),
         checks_updated=checks_updated,
         checks_dense=checks_dense,
-        # keep_state lets the sharded orchestrator merge finished
-        # shards into one full-batch checkpoint when a sibling shard
-        # trips the deadline; resuming from it is still bit-exact.
-        state=snapshot_state(iterations) if keep_state else None,
-    )
-
-
-def decode_schedule(
-    observed: np.ndarray,
-    key_bits: int,
-    channel: ChannelModel,
-    known: np.ndarray | None = None,
-    **kwargs,
-) -> DecodeResult:
-    """Single-table convenience wrapper around :func:`decode_schedules`."""
-    return decode_schedules(
-        np.asarray(observed, dtype=np.uint8)[None, :],
-        key_bits,
-        channel,
-        known=None if known is None else np.asarray(known, dtype=bool)[None, :],
-        **kwargs,
     )

@@ -59,13 +59,10 @@ class AttackConfig:
     #: work budget decide).  Note the decoded stage's cost of 4 only
     #: fits when ``adaptive_total_work`` ≥ 10.
     adaptive_max_stage: str | None = None
-    #: Cap on belief-propagation sweeps per decoded table.
+    #: Cap on belief-propagation sweeps per decoded table (at least 1).
+    #: Each decode is one batched :func:`~repro.attack.decode.decode_schedule`
+    #: call on the calling thread.
     decode_iters: int = 72
-    #: Thread shards for the decoded stage: candidate tables are split
-    #: across this many decode workers
-    #: (:func:`~repro.attack.decode_shard.decode_schedules_sharded`);
-    #: per-table outputs stay byte-identical to the unsharded decode.
-    decode_workers: int = 1
     #: Path for the decode-state sidecar
     #: (:class:`~repro.resilience.checkpoint.DecodeStateStore`): a
     #: deadline that expires mid-decode checkpoints the partial
@@ -267,7 +264,6 @@ class Ddr4ColdBootAttack:
             scan_limit_bytes=config.key_scan_limit_bytes,
             max_stage=config.adaptive_max_stage,
             decode_iters=config.decode_iters,
-            decode_workers=config.decode_workers,
             decode_state_store=store,
         )
         start = time.perf_counter()

@@ -58,6 +58,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if master == volume.master_key else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_dump(path: str):
     from repro.dram.image import MemoryImage
 
@@ -144,7 +155,6 @@ def _run_attack(args: argparse.Namespace) -> int:
             adaptive_total_work=total_work,
             adaptive_max_stage=args.max_stage,
             decode_iters=args.decode_iters,
-            decode_workers=args.decode_workers,
             # In adaptive mode the journal path doubles as the decode
             # state sidecar: a deadline that expires mid-decode saves
             # the partial posteriors there, and --resume warm-starts
@@ -576,13 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest adaptive escalation rung; 'decoded' "
                              "turns on belief-propagation key recovery and "
                              "raises the work budget to fit it")
-    attack.add_argument("--decode-iters", type=int, default=72,
+    attack.add_argument("--decode-iters", type=_positive_int, default=72,
                         help="cap on message-passing sweeps per decoded "
                              "table (adaptive mode, default: 72)")
-    attack.add_argument("--decode-workers", type=int, default=1,
-                        help="thread shards for the decoded stage; candidate "
-                             "tables split across workers with byte-identical "
-                             "results (adaptive mode, default: 1)")
     attack.set_defaults(func=_cmd_attack)
 
     keyfind = sub.add_parser("keyfind", help="Halderman search over plaintext dumps")

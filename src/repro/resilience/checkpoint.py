@@ -445,10 +445,10 @@ class DecodeStateStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._entries: dict[str, dict] = {}
-        # Sharded decode workers checkpoint through the orchestrator,
-        # but nothing stops two searches (or a search and a watchdog
-        # flush) from sharing a store — serialise the read-modify-
-        # rewrite cycle so concurrent saves cannot drop entries.
+        # Each search decodes on its calling thread, but nothing stops
+        # two searches (or a search and a watchdog flush) from sharing a
+        # store — serialise the read-modify-rewrite cycle so concurrent
+        # saves cannot drop entries.
         self._lock = threading.Lock()
         if self.path.exists():
             self._entries = self._load()

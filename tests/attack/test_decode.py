@@ -6,12 +6,19 @@ recovery below the code's threshold, abstain-not-wrong above it, across
 all three AES variants and asymmetric channels.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attack.decode import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
+
+from repro.attack.decode import (  # noqa: E402
     DEFAULT_DAMPING,
     RATE_CEIL,
     RATE_FLOOR,
@@ -23,10 +30,11 @@ from repro.attack.decode import (
     clamp_rate,
     context_digest,
     decode_schedule,
-    decode_schedules,
     schedule_plausibility,
 )
-from repro.crypto.aes import expand_key, rounds_for
+from repro.crypto.aes import expand_key, rounds_for  # noqa: E402
+from repro.resilience.deadline import Deadline  # noqa: E402
+from repro.resilience.errors import DeadlineExceededError  # noqa: E402
 
 
 def _corrupt(schedule: bytes, rate: float, seed: int) -> np.ndarray:
@@ -39,6 +47,30 @@ def _corrupt(schedule: bytes, rate: float, seed: int) -> np.ndarray:
 def _master(key_bits: int, seed: int) -> bytes:
     rng = np.random.default_rng(seed)
     return bytes(rng.integers(0, 256, key_bits // 8, np.uint8))
+
+
+class CountdownDeadline(Deadline):
+    """Expires after a fixed number of .expired polls."""
+
+    def __init__(self, checks: int) -> None:
+        object.__setattr__(self, "expires_at", float("inf"))
+        object.__setattr__(self, "total_seconds", 3600.0)
+        object.__setattr__(self, "checks_left", checks)
+
+    @property
+    def expired(self) -> bool:
+        left = self.checks_left
+        object.__setattr__(self, "checks_left", left - 1)
+        return left <= 0
+
+
+def _same_result(a, b) -> bool:
+    return (
+        np.array_equal(a.tables, b.tables)
+        and np.array_equal(a.converged, b.converged)
+        and np.array_equal(a.syndrome_weight, b.syndrome_weight)
+        and np.array_equal(a.table_iterations, b.table_iterations)
+    )
 
 
 class TestRateClamp:
@@ -197,14 +229,21 @@ class TestDecodeRoundTrip:
         assert result.tables[0, :32].tobytes() == master
 
     def test_batch_decode_matches_single(self):
+        """Nothing couples tables inside a batch: every row, junk
+        included, decodes exactly as it would alone."""
         masters = [_master(256, s) for s in (31, 32)]
+        rng = np.random.default_rng(31)
         observed = np.vstack(
             [_corrupt(expand_key(m), 0.03, seed=s) for s, m in enumerate(masters)]
+            + [rng.integers(0, 256, 240, np.uint8) for _ in range(2)]
         )
-        result = decode_schedules(observed, 256, ChannelModel.symmetric(0.03))
-        assert result.converged.all()
+        channel = ChannelModel.symmetric(0.03)
+        result = decode_schedule(observed, 256, channel)
+        assert result.converged.tolist() == [True, True, False, False]
         for row, master in zip(result.tables, masters):
             assert row[:32].tobytes() == master
+        for index, table in enumerate(observed):
+            assert _same_result(decode_schedule(table, 256, channel), result.table(index))
 
     def test_abstained_posteriors_stay_conflicted(self):
         """A converged decode is near-certain; an abstained one carries
@@ -322,23 +361,6 @@ class TestDecodeStateRoundTrip:
     def test_interrupted_decode_resumes_byte_identically(self):
         """Deadline mid-decode → checkpointed messages → resume lands on
         the same table as an uninterrupted run (the --resume bar)."""
-        from repro.resilience.deadline import Deadline
-        from repro.resilience.errors import DeadlineExceededError
-
-        class CountdownDeadline(Deadline):
-            """Expires after a fixed number of .expired polls."""
-
-            def __init__(self, checks: int) -> None:
-                object.__setattr__(self, "expires_at", float("inf"))
-                object.__setattr__(self, "total_seconds", 3600.0)
-                object.__setattr__(self, "checks_left", checks)
-
-            @property
-            def expired(self) -> bool:
-                left = self.checks_left
-                object.__setattr__(self, "checks_left", left - 1)
-                return left <= 0
-
         master = _master(256, 41)
         observed = _corrupt(expand_key(master), 0.07, seed=41)
         channel = ChannelModel.symmetric(0.07)
@@ -353,12 +375,37 @@ class TestDecodeStateRoundTrip:
         state = err.value.decode_state
         assert state is not None and state.iteration > 0
 
-        resumed = decode_schedules(
-            observed[None, :], 256, channel, state=state
-        )
+        resumed = decode_schedule(observed, 256, channel, state=state)
         assert not resumed.abstained()
         assert (resumed.tables == straight.tables).all()
         assert resumed.tables[0, :32].tobytes() == master
+
+    def test_mixed_batch_expiry_resumes_identically(self):
+        """2 true and 4 junk tables at BER 0.04, cut by a deadline once
+        the junk has frozen but the true tables still decode: the one
+        batch checkpoint carries frozen and live tables alike, and the
+        resume finishes exactly as a straight run."""
+        from repro.attack.decode import _SweepSchedule
+
+        rng = np.random.default_rng(91)
+        observed = np.vstack(
+            [_corrupt(expand_key(_master(256, 91 + i)), 0.04, 91 + i) for i in range(2)]
+            + [rng.integers(0, 256, 240, np.uint8) for _ in range(4)]
+        )
+        channel = ChannelModel.symmetric(0.04)
+        straight = decode_schedule(observed, 256, channel)
+        assert straight.converged[:2].all() and not straight.converged[2:].any()
+
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(observed, 256, channel, deadline=CountdownDeadline(3))
+        state = err.value.decode_state
+        assert state.messages.shape[0] == observed.shape[0]
+        n_checks = build_constraint_graph(256).n_checks
+        frozen = _SweepSchedule.from_dict(state.sched, 6, n_checks).frozen
+        assert frozen[2:].all() and not frozen[:2].any()
+
+        resumed = decode_schedule(observed, 256, channel, state=state)
+        assert _same_result(straight, resumed)
 
 
 class TestWatchdogHeartbeat:
@@ -435,7 +482,10 @@ class TestSweepScheduling:
 
     def test_scheduled_f32_matches_dense_f64_outcomes(self):
         """The fast path may skip work and round messages, but wherever
-        either path converges both must land on the same bytes."""
+        either path converges both must land on the same bytes.  The
+        dense float64 path is the decoder frozen in
+        :mod:`benchmarks.legacy_decode`, run per table as the decode
+        harness runs it."""
         observed = np.vstack(
             [
                 _corrupt(expand_key(_master(256, s)), 0.035, seed=s)
@@ -443,32 +493,12 @@ class TestSweepScheduling:
             ]
         )
         channel = ChannelModel.symmetric(0.035)
-        fast = decode_schedules(observed, 256, channel)
-        dense = decode_schedules(
-            observed, 256, channel,
-            message_dtype=np.float64, residual_tol=0.0,
-        )
-        assert np.array_equal(fast.converged, dense.converged)
-        assert np.array_equal(
-            fast.tables[fast.converged], dense.tables[dense.converged]
-        )
-
-    def test_keep_state_attaches_a_resumable_snapshot(self):
-        observed = _corrupt(expand_key(_master(256, 66)), 0.05, seed=66)
-        channel = ChannelModel.symmetric(0.05)
-        partial = decode_schedules(
-            observed[None, :], 256, channel, max_iters=3, keep_state=True
-        )
-        assert partial.state is not None
-        assert partial.state.iteration == 3
-        bare = decode_schedules(observed[None, :], 256, channel, max_iters=3)
-        assert bare.state is None
-        resumed = decode_schedules(
-            observed[None, :], 256, channel, state=partial.state
-        )
-        straight = decode_schedules(observed[None, :], 256, channel)
-        assert (resumed.tables == straight.tables).all()
-        assert np.array_equal(resumed.converged, straight.converged)
+        fast = decode_schedule(observed, 256, channel)
+        dense = [legacy_decode_schedules(table, 256, channel) for table in observed]
+        assert fast.converged.tolist() == [bool(d.converged[0]) for d in dense]
+        for index, reference in enumerate(dense):
+            if reference.converged[0]:
+                assert np.array_equal(fast.tables[index], reference.tables[0])
 
     def test_sweep_telemetry_reports_scheduling_savings(self):
         """checks_updated (work done) must undercut checks_dense (work a
@@ -481,44 +511,3 @@ class TestSweepScheduling:
         )
         assert result.checks_dense > 0
         assert 0 < result.checks_updated < result.checks_dense
-
-
-class TestDecodePlanTransport:
-    """The shared-plan publication path the shard workers ride."""
-
-    def test_export_attach_round_trip(self):
-        from repro.attack.decode import DecodePlan, decode_plan
-
-        plan = decode_plan(192)
-        clone = DecodePlan.attach(plan.export_blob())
-        assert clone.key_bits == plan.key_bits
-        for field in ("check_vars", "fwd_lut", "inv_lut", "var_in_edges",
-                      "fwd_take", "inv_take"):
-            assert np.array_equal(getattr(clone, field), getattr(plan, field))
-
-    def test_attach_rejects_foreign_blobs(self):
-        from repro.attack.decode import DecodePlan
-
-        with pytest.raises(ValueError):
-            DecodePlan.attach(b"not a decode plan")
-
-    def test_publish_then_install_ref(self):
-        from repro.attack.decode import (
-            decode_plan,
-            install_plan_ref,
-            publish_plan,
-        )
-
-        published = publish_plan(128)
-        try:
-            installed = install_plan_ref(published.ref)
-        finally:
-            published.unlink()
-        reference = decode_plan(128)
-        assert installed.key_bits == 128
-        assert np.array_equal(installed.fwd_take, reference.fwd_take)
-        # The installed plan must be live, not a dangling view.
-        master = _master(128, 68)
-        observed = _corrupt(expand_key(master), 0.02, seed=68)
-        result = decode_schedule(observed, 128, ChannelModel.symmetric(0.02))
-        assert result.tables[0, :16].tobytes() == master

@@ -1,221 +1,57 @@
-"""Sharded decode: partition-invariance, state surgery, deadline merge.
+"""Partition invariance: a batch decodes the same in any shards.
 
-The contract under test is the one the orchestrator leans on: decoding
-a batch across any number of thread shards is byte-identical to the
-unsharded call, a deadline mid-decode yields one *full-batch* merged
-checkpoint, and that checkpoint resumes correctly under a different
-shard count — the shard geometry is a kernel-shape decision, never a
-semantic one.
+Nothing couples tables inside one :func:`decode_schedule` batch, so
+splitting the candidate tables into sub-batches — however many, in any
+grouping — is a kernel-shape decision, never a semantic one.  The
+property below deals a mixed batch into random shards, decodes each
+shard on its own, and holds every row to the whole-batch decode field by
+field; every planted table that converges is exactly its true schedule.
+The per-table comparison with the dense float64 decoder is
+``test_oracle_differential.py::test_decoder_matches_dense_oracle``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attack.decode import (
-    ChannelModel,
-    decode_schedules,
-)
-from repro.attack.decode_shard import (
-    decode_schedules_sharded,
-    merge_states,
-    slice_state,
-)
+from repro.attack.decode import ChannelModel, decode_schedule
 from repro.crypto.aes import expand_key
-from repro.resilience.errors import DeadlineExceededError
 
-from .test_decode import _corrupt, _master
-
-
-def _workload(key_bits: int, n_true: int, n_junk: int, rate: float, seed: int):
-    rng = np.random.default_rng(seed)
-    tables = [
-        _corrupt(expand_key(_master(key_bits, seed + i)), rate, seed + i)
-        for i in range(n_true)
-    ]
-    n_vars = tables[0].size
-    tables += [
-        rng.integers(0, 256, n_vars, np.uint8) for _ in range(n_junk)
-    ]
-    return np.vstack(tables)
-
-
-def _same_result(a, b) -> bool:
-    return (
-        np.array_equal(a.tables, b.tables)
-        and np.array_equal(a.converged, b.converged)
-        and np.array_equal(a.syndrome_weight, b.syndrome_weight)
-        and np.array_equal(a.table_iterations, b.table_iterations)
-    )
+from .test_decode import _corrupt, _master, _same_result
 
 
 class TestPartitionInvariance:
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_sharded_matches_unsharded(self, workers):
-        observed = _workload(256, 3, 5, 0.03, seed=71)
-        channel = ChannelModel.symmetric(0.03)
-        dense = decode_schedules(observed, 256, channel)
-        sharded = decode_schedules_sharded(
-            observed, 256, channel, workers=workers
-        )
-        assert _same_result(dense, sharded)
-        assert dense.converged[:3].all()
-
-    def test_workers_one_delegates(self):
-        observed = _workload(128, 2, 2, 0.02, seed=72)
-        channel = ChannelModel.symmetric(0.02)
-        assert _same_result(
-            decode_schedules(observed, 128, channel),
-            decode_schedules_sharded(observed, 128, channel, workers=1),
-        )
-
-    def test_more_workers_than_tables(self):
-        observed = _workload(192, 2, 1, 0.02, seed=73)
-        channel = ChannelModel.symmetric(0.02)
-        assert _same_result(
-            decode_schedules(observed, 192, channel),
-            decode_schedules_sharded(observed, 192, channel, workers=16),
-        )
-
     @settings(max_examples=8, deadline=None)
     @given(
         key_bits=st.sampled_from([128, 192, 256]),
         rate=st.floats(min_value=0.0, max_value=0.045),
         to_ground=st.floats(min_value=0.5, max_value=2.0),
-        workers=st.integers(min_value=2, max_value=4),
+        shard_of=st.lists(st.integers(0, 3), min_size=4, max_size=4),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_property_partition_invariant_and_exact(
-        self, key_bits, rate, to_ground, workers, seed
+        self, key_bits, rate, to_ground, shard_of, seed
     ):
-        """Across variants, BERs, and asymmetric channels: sharding is
-        invisible, and wherever the scheduled decoder converges it must
-        agree byte-for-byte with the dense float64 reference."""
-        observed = _workload(key_bits, 2, 2, rate, seed)
+        """Across variants, BERs, and asymmetric channels: 2 planted and
+        2 junk tables, each dealt to one of up to 4 shards."""
+        masters = [_master(key_bits, seed + i) for i in range(2)]
+        rng = np.random.default_rng(seed)
+        tables = [
+            _corrupt(expand_key(master), rate, seed + i)
+            for i, master in enumerate(masters)
+        ]
+        tables += [rng.integers(0, 256, tables[0].size, np.uint8) for _ in range(2)]
+        observed = np.vstack(tables)
         channel = ChannelModel(
             rate_to_ground=max(rate, 1e-4) * to_ground,
             rate_from_ground=max(rate, 1e-4),
         )
-        fast = decode_schedules(observed, key_bits, channel)
-        sharded = decode_schedules_sharded(
-            observed, key_bits, channel, workers=workers
-        )
-        assert _same_result(fast, sharded)
-        # Dense reference trajectory: float64, no residual skipping.
-        dense = decode_schedules(
-            observed,
-            key_bits,
-            channel,
-            message_dtype=np.float64,
-            residual_tol=0.0,
-        )
-        both = fast.converged & dense.converged
-        assert np.array_equal(fast.tables[both], dense.tables[both])
-        # A table the dense reference decodes is one the scheduled
-        # decoder must not walk past (the other direction is fine: the
-        # near-codeword stagnation exemption can outlast the reference).
-        assert (fast.converged | ~dense.converged).all()
-
-
-class TestStateSurgery:
-    def _context(self):
-        observed = _workload(256, 2, 2, 0.05, seed=81)
-        channel = ChannelModel.symmetric(0.05)
-        return observed, channel
-
-    def _partial_state(self, observed, channel):
-        from repro.resilience.deadline import Deadline
-
-        class CountdownDeadline(Deadline):
-            def __init__(self, checks: int) -> None:
-                object.__setattr__(self, "expires_at", float("inf"))
-                object.__setattr__(self, "total_seconds", 3600.0)
-                object.__setattr__(self, "checks_left", checks)
-
-            @property
-            def expired(self) -> bool:
-                left = self.checks_left
-                object.__setattr__(self, "checks_left", left - 1)
-                return left <= 0
-
-        with pytest.raises(DeadlineExceededError) as err:
-            decode_schedules(
-                observed, 256, channel, deadline=CountdownDeadline(2)
-            )
-        return err.value.decode_state
-
-    def test_slice_then_merge_round_trips(self):
-        observed, channel = self._context()
-        state = self._partial_state(observed, channel)
-        idx_a, idx_b = np.array([0, 2]), np.array([1, 3])
-        parts = [
-            (idx, slice_state(state, idx, observed, None, channel, 256, 0.2))
-            for idx in (idx_a, idx_b)
-        ]
-        assert all(part is not None for _, part in parts)
-        merged = merge_states(parts, observed, None, channel, 256, 0.2)
-        assert merged.iteration == state.iteration
-        assert np.array_equal(merged.messages, state.messages)
-        assert merged.digest == state.digest
-
-    def test_slice_of_damaged_state_is_none(self):
-        observed, channel = self._context()
-        state = self._partial_state(observed, channel)
-        truncated = type(state)(
-            iteration=state.iteration,
-            messages=state.messages[:2],
-            digest=state.digest,
-            sched=state.sched,
-        )
-        assert (
-            slice_state(
-                truncated, np.array([0]), observed, None, channel, 256, 0.2
-            )
-            is None
-        )
-
-    def test_merge_fills_never_run_shards_with_fresh_state(self):
-        observed, channel = self._context()
-        state = self._partial_state(observed, channel)
-        ran = np.array([0, 1])
-        missing = np.array([2, 3])
-        merged = merge_states(
-            [
-                (ran, slice_state(state, ran, observed, None, channel, 256, 0.2)),
-                (missing, None),
-            ],
-            observed,
-            None,
-            channel,
-            256,
-            0.2,
-        )
-        assert np.array_equal(merged.messages[ran], state.messages[ran])
-        assert np.allclose(merged.messages[missing], 1.0 / 256.0)
-
-
-class TestDeadlineMergeResume:
-    def test_expiry_merges_full_batch_and_resumes_any_geometry(self):
-        """Deadline under 2 workers → one full-batch checkpoint →
-        resume under 3 workers finishes identically to a straight run."""
-        observed = _workload(256, 2, 4, 0.04, seed=91)
-        channel = ChannelModel.symmetric(0.04)
-        straight = decode_schedules(observed, 256, channel)
-
-        with pytest.raises(DeadlineExceededError) as err:
-            decode_schedules_sharded(
-                observed, 256, channel, workers=2, deadline=1e-9
-            )
-        state = err.value.decode_state
-        assert state is not None
-        assert state.messages.shape[0] == observed.shape[0]
-
-        resumed = decode_schedules_sharded(
-            observed, 256, channel, workers=3, state=state
-        )
-        assert _same_result(straight, resumed)
-        resumed_unsharded = decode_schedules(
-            observed, 256, channel, state=state
-        )
-        assert _same_result(straight, resumed_unsharded)
+        whole = decode_schedule(observed, key_bits, channel)
+        for shard in set(shard_of):
+            rows = [i for i, s in enumerate(shard_of) if s == shard]
+            part = decode_schedule(observed[rows], key_bits, channel)
+            for j, row in enumerate(rows):
+                assert _same_result(part.table(j), whole.table(row))
+        for i, master in enumerate(masters):
+            if whole.converged[i]:
+                assert whole.tables[i].tobytes() == expand_key(master)

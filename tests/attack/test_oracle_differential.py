@@ -1,4 +1,4 @@
-"""Post-scan reconstruction is pinned to the frozen seed oracle.
+"""Post-scan reconstruction and BP decode are pinned to frozen oracles.
 
 Two speed-ups sit between the scan and the recovered keys: the
 neighbour walk prunes every (block, key) pair with the fused scan's
@@ -8,6 +8,11 @@ transposed key matrix.  Neither may change one output, so Hypothesis
 drives both against :class:`benchmarks.legacy_scan.SeedAesKeySearch` —
 the unpruned walk and the per-block popcount-table scoring — and
 asserts identical results, values and order.
+
+The residual-scheduled float32 decoder is held to the dense float64
+decoder frozen in :mod:`benchmarks.legacy_decode`, run per table as the
+decode harness runs it: identical bytes wherever both converge, and
+never an abstain where the oracle converges.
 """
 
 import sys
@@ -19,9 +24,11 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
+from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
 from benchmarks.legacy_scan import SeedAesKeySearch  # noqa: E402
 
 from repro.attack.aes_search import AesKeySearch  # noqa: E402
+from repro.attack.decode import ChannelModel, decode_schedule  # noqa: E402
 from repro.crypto.aes import expand_key  # noqa: E402
 
 
@@ -143,3 +150,49 @@ def test_region_scorer_matches_seed(
         else:
             assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_bits=st.sampled_from((128, 192, 256)),
+    rate=st.floats(0.0, 0.045),
+    to_ground=st.floats(0.5, 2.0),
+    erase_at=st.floats(0.0, 1.0),
+    erase_frac=st.floats(0.0, 0.5),
+)
+def test_decoder_matches_dense_oracle(seed, key_bits, rate, to_ground, erase_at, erase_frac):
+    rng = np.random.default_rng(seed)
+    channel = ChannelModel(
+        rate_to_ground=max(rate, 1e-4) * to_ground,
+        rate_from_ground=max(rate, 1e-4),
+    )
+    # Two planted schedules decayed through the channel (ground state
+    # zero: ones drop at the to-ground rate, zeros rise at the reverse
+    # one), then two junk tables.
+    masters = [rng.bytes(key_bits // 8) for _ in range(2)]
+    tables = []
+    for master in masters:
+        bits = np.unpackbits(np.frombuffer(expand_key(master), dtype=np.uint8))
+        flip = np.where(bits == 1, channel.rate_to_ground, channel.rate_from_ground)
+        tables.append(np.packbits(bits ^ (rng.random(bits.size) < flip)))
+    n_bytes = tables[0].size
+    tables += [rng.integers(0, 256, n_bytes, dtype=np.uint8) for _ in range(2)]
+    observed = np.stack(tables)
+    # One erased span of up to half the table, the same in every
+    # table, handed over through ``known``.
+    erase_len = int(erase_frac * n_bytes)
+    lo = int(erase_at * (n_bytes - erase_len))
+    known = np.ones(observed.shape, dtype=bool)
+    known[:, lo : lo + erase_len] = False
+    observed[~known] = 0
+
+    live = decode_schedule(observed, key_bits, channel, known=known)
+    for i in range(len(tables)):
+        oracle = legacy_decode_schedules(observed[i], key_bits, channel, known=known[i])
+        if oracle.converged[0]:
+            assert live.converged[i], f"table {i}: the oracle decodes it, live abstains"
+            assert np.array_equal(live.tables[i], oracle.tables[0])
+    for i, master in enumerate(masters):
+        if live.converged[i]:
+            assert live.tables[i].tobytes() == expand_key(master)

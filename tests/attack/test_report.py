@@ -334,16 +334,19 @@ class TestV6DecodeMigration:
 
     def test_decode_block_without_the_counters_still_renders(self, tmp_path):
         """Reports written before ``gated``/``claimed`` were folded in
-        lack both; they load and render without inventing zeros."""
-        report = self.decoded_report()
-        path = tmp_path / "older.json"
-        save_report_json(report, path)
-        loaded = load_report_json(path)
-        assert "gated" not in loaded["robustness"]["decode"]
-        assert migrate_report_dict(loaded) == loaded
-        text = report_to_markdown(report)
-        assert "of 65 tables (869 sweeps)" in text
-        assert "gated" not in text and "claimed" not in text
+        lack both; they load and render without inventing zeros.  Older
+        reports may also carry the retired ``workers`` key."""
+        for extra in ({}, {"workers": 2}):
+            report = self.decoded_report(**extra)
+            path = tmp_path / "older.json"
+            save_report_json(report, path)
+            loaded = load_report_json(path)
+            assert "gated" not in loaded["robustness"]["decode"]
+            assert migrate_report_dict(loaded) == loaded
+            text = report_to_markdown(report)
+            assert "of 65 tables (869 sweeps)" in text
+            assert "gated" not in text and "claimed" not in text
+            assert "workers" not in text
 
 
 class TestV7ServiceMigration:

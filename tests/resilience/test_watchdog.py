@@ -308,7 +308,7 @@ def test_stall_error_is_structured():
 
 def test_decode_heartbeats_keep_the_stall_clock_fed(monitor_parts):
     """A belief-propagation decode beats the watchdog from inside its
-    sweep loop (decode_schedules' on_progress hook): advancing the
+    sweep loop (decode_schedule's on_progress hook): advancing the
     clock close to the stall budget between sweeps must never trip the
     monitor, while the same schedule decoded with the hook disconnected
     stalls — multi-minute decodes are workers, not hangs."""

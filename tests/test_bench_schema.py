@@ -637,20 +637,19 @@ def test_committed_robust_record_validates():
     assert acceptance["abstains_not_wrong"] is True
 
 
-# --------------------------------------------------- bench-decode/v1 schema
+# --------------------------------------------------- bench-decode/v2 schema
 
 
 from benchmarks import decode_harness  # noqa: E402
 
 
-def decode_stage(wall_s=0.3, workers=1):
+def decode_stage(wall_s=0.3):
     return {
         "wall_s": wall_s,
         "tables_per_s": 100.0,
         "sweeps": 120,
         "converged": 4,
         "abstained": 28,
-        "workers": workers,
     }
 
 
@@ -665,18 +664,14 @@ def valid_decode_record(with_baseline=True):
             "bit_error_rate": 0.040,
             "max_iters": 72,
         },
-        "stages": {
-            "decode": decode_stage(),
-            "decode_sharded": decode_stage(workers=2),
-        },
+        "stages": {"decode": decode_stage()},
         "baseline": None,
-        "sharded_identical": True,
     }
     if with_baseline:
         record["baseline"] = {"decode": decode_stage(wall_s=5.0)}
         record["identical_keys"] = True
         record["identical_abstains"] = True
-        record["speedup_vs_baseline"] = {"decode": 16.0, "decode_sharded": 14.0}
+        record["speedup_vs_baseline"] = {"decode": 16.0}
     return record
 
 
@@ -754,5 +749,4 @@ def test_committed_decode_record_validates():
     assert record["config"]["bit_error_rate"] == pytest.approx(0.040)
     assert record["identical_keys"] is True
     assert record["identical_abstains"] is True
-    assert record["sharded_identical"] is True
     assert record["speedup_vs_baseline"]["decode"] >= 5.0

@@ -167,6 +167,17 @@ class TestDecodedStageCli:
                 ["attack", "dump.bin", "--adaptive", "--max-stage", "turbo"]
             )
 
+    def test_non_positive_decode_iters_is_a_usage_error(self, tmp_path, capsys):
+        dump = tmp_path / "dump.bin"
+        dump.write_bytes(bytes(4 * 64))
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["attack", str(dump), "--adaptive", "--decode-iters", value])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --decode-iters: must be at least 1, got {value}" in err
+            assert "Traceback" not in err
+
     def test_adaptive_still_refuses_sharding_flags(self, tmp_path, capsys):
         dump = tmp_path / "dump.bin"
         dump.write_bytes(bytes(4 * 64))
