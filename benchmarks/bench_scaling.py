@@ -13,7 +13,7 @@ import pytest
 
 from repro.attack.aes_search import AesKeySearch
 from repro.attack.keymine import keys_matrix, mine_scrambler_keys
-from repro.attack.parallel import parallel_recover_keys
+from repro.attack.parallel import resilient_recover_keys
 from repro.attack.sweep import synthetic_dump
 from repro.dram.image import MemoryImage
 
@@ -73,7 +73,7 @@ def test_sharded_equals_monolithic(benchmark, prepared):
 
     def both():
         mono = AesKeySearch(keys.copy(), key_bits=256).recover_keys(dump)
-        sharded = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=6)
+        sharded = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=6).recovered
         return {r.master_key for r in mono}, {r.master_key for r in sharded}
 
     mono, sharded = benchmark.pedantic(both, rounds=1, iterations=1)

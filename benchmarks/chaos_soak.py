@@ -60,6 +60,12 @@ DEFAULT_ITERATIONS = 56
 QUICK_ITERATIONS = len(SCENARIOS)
 N_SHARDS = 4
 
+#: The deadline-expiry budget, as a fraction of the clean baseline
+#: scan's measured wall time.  That scan is serial; the scenario's
+#: 2-worker scan needs about half of it, so the budget runs out
+#: mid-scan however fast the scan itself has become.
+DEADLINE_FRACTION = (0.15, 0.4)
+
 _ITERATION_FIELDS = {
     "iteration": int,
     "scenario": str,
@@ -150,7 +156,9 @@ class _JournalWatcher:
         self.thread.join(timeout=5.0)
 
 
-def _build_scenario(scenario: str, rng: random.Random, offsets: list[int], tmp: Path) -> dict:
+def _build_scenario(
+    scenario: str, rng: random.Random, offsets: list[int], tmp: Path, baseline_seconds: float
+) -> dict:
     """Compose one iteration's fault stack.
 
     Destructive data faults (corrupt) only ever target ``offsets[1:]`` —
@@ -185,7 +193,7 @@ def _build_scenario(scenario: str, rng: random.Random, offsets: list[int], tmp: 
     elif scenario == "signal-drain":
         spec["signal"] = True
     elif scenario == "deadline-expiry":
-        spec["deadline"] = rng.uniform(0.8, 1.5)
+        spec["deadline"] = rng.uniform(*DEADLINE_FRACTION) * baseline_seconds
     elif scenario == "shm-denied":
         spec["resource_policy"] = ResourcePolicy(allow_shm=False, file_directory=str(tmp))
         add(rng.choice(offsets), "crash")
@@ -207,11 +215,11 @@ def _build_scenario(scenario: str, rng: random.Random, offsets: list[int], tmp: 
 
 def soak_iteration(
     iteration: int, scenario: str, rng: random.Random,
-    dump, offsets: list[int], baseline: list[str], tmp: Path,
+    dump, offsets: list[int], baseline: list[str], tmp: Path, baseline_seconds: float,
 ) -> dict:
     """Run one composed-fault iteration and check the crash-only bar."""
     journal = tmp / f"iter{iteration:03d}.checkpoint.jsonl"
-    spec = _build_scenario(scenario, rng, offsets, tmp)
+    spec = _build_scenario(scenario, rng, offsets, tmp, baseline_seconds)
     plan = spec["fault_plan"]
     violations: list[str] = []
     shm_before = _shm_entries()
@@ -337,7 +345,9 @@ def _acceptance(iterations: list[dict]) -> dict:
 def chaos_soak(iterations: int = DEFAULT_ITERATIONS, seed: int = 5, on_progress=None) -> dict:
     """Full soak: composed-fault iterations plus the acceptance digest."""
     dump, master, _ = synthetic_dump(bit_error_rate=0.0, seed=seed)
+    start = time.perf_counter()
     clean = resilient_recover_keys(dump, workers=1, n_shards=N_SHARDS, retry_policy=_policy())
+    baseline_seconds = time.perf_counter() - start
     baseline = _keys_hex(clean)
     truth = {master[:32].hex(), master[32:].hex()}
     if not truth <= set(baseline):
@@ -350,7 +360,9 @@ def chaos_soak(iterations: int = DEFAULT_ITERATIONS, seed: int = 5, on_progress=
         for iteration in range(iterations):
             scenario = SCENARIOS[iteration % len(SCENARIOS)]
             rng = random.Random((seed << 20) ^ iteration)
-            entry = soak_iteration(iteration, scenario, rng, dump, offsets, baseline, tmp)
+            entry = soak_iteration(
+                iteration, scenario, rng, dump, offsets, baseline, tmp, baseline_seconds
+            )
             results.append(entry)
             if on_progress is not None:
                 on_progress(entry)
@@ -360,6 +372,7 @@ def chaos_soak(iterations: int = DEFAULT_ITERATIONS, seed: int = 5, on_progress=
         "seed": seed,
         "n_shards": N_SHARDS,
         "baseline_keys": len(baseline),
+        "baseline_seconds": round(baseline_seconds, 3),
         "repro_command": (
             f"PYTHONPATH=src python -m benchmarks.chaos_soak "
             f"--seed {seed} --iterations {iterations}"),

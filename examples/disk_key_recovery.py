@@ -65,7 +65,7 @@ def main() -> None:
               f"{recovered.votes} window votes, "
               f"{100 * recovered.match_fraction:.1f}% region match")
 
-    master = attack.recover_xts_master_key(dump)
+    master = attack.recover_xts_master_key(dump, report)
     assert master is not None, "attack failed to locate the XTS key pair"
     print(f"\nrecovered XTS master key: {master.hex()[:32]}...")
     print(f"matches the volume's key: {master == volume.master_key}")

@@ -63,7 +63,6 @@ from repro.attack.parallel import (
     ScanReport,
     Shard,
     merge_recovered,
-    parallel_recover_keys,
     resilient_recover_keys,
     shard_image,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "merge_recovered",
     "mine_scrambler_keys",
     "minimum_known_bits_for_unique_key",
-    "parallel_recover_keys",
     "solve_key_from_known_plaintext",
     "passes_key_litmus",
     "reconstruct_schedule",

@@ -456,18 +456,13 @@ class AdaptiveBudget:
                 f"max_stage must be one of {STAGE_ORDER}, got {self.max_stage!r}"
             )
 
-    def stages(
-        self,
-        deadline: "Deadline | None" = None,
-        seconds_per_cost: float | None = None,
-    ) -> list[BudgetStage]:
+    def stages(self) -> list[BudgetStage]:
         """The ladder, strict first, trimmed to the work budget.
 
-        With a ``deadline`` and a measured ``seconds_per_cost`` (wall
-        seconds one unit of stage cost takes on this dump), the ladder
-        is additionally trimmed so the cumulative estimated wall time
-        fits the remaining deadline — escalation the clock cannot
-        afford is dropped up front instead of discovered mid-stage.
+        Past the first rung the ladder's cumulative cost never exceeds
+        ``total_work``, so an engine running any subsequence of it stays
+        within budget.  The wall-clock deadline is the engine's to
+        enforce, rung by rung, with costs measured on the dump.
         """
         rate = self.estimate.rate
         ladder = [STRICT_STAGE]
@@ -493,22 +488,14 @@ class AdaptiveBudget:
             ladder = [
                 stage for stage in ladder if STAGE_ORDER.index(stage.name) <= keep_through
             ]
-        remaining_s = deadline.remaining() if deadline is not None else None
         kept: list[BudgetStage] = []
         spent = 0
         for stage in ladder:
             # Skip (rather than stop at) a rung that does not fit: with
             # decoded ordered ahead of widened the ladder's costs are no
             # longer monotonic, so a later, cheaper rung may still fit
-            # the remaining work or wall-clock budget.
+            # the remaining work budget.
             if kept and spent + stage.cost > self.total_work:
-                continue
-            if (
-                kept
-                and remaining_s is not None
-                and seconds_per_cost is not None
-                and (spent + stage.cost) * seconds_per_cost > remaining_s
-            ):
                 continue
             kept.append(stage)
             spent += stage.cost
@@ -920,13 +907,6 @@ class AdaptiveRecoveryEngine:
 
         escalation_start = time.monotonic()
         for stage in stages:
-            if stages_run and spent + stage.cost > self.total_work:
-                # Skip, don't stop: in the decode-first band a cheaper
-                # rung (widened) follows the expensive decoded rung.
-                diagnostics.append(
-                    f"stage {stage.name!r} skipped: work budget exhausted"
-                )
-                continue
             if deadline is not None and deadline.expired:
                 diagnostics.append(
                     f"deadline expired before stage {stage.name!r}; stopping escalation"
@@ -1080,13 +1060,9 @@ class AdaptiveRecoveryEngine:
         estimate = estimate_decay_rate(reference_map=reference_map, prior_rate=self.prior_rate)
         stages = AdaptiveBudget(estimate, total_work=self.total_work).stages()
         stages_run: list[str] = []
-        spent = 0
         for stage in stages:
-            if stages_run and spent + stage.cost > self.total_work:
-                break
             if deadline is not None and deadline.expired:
                 break
-            spent += stage.cost
             stages_run.append(stage.name)
             matches = find_aes_keys(
                 image, key_bits=self.key_bits, tolerance_bits=stage.keyfind_tolerance_bits

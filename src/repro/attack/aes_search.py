@@ -39,7 +39,6 @@ equation-guided table repair, and whole-region confirmation — see
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -319,16 +318,13 @@ class KeyFingerprintCache:
     order, and the direct-address bucket tables the probe reads —
     depends only on the candidate keys and the ``(offset, phase)``
     geometry, never on the dump.  One cache therefore serves every
-    shard of a scan and every retry of a failed shard: a worker process
-    builds it once from the shared key matrix and reuses it across all
-    the shard tasks it executes, instead of re-fingerprinting ~4k keys
-    × 32 offsets per shard.
-
-    For multi-process scans the cache also round-trips through shared
-    memory: :meth:`export_blob` serialises every computed entry into one
-    buffer and :meth:`attach` reconstitutes a cache whose entries are
-    zero-copy read-only views of it, so workers inherit the tables the
-    parent already built instead of rebuilding them per process.
+    shard of a scan and every retry of a failed shard, instead of
+    re-fingerprinting ~4k keys × 32 offsets per shard.  Serial and
+    thread-pool scans share the orchestrator's one cache (thread pools
+    :meth:`precompute` it before fan-out); each process-pool worker
+    builds its own from the key matrix it attaches: tens of
+    milliseconds for 4096 keys, no slower than shipping it a copy, and
+    the orchestrator never holds one.
     """
 
     def __init__(self, keys: list[bytes] | np.ndarray, key_bits: int = 256) -> None:
@@ -409,10 +405,9 @@ class KeyFingerprintCache:
     ) -> KeyFingerprintCache:
         """Eagerly build every (offset, phase) entry of a scan geometry.
 
-        The fused scan and the thread-sharded orchestrator call this
-        before fanning out so the lazily-built ``_bands`` dict is never
-        mutated concurrently — after precompute, same-geometry lookups
-        are pure reads.
+        The thread-pool orchestrator calls this before fanning out so
+        the lazily-built ``_bands`` dict is never mutated concurrently —
+        after precompute, same-geometry lookups are pure reads.
         """
         if offsets is None:
             offsets = default_scan_offsets(self.variant.key_bits)
@@ -422,93 +417,6 @@ class KeyFingerprintCache:
             for phase in phases:
                 self.bands(offset, phase)
         return self
-
-    def export_blob(self) -> bytes:
-        """Serialise every computed entry into one shareable buffer.
-
-        Layout: 8-byte little-endian header length, a JSON header
-        (key-set shape plus per-entry array locations), then the raw
-        arrays, each 8-byte aligned.  The payload is position-
-        independent, so it can live in shared memory and be attached by
-        any process holding the same key matrix.
-        """
-        chunks: list[bytes] = []
-        entries: list[list[object]] = []
-        position = 0
-        seen: dict[int, int] = {}
-
-        def add(array: np.ndarray) -> int:
-            nonlocal position
-            start = seen.get(id(array))
-            if start is not None:  # shared across entries: write once
-                return start
-            raw = array.tobytes()
-            start = position
-            seen[id(array)] = start
-            chunks.append(raw)
-            position += len(raw)
-            pad = -position % 8
-            if pad:
-                chunks.append(b"\x00" * pad)
-                position += pad
-            return start
-
-        for (offset, phase), (values, orders, indptrs) in sorted(self._bands.items()):
-            locations = [add(values)]
-            locations.extend(add(order) for order in orders)
-            locations.extend(add(indptr) for indptr in indptrs)
-            entries.append([offset, phase, int(values.shape[1]), locations])
-        header = json.dumps(
-            {
-                "key_bits": self.variant.key_bits,
-                "n_keys": int(self.keys.shape[0]),
-                "entries": entries,
-            }
-        ).encode()
-        header += b" " * (-(8 + len(header)) % 8)  # align the payload
-        return len(header).to_bytes(8, "little") + header + b"".join(chunks)
-
-    @classmethod
-    def attach(
-        cls, keys: list[bytes] | np.ndarray, key_bits: int, blob: bytes | memoryview
-    ) -> KeyFingerprintCache:
-        """Reconstitute a cache from :meth:`export_blob` without copying.
-
-        Every entry becomes a read-only view into ``blob`` (which may be
-        a shared-memory buffer); entries for geometries absent from the
-        blob still build lazily from ``keys`` as usual.
-        """
-        cache = cls(keys, key_bits)
-        view = memoryview(blob)
-        header_len = int.from_bytes(bytes(view[:8]), "little")
-        meta = json.loads(bytes(view[8 : 8 + header_len]).decode())
-        if meta["key_bits"] != key_bits or meta["n_keys"] != int(cache.keys.shape[0]):
-            raise ValueError("fingerprint blob was built for a different key set")
-        payload = view[8 + header_len :]
-        n_keys = int(cache.keys.shape[0])
-        shared: dict[int, np.ndarray] = {}
-
-        def array(location: int, dtype: type | str, count: int) -> np.ndarray:
-            out = shared.get(location)
-            if out is None:
-                out = np.frombuffer(payload, dtype=dtype, count=count, offset=location)
-                out.flags.writeable = False
-                shared[location] = out
-            return out
-
-        for offset, phase, n_bands, locations in meta["entries"]:
-            values = array(locations[0], "<u2", n_keys * n_bands).reshape(
-                n_keys, n_bands
-            )
-            orders = tuple(
-                array(locations[1 + band], np.uint32, n_keys) for band in range(n_bands)
-            )
-            indptrs = tuple(
-                array(locations[1 + n_bands + band], np.int32, (1 << 16) + 1)
-                for band in range(n_bands)
-            )
-            cache._bands[(offset, phase)] = (values, orders, indptrs)
-        return cache
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ hours using multiple machines".  This module implements that split:
 * the AES search shards the dump into overlapping slices (overlap of
   one schedule length, so a table straddling a boundary is wholly
   inside some shard) and runs per-shard searches, serially or on a
-  process pool;
+  worker pool;
 * results merge by table base, deduplicating the overlap.
 
 A multi-hour batch job cannot die because one worker did, so the scan
@@ -22,39 +22,34 @@ journalled to a crash-safe checkpoint so an interrupted scan resumes
 without re-searching anything (``checkpoint=path``).
 
 `shard_image` / `merge_recovered` are pure and tested directly; the
-orchestrator works with `workers=1` (in-process) or `workers>1`
-(multiprocessing).
+orchestrator works with `workers=1` (in-process) or `workers>1` (a
+worker pool).
 
-Zero-copy dispatch
-------------------
+Worker pools
+------------
+
+The scan kernels are numpy bulk operations that release the GIL, so
+shards run on a thread pool sharing the orchestrator's address space:
+no process spin-up, no pickling, no shared-memory segments — the dump,
+the key matrix and one precomputed
+:class:`~repro.attack.aes_search.KeyFingerprintCache` are shared by
+reference.  The pool follows from the run: only a process can be
+killed from outside, so a stall watchdog or a fault plan scripting
+process-level (``kill``/``hang``) faults selects a process pool
+instead.  :attr:`ScanReport.executor` records which pool ran.
 
 Shards are *views*: :func:`shard_image` slices the dump with
 ``memoryview``, so a shard owns ``(base_offset, length)`` — never a
-copy of the bytes.  For multi-process scans the dump and the mined key
-matrix are published once into POSIX shared memory
-(:class:`repro.dram.image.SharedDumpBuffer`); every worker process
-attaches in its pool initializer (:func:`_init_scan_worker`).  The
-key-side join tables travel the same way: the orchestrator precomputes
-one :class:`~repro.attack.aes_search.KeyFingerprintCache`, exports it
-as a position-independent blob, and publishes it through the resource
-chain so workers attach read-only views instead of rebuilding the
-tables per process.  A shard task then pickles to ``(length,
-fault_plan)`` plus an integer offset — well under a kilobyte
+copy of the bytes.  For process pools the dump and the mined key matrix
+are published once into POSIX shared memory
+(:class:`repro.dram.image.SharedDumpBuffer`, degrading to an mmap
+tempfile and then to serial); every worker process attaches both in
+its pool initializer (:func:`_init_scan_worker`) and builds its own
+fingerprint cache from the attached keys.  A shard task then pickles to
+``(length, fault_plan)`` plus an integer offset — well under a kilobyte
 regardless of dump size — and a retried or rescheduled shard re-ships
-nothing.  When the resilient executor rebuilds a broken pool, the
-fresh processes re-run the initializer and re-attach automatically.
-
-Thread executor
----------------
-
-The scan kernels are numpy bulk operations that release the GIL, so
-the default executor (``executor="auto"`` → ``"thread"``) runs shards
-on a thread pool sharing the orchestrator's address space: no process
-spin-up, no pickling, no shared-memory segments — the dump, keys, and
-fingerprint cache are passed by reference.  The process pool remains
-one flag away (``executor="process"``) and is selected automatically
-when a run needs process isolation: a stall watchdog, or a fault plan
-scripting process-level (``kill``/``hang``) faults.
+nothing.  When the resilient executor rebuilds a broken pool, the fresh
+processes re-run the initializer and re-attach automatically.
 """
 
 from __future__ import annotations
@@ -210,45 +205,12 @@ def merge_recovered(
     return [by_global_base[base] for base in sorted(by_global_base)]
 
 
-def _search_shard(
-    payload: tuple[bytes, bytes, int, FaultPlan | None],
-    shard_offset: int,
-    attempt: int,
-    in_subprocess: bool,
-) -> list[RecoveredAesKey]:
-    """Worker: run the AES search over one shard (picklable signature).
-
-    When a :class:`FaultPlan` rides along it is consulted first — the
-    injected crash/hang/corruption happens in the worker, on exactly
-    the code path a real failure would take.
-    """
-    shard_data, keys_blob, key_bits, fault_plan = payload
-    if fault_plan is not None:
-        shard_data = fault_plan.apply(
-            shard_offset, attempt, shard_data, in_subprocess=in_subprocess
-        )
-    keys = np.frombuffer(keys_blob, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    search = AesKeySearch(keys.copy(), key_bits=key_bits)
-    return search.recover_keys(MemoryImage(shard_data))
-
-
 #: Per-process scan state installed by :func:`_init_scan_worker` in
 #: process-pool workers: the attached dump buffer, the key matrix, and
 #: the key-side fingerprint cache every shard task in that process
 #: reuses.  Serial and thread-pool scans bind their own state to the
 #: run instead, so concurrent scans in one process stay apart.
 _WORKER_STATE: dict = {}
-
-
-def _resolve_buffer(ref: tuple) -> tuple[object | None, object]:
-    """Materialise a buffer reference into ``(holder, buffer)``.
-
-    Delegates to :func:`repro.resilience.resources.resolve_ref`, which
-    owns the attach protocol for every backend in the degradation chain
-    — ``("shm", name, length)``, ``("file", path, length)``, and the
-    in-process ``("buffer", obj)`` fast path.
-    """
-    return resolve_ref(ref)
 
 
 def _release_worker_state() -> None:
@@ -273,15 +235,15 @@ def _init_scan_worker(
     keys_crc: int | None = None,
     heartbeat_ref: tuple | None = None,
     heartbeat_slots: dict[int, int] | None = None,
-    cache_ref: tuple | None = None,
 ) -> None:
     """Attach dump + key matrix once per worker process (pool initializer).
 
     Runs in every process of a fresh pool — including the processes of
     a pool the resilient executor rebuilt after a crash or hang, so
     re-attachment across pool generations needs no extra bookkeeping.
-    The key-side fingerprint cache is built here once and shared by all
-    shard tasks (and all retries) this process ever executes.
+    The key-side fingerprint cache is created here, from the attached
+    keys; its tables fill in on first use and serve every shard task
+    (and every retry) this process ever executes.
 
     ``keys_crc`` is the CRC32 of the key matrix as the orchestrator
     published it; every shard task re-checks its view against it, so a
@@ -294,66 +256,19 @@ def _init_scan_worker(
     to the watchdog's beat board so shard tasks publish liveness.
     """
     _release_worker_state()
-    _WORKER_STATE.update(_attach_scan_state(dump_ref, keys_ref, key_bits, keys_crc, cache_ref))
-    if heartbeat_ref is not None:
-        attach_worker_heartbeat(heartbeat_ref, heartbeat_slots or {})
-
-
-def _attach_scan_state(
-    dump_ref: tuple,
-    keys_ref: tuple,
-    key_bits: int,
-    keys_crc: int | None = None,
-    cache_ref: tuple | None = None,
-) -> dict:
-    """Resolve one scan's buffer references into the state shard tasks read.
-
-    The state holds the dump view, the key matrix, ``keys_crc``, the
-    key-side fingerprint cache, and the ``holders`` whose mappings keep
-    the views alive (``None`` for in-process buffers, which need no
-    closing).
-
-    ``cache_ref`` (optional) carries the orchestrator's fingerprint
-    cache: ``("cache", obj)`` for thread pools (the object itself —
-    same address space, nothing to parse) or a
-    :meth:`KeyFingerprintCache.export_blob` buffer reference published
-    alongside the dump and keys for process pools, where the worker
-    *attaches* read-only views into the shared blob instead of
-    rebuilding the join tables per process.  A blob that fails its
-    structural checks falls back to a local rebuild (the cache is a
-    pure function of the keys, so correctness never depends on the
-    blob).
-    """
-    dump_holder, dump_view = _resolve_buffer(dump_ref)
-    keys_holder, keys_view = _resolve_buffer(keys_ref)
+    dump_holder, dump_view = resolve_ref(dump_ref)
+    keys_holder, keys_view = resolve_ref(keys_ref)
     keys = np.frombuffer(keys_view, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    cache_holder = None
-    key_cache = None
-    if cache_ref is not None and cache_ref[0] == "cache":
-        # Thread pool: the orchestrator's cache object itself.  Same
-        # address space, so there is no blob to parse — workers share
-        # the precomputed band tables (and their probe memo bitmaps)
-        # by reference.
-        key_cache = cache_ref[1]
-    elif cache_ref is not None:
-        cache_holder, cache_view = _resolve_buffer(cache_ref)
-        try:
-            key_cache = KeyFingerprintCache.attach(keys, key_bits, cache_view)
-        except (ValueError, KeyError):
-            if cache_holder is not None:
-                cache_holder.close()
-            cache_holder = None
-            key_cache = None
-    if key_cache is None:
-        key_cache = KeyFingerprintCache(keys, key_bits)
-    return dict(
+    _WORKER_STATE.update(
         dump=dump_view,
         keys=keys,
         key_bits=key_bits,
         keys_crc=keys_crc,
-        key_cache=key_cache,
-        holders=(dump_holder, keys_holder, cache_holder),
+        key_cache=KeyFingerprintCache(keys, key_bits),
+        holders=(dump_holder, keys_holder),
     )
+    if heartbeat_ref is not None:
+        attach_worker_heartbeat(heartbeat_ref, heartbeat_slots or {})
 
 
 def _scan_shard_task(
@@ -436,12 +351,14 @@ class ScanReport:
     #: path after an ENOSPC rotation to the fallback directory.
     checkpoint_path: str | None = None
     #: Which degradation backend published the dump/keys for workers
-    #: ("shm", "file", "serial", or "buffer" for single-process scans).
+    #: ("shm", "file", "serial", or "buffer" when nothing was published:
+    #: serial and thread scans).
     resource_backend: str = "buffer"
     #: How shard jobs actually ran: ``"serial"`` (one worker,
     #: in-process), ``"thread"`` (shared-address-space pool for the
     #: GIL-releasing fused kernels), or ``"process"`` (isolated,
-    #: killable workers — the chaos-tolerant pool).
+    #: killable workers, which a stall watchdog or process-level
+    #: faults select).
     executor: str = "serial"
 
     @property
@@ -497,45 +414,35 @@ def resilient_recover_keys(
     watchdog: WatchdogConfig | None = None,
     resource_policy: ResourcePolicy | None = None,
     checkpoint_fallback_dir: str | Path | None = None,
-    executor: str = "auto",
 ) -> ScanReport:
     """Mine once, search in shards fault-tolerantly, merge, report.
 
-    The full-control variant of :func:`parallel_recover_keys`: failures
-    are retried per ``retry_policy``, completed shards are journalled
-    to ``checkpoint`` (and skipped on ``resume``), and ``fault_plan``
-    lets the test harness sabotage workers deterministically.
+    Failures are retried per ``retry_policy``, completed shards are
+    journalled to ``checkpoint`` (and skipped on ``resume``), and
+    ``fault_plan`` lets the test harness sabotage workers
+    deterministically.
 
     ``deadline`` (a :class:`Deadline` or seconds) bounds the whole scan
     — on expiry the completed shards are already journalled, the rest
     are reported as unscanned, and the run is resumable.  ``stop`` (a
     :class:`~repro.resilience.shutdown.GracefulShutdown`) drains
     in-flight shards to the journal on the first signal.  ``watchdog``
-    enables heartbeat stall detection for multi-process scans.
+    enables heartbeat stall detection (and kills stalled workers).
     ``resource_policy`` controls the shm → mmap-tempfile → serial
     publication chain; ``checkpoint_fallback_dir`` is where the journal
     rotates when its primary path stops accepting writes.
 
-    ``executor`` picks the worker pool: ``"thread"`` shares the dump,
-    key matrix, and fingerprint cache by reference (the scan kernels
-    release the GIL, so threads scale without spin-up, pickling, or
-    shared-memory round-trips), ``"process"`` keeps the isolated,
-    killable workers, and ``"auto"`` (default) uses threads unless the
-    run needs process isolation — a stall watchdog or a fault plan with
-    process-level (``kill``/``hang``) faults.
+    With ``workers > 1`` shards run on threads, unless the run needs
+    killable workers — a ``watchdog``, or a ``fault_plan`` scripting
+    process-level (``kill``/``hang``) faults — which selects a process
+    pool (see the module docstring).
     """
     if workers < 1:
         raise ShardLayoutError("need at least one worker")
-    if executor not in ("auto", "thread", "process"):
-        raise ShardLayoutError(
-            f"unknown executor {executor!r} (want 'auto', 'thread', or 'process')"
-        )
-    pool_kind = executor
-    if executor == "auto":
-        needs_isolation = watchdog is not None or (
-            fault_plan is not None and fault_plan.has_process_faults()
-        )
-        pool_kind = "process" if needs_isolation else "thread"
+    needs_isolation = watchdog is not None or (
+        fault_plan is not None and fault_plan.has_process_faults()
+    )
+    pool_kind = "process" if needs_isolation else "thread"
     policy = retry_policy or RetryPolicy()
     deadline = Deadline.coerce(deadline)
     deadline_seconds = deadline.total_seconds if deadline is not None else None
@@ -607,18 +514,11 @@ def resilient_recover_keys(
         # run — a fully-resumed scan (every shard already journalled)
         # skips both the matrix build and the shared-memory publication.
         keys_mat = keys_matrix(candidates)
+        keys_crc = zlib.crc32(keys_mat.tobytes()) & 0xFFFFFFFF
         published: list[PublishedBuffer] = []
         board: HeartbeatBoard | None = None
         monitor: HeartbeatMonitor | None = None
         effective_workers = workers
-        cache_ref: tuple | None = None
-        if workers > 1:
-            # The key-side join tables are a pure function of the mined
-            # keys and the scan geometry: build them once here so every
-            # worker shares them instead of rebuilding per worker —
-            # thread pools by object reference, process pools via the
-            # published read-only export blob.
-            shared_cache = KeyFingerprintCache(keys_mat, key_bits).precompute()
         if workers > 1 and pool_kind == "process":
             # Publish dump + keys once; workers attach by name in their
             # pool initializer.  Shard payloads carry only (length,
@@ -635,35 +535,11 @@ def resilient_recover_keys(
                 effective_workers = 1
                 report.ledger.degraded_to_serial = True
                 report.resource_backend = BACKEND_SERIAL
-                dump_ref = ("buffer", dump.data)
-                keys_ref = ("buffer", keys_mat.tobytes())
             else:
                 report.resource_backend = dump_pub.backend
-                dump_ref = dump_pub.ref
-                keys_ref = keys_pub.ref
-                cache_pub = publish_bytes(
-                    shared_cache.export_blob(), resource_policy, on_event=notify
-                )
-                published.append(cache_pub)
-                if cache_pub.backend != BACKEND_SERIAL:
-                    cache_ref = cache_pub.ref
-        elif workers > 1:
-            # Thread pool: every worker lives in this address space, so
-            # the dump, keys, and fingerprint cache are shared directly
-            # — no shm segments, no blob round-trip, nothing to unlink.
-            dump_ref = ("buffer", dump.data)
-            keys_ref = ("buffer", keys_mat.tobytes())
-            cache_ref = ("cache", shared_cache)
-        else:
-            dump_ref = ("buffer", dump.data)
-            keys_ref = ("buffer", keys_mat.tobytes())
-        if watchdog is not None and pool_kind != "process" and effective_workers > 1:
-            # A stalled thread cannot be killed from outside; only the
-            # process pool supports stall-kill semantics.
-            notify("stall watchdog requires the process executor; disabled")
         heartbeat_ref = None
         heartbeat_slots: dict[int, int] = {}
-        if watchdog is not None and effective_workers > 1 and pool_kind == "process":
+        if watchdog is not None and effective_workers > 1:
             board = HeartbeatBoard.create(len(jobs), resource_policy)
             if board is None:
                 notify("heartbeat board unavailable; stall watchdog disabled")
@@ -715,16 +591,27 @@ def resilient_recover_keys(
                     else:
                         report.checkpoint_path = str(journal.path)
 
-            keys_crc = zlib.crc32(keys_mat.tobytes()) & 0xFFFFFFFF
             if in_process:
-                state.update(_attach_scan_state(dump_ref, keys_ref, key_bits, keys_crc, cache_ref))
+                key_cache = KeyFingerprintCache(keys_mat, key_bits)
+                if effective_workers > 1:
+                    # The key-side join tables are a pure function of
+                    # the keys and the scan geometry: build them once
+                    # before fan-out, so thread workers share pure reads.
+                    key_cache.precompute()
+                state.update(
+                    dump=dump.data,
+                    keys=keys_mat,
+                    key_bits=key_bits,
+                    keys_crc=keys_crc,
+                    key_cache=key_cache,
+                )
                 worker = partial(_scan_shard_task, state=state)
                 initializer, initargs = None, ()
             else:
                 worker, initializer = _scan_shard_task, _init_scan_worker
                 initargs = (
-                    dump_ref, keys_ref, key_bits, keys_crc,
-                    heartbeat_ref, heartbeat_slots, cache_ref,
+                    dump_pub.ref, keys_pub.ref, key_bits, keys_crc,
+                    heartbeat_ref, heartbeat_slots,
                 )
             runner = ResilientShardRunner(
                 worker,
@@ -768,34 +655,3 @@ def resilient_recover_keys(
     report.search_seconds = time.perf_counter() - search_start
     return report
 
-
-def parallel_recover_keys(
-    dump: MemoryImage,
-    key_bits: int = 256,
-    workers: int = 1,
-    n_shards: int | None = None,
-    mining_tolerance_bits: int = 16,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = True,
-    fault_plan: FaultPlan | None = None,
-    executor: str = "auto",
-) -> list[RecoveredAesKey]:
-    """Mine once, search in shards, merge — the paper's scaling recipe.
-
-    Thin wrapper over :func:`resilient_recover_keys` that returns just
-    the recovered keys; use the latter when the execution ledger
-    (quarantined shards, resume accounting) matters.
-    """
-    return resilient_recover_keys(
-        dump,
-        key_bits=key_bits,
-        workers=workers,
-        n_shards=n_shards,
-        mining_tolerance_bits=mining_tolerance_bits,
-        retry_policy=retry_policy,
-        checkpoint=checkpoint,
-        resume=resume,
-        fault_plan=fault_plan,
-        executor=executor,
-    ).recovered

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.attack.aes_search import AesKeySearch, RecoveredAesKey, ScheduleHit
 from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
+from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 
 
@@ -78,15 +79,12 @@ class AttackConfig:
     #: journalled, the rest reported unscanned) and the adaptive ladder
     #: stops escalating.
     deadline_s: float | None = None
-    #: Heartbeat stall timeout for multi-process sharded runs in
-    #: seconds (None disables the watchdog).  A worker that publishes
-    #: no progress beat for this long is killed and its shard
-    #: resubmitted.
+    #: Heartbeat stall timeout for sharded runs in seconds (None
+    #: disables the watchdog).  A worker that publishes no progress
+    #: beat for this long is killed and its shard resubmitted; setting
+    #: it runs the shards on a process pool, whose workers can be
+    #: killed.
     stall_timeout_s: float | None = None
-    #: Worker pool for sharded runs: ``"auto"`` (threads unless the run
-    #: needs process isolation), ``"thread"``, or ``"process"`` — see
-    #: :func:`repro.attack.parallel.resilient_recover_keys`.
-    executor: str = "auto"
 
 
 @dataclass
@@ -317,7 +315,7 @@ class Ddr4ColdBootAttack:
         :class:`~repro.resilience.deadline.Deadline`; defaults to
         ``config.deadline_s``) bounds the run resumably, ``stop`` wires
         in graceful-shutdown signals, and ``config.stall_timeout_s``
-        arms the heartbeat watchdog for multi-process scans.
+        arms the heartbeat watchdog (on a process pool).
         """
         from repro.attack.parallel import resilient_recover_keys
         from repro.resilience.deadline import Deadline
@@ -346,7 +344,6 @@ class Ddr4ColdBootAttack:
             watchdog=watchdog,
             resource_policy=resource_policy,
             checkpoint_fallback_dir=checkpoint_fallback_dir,
-            executor=config.executor,
         )
         report = AttackReport(dump_bytes=len(dump))
         report.candidate_keys = scan.candidates
@@ -370,44 +367,58 @@ class Ddr4ColdBootAttack:
         report.executor = scan.executor
         return report
 
-    def recover_xts_master_key(self, dump: MemoryImage) -> bytes | None:
+    def recover_xts_master_key(
+        self, dump: MemoryImage, report: AttackReport | None = None
+    ) -> bytes | None:
         """Recover a VeraCrypt-style 64-byte XTS master key, if present.
 
         A mounted XTS volume keeps two adjacent AES-256 schedules in RAM
         — the primary schedule immediately followed (240 bytes later) by
-        the tweak schedule.  Both are recovered independently; a pair of
-        recovered keys whose table bases differ by exactly one schedule
-        length is joined into the 64-byte master key.
+        the tweak schedule.  Both are recovered independently and joined
+        by :func:`pair_xts_keys`.  ``report`` is a fixed-budget
+        :meth:`run` report of ``dump`` when the caller already has one;
+        without it the attack runs here.
         """
-        from repro.attack.aes_search import AesKeySearch
-        from repro.crypto.aes import schedule_bytes
-
-        report = self.run(dump)
+        if report is None:
+            report = self.run(dump)
+        master = pair_xts_keys(report.recovered_keys, self.config.key_bits)
         by_base = {r.hits[0].table_base: r for r in report.recovered_keys if r.hits}
-        stride = schedule_bytes(self.config.key_bits)
-        for base in sorted(by_base):
-            partner = by_base.get(base + stride)
-            if partner is not None:
-                return by_base[base].master_key + partner.master_key
+        if master is not None or not by_base or not report.candidate_keys:
+            return master
 
         # Second chance: one schedule of the XTS pair was recovered but
         # its sibling's windows were too decayed for the general scan.
         # The sibling's base is *known* (adjacent schedules), so retry
         # with the targeted, loose-tolerance recovery.
-        if by_base and report.candidate_keys:
-            candidates = report.candidate_keys
-            if self.config.max_candidate_keys is not None:
-                candidates = candidates[: self.config.max_candidate_keys]
-            search = AesKeySearch(
-                keys_matrix(candidates),
-                key_bits=self.config.key_bits,
-                verify_tolerance_bits=self.config.verify_tolerance_bits,
-            )
-            for base in sorted(by_base):
-                after = search.recover_at_base(dump, base + stride)
-                if after is not None:
-                    return by_base[base].master_key + after.master_key
-                before = search.recover_at_base(dump, base - stride)
-                if before is not None:
-                    return before.master_key + by_base[base].master_key
+        candidates = report.candidate_keys
+        if self.config.max_candidate_keys is not None:
+            candidates = candidates[: self.config.max_candidate_keys]
+        search = AesKeySearch(
+            keys_matrix(candidates),
+            key_bits=self.config.key_bits,
+            verify_tolerance_bits=self.config.verify_tolerance_bits,
+        )
+        stride = schedule_bytes(self.config.key_bits)
+        for base in sorted(by_base):
+            after = search.recover_at_base(dump, base + stride)
+            if after is not None:
+                return by_base[base].master_key + after.master_key
+            before = search.recover_at_base(dump, base - stride)
+            if before is not None:
+                return before.master_key + by_base[base].master_key
         return None
+
+
+def pair_xts_keys(recovered: list[RecoveredAesKey], key_bits: int) -> bytes | None:
+    """The 64-byte XTS key ``primary || tweak`` among recovered schedules.
+
+    Pairs the lowest-based recovered schedule whose successor, one
+    schedule length on, was recovered too; None when no pair exists.
+    """
+    by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
+    stride = schedule_bytes(key_bits)
+    for base in sorted(by_base):
+        partner = by_base.get(base + stride)
+        if partner is not None:
+            return by_base[base].master_key + partner.master_key
+    return None

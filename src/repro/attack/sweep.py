@@ -82,7 +82,7 @@ def attack_success_sweep(
         flip = MODULE_PROFILES["DDR4_A"].decay.flip_fraction(transfer_seconds, celsius)
         attack = Ddr4ColdBootAttack()
         report = attack.run(dump)
-        master = attack.recover_xts_master_key(dump)
+        master = attack.recover_xts_master_key(dump, report)
         points.append(
             SweepPoint(
                 temperature_c=celsius,
@@ -161,18 +161,14 @@ def fault_recovery_sweep(
     run.  ``("crash", "corrupt")`` is the fast default; add ``"hang"``
     / ``"kill"`` (process death) for the full, slower battery.
     """
-    from repro.attack.parallel import (
-        parallel_recover_keys,
-        resilient_recover_keys,
-        shard_image,
-    )
+    from repro.attack.parallel import resilient_recover_keys, shard_image
     from repro.crypto.aes import schedule_bytes
     from repro.resilience.faults import FaultPlan, FaultSpec
     from repro.resilience.retry import RetryPolicy
 
     dump, master, _ = synthetic_dump(bit_error_rate=0.0, seed=seed)
-    clean = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=n_shards)
-    clean_masters = {r.master_key for r in clean}
+    clean = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=n_shards)
+    clean_masters = {r.master_key for r in clean.recovered}
     shards = shard_image(dump, n_shards, overlap_bytes=schedule_bytes(256) + 64)
     policy = RetryPolicy(
         max_attempts=3, base_delay_s=0.01, shard_timeout_s=shard_timeout_s, seed=seed

@@ -122,6 +122,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _run_attack(args: argparse.Namespace) -> int:
     from repro.attack import AttackConfig, Ddr4ColdBootAttack
+    from repro.attack.pipeline import pair_xts_keys
     from repro.attack.report import save_report_json
     from repro.resilience.shutdown import (
         EXIT_DEADLINE_EXPIRED,
@@ -162,7 +163,6 @@ def _run_attack(args: argparse.Namespace) -> int:
             decode_checkpoint=checkpoint if args.adaptive else None,
             deadline_s=args.deadline,
             stall_timeout_s=args.stall_timeout,
-            executor=args.executor,
         )
     )
     if not args.adaptive and (args.workers > 1 or args.shards or checkpoint):
@@ -192,7 +192,7 @@ def _run_attack(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         # The sharded report already holds every schedule at its global
         # offset; pair adjacent ones rather than re-running the attack.
-        master = _pair_xts(report.recovered_keys, attack.config.key_bits)
+        master = pair_xts_keys(report.recovered_keys, attack.config.key_bits)
     elif args.adaptive:
         reference = _load_dump(args.reference) if args.reference else None
         report = attack.run(dump, reference=reference)
@@ -203,10 +203,10 @@ def _run_attack(args: argparse.Namespace) -> int:
                   f"quarantined ({region['reason']}): {region['detail']}",
                   file=sys.stderr)
         # The adaptive engine already rescued XTS siblings; pair here.
-        master = _pair_xts(report.recovered_keys, attack.config.key_bits)
+        master = pair_xts_keys(report.recovered_keys, attack.config.key_bits)
     else:
         report = attack.run(dump)
-        master = attack.recover_xts_master_key(dump)
+        master = attack.recover_xts_master_key(dump, report)
     if args.json:
         save_report_json(report, args.json, include_keys=not args.redact)
         print(f"wrote {args.json}")
@@ -238,18 +238,6 @@ def _journal_shard_count(checkpoint) -> int | None:
         return None  # CheckpointJournal.open will diagnose it properly
     if header.get("type") == "header":
         return header.get("n_shards")
-    return None
-
-
-def _pair_xts(recovered, key_bits: int) -> bytes | None:
-    from repro.crypto.aes import schedule_bytes
-
-    by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
-    stride = schedule_bytes(key_bits)
-    for base in sorted(by_base):
-        partner = by_base.get(base + stride)
-        if partner is not None:
-            return by_base[base].master_key + partner.master_key
     return None
 
 
@@ -543,13 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--redact", action="store_true", help="omit key bytes from the report")
     attack.add_argument("--workers", type=int, default=1,
                         help="workers for the sharded scan (default 1)")
-    attack.add_argument("--executor", choices=("auto", "thread", "process"),
-                        default="auto",
-                        help="worker pool for sharded scans: threads share the "
-                             "dump and join tables in-process (the kernels "
-                             "release the GIL), processes give killable "
-                             "isolation; auto picks threads unless the run "
-                             "needs a stall watchdog (default: auto)")
     attack.add_argument("--shards", type=int, default=0,
                         help="shard count (default: one per worker)")
     attack.add_argument("--checkpoint", metavar="PATH",
@@ -570,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "and exits resumable (exit code 4)")
     attack.add_argument("--stall-timeout", type=float, metavar="SECONDS",
                         help="kill and resubmit a worker whose heartbeat "
-                             "goes silent this long (sharded scans only)")
+                             "goes silent this long (sharded scans only; runs "
+                             "the workers as processes, which can be killed)")
     attack.add_argument("--checkpoint-fallback-dir", metavar="DIR",
                         help="rotate the checkpoint journal here if its "
                              "primary path stops accepting writes (ENOSPC)")

@@ -4,7 +4,7 @@ An 8 GB dump takes the paper ~21 hours to scan; losing hour 20 to a
 power blip is not acceptable.  The journal records one line per
 completed shard — its offset and its serialized
 :class:`~repro.attack.aes_search.RecoveredAesKey` results — so an
-interrupted ``parallel_recover_keys(..., checkpoint=path)`` run picks
+interrupted ``resilient_recover_keys(..., checkpoint=path)`` run picks
 up exactly where it stopped, re-searching nothing.
 
 Crash-safety model:

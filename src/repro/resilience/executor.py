@@ -56,6 +56,9 @@ from repro.resilience.retry import RetryPolicy
 #: fingerprint cache by reference.
 POOL_KINDS = ("process", "thread")
 
+#: How long a pool teardown waits for each killed worker to exit.
+_KILL_JOIN_S = 5.0
+
 #: Shard lifecycle states reported in a :class:`ShardOutcome`.
 STATUS_OK = "ok"
 STATUS_QUARANTINED = "quarantined"
@@ -459,20 +462,28 @@ class ResilientShardRunner:
             # dispatch, not at enqueue.
             waiting = list(pending.items())
 
-            def submit_next() -> None:
-                offset, payload = waiting.pop(0)
-                future = pool.submit(
-                    self.worker, payload, offset, attempts[offset] + 1, in_subprocess
-                )
+            def dispatch(offset: int, payload: Any) -> None:
+                # Track *before* submitting: a worker can beat before
+                # submit() returns, and a board snapshot taken after
+                # that first beat would never see the counter move, so
+                # the shard's stall clock would never arm.
+                if watchdog is not None:
+                    watchdog.track(offset)
+                try:
+                    future = pool.submit(
+                        self.worker, payload, offset, attempts[offset] + 1, in_subprocess
+                    )
+                except BaseException:
+                    if watchdog is not None:
+                        watchdog.untrack(offset)
+                    raise
                 attempts[offset] += 1
                 futures[future] = offset
                 if timeout is not None:
                     deadlines[future] = time.monotonic() + timeout
-                if watchdog is not None:
-                    watchdog.track(offset)
 
             while waiting and len(futures) < self.workers:
-                submit_next()
+                dispatch(*waiting.pop(0))
 
             while futures:
                 caps: list[float] = []
@@ -520,25 +531,12 @@ class ResilientShardRunner:
                                 self.policy.clamped_delay_s(offset, attempts[offset], deadline)
                             )
                             try:
-                                retry = pool.submit(
-                                    self.worker,
-                                    pending[offset],
-                                    offset,
-                                    attempts[offset] + 1,
-                                    in_subprocess,
-                                )
+                                dispatch(offset, pending[offset])
                             except BrokenProcessPool:
                                 # A sibling's death broke the pool while
                                 # this shard was being resubmitted; leave
                                 # it pending for the rebuilt pool.
                                 broken = True
-                            else:
-                                attempts[offset] += 1
-                                futures[retry] = offset
-                                if timeout is not None:
-                                    deadlines[retry] = time.monotonic() + timeout
-                                if watchdog is not None:
-                                    watchdog.track(offset)
                     else:
                         self._record_ok(offset, result, attempts, errors, ledger)
                         finished.append(offset)
@@ -612,7 +610,7 @@ class ResilientShardRunner:
                 if not (stop is not None and stop.requested):
                     while waiting and len(futures) < self.workers:
                         try:
-                            submit_next()
+                            dispatch(*waiting.pop(0))
                         except BrokenProcessPool:
                             broken = True
                             break
@@ -651,10 +649,17 @@ class ResilientShardRunner:
             # A broken/hung/abandoned pool must not be joined — shut
             # down without waiting, then put the zombie workers down
             # explicitly (a hung worker would otherwise squat on its
-            # shard's memory and stall interpreter exit).
+            # shard's memory and stall interpreter exit).  The process
+            # list must be taken first: shutdown() drops it.  SIGKILL,
+            # not SIGTERM: a forked worker inherits the orchestrator's
+            # signal handlers (GracefulShutdown turns SIGTERM into a
+            # flag), so only SIGKILL is sure to land.
             teardown = broken or stalled_pool or aborted
+            processes = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=not teardown, cancel_futures=True)
             if teardown:
-                for process in list((getattr(pool, "_processes", None) or {}).values()):
-                    process.terminate()
+                for process in processes:
+                    process.kill()
+                for process in processes:
+                    process.join(timeout=_KILL_JOIN_S)
         return finished

@@ -188,9 +188,8 @@ class FaultPlan:
 
         ``kill`` and ``hang`` only behave as scripted when the worker
         is a killable subprocess — fired in a thread they downgrade to
-        :class:`InjectedFault` (see :meth:`apply`).  Orchestrators that
-        pick an executor automatically use this to keep chaos plans on
-        the process pool.
+        :class:`InjectedFault` (see :meth:`apply`).  The sharded scan
+        uses this to run chaos plans on a process pool.
         """
         return any(spec.kind in ("kill", "hang") for _, spec in self.faults)
 

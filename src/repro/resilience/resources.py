@@ -4,10 +4,8 @@ A production scan cannot assume the host is healthy.  ``/dev/shm`` may
 be absent (minimal containers), full (``ENOSPC``), or denied by
 policy; the disk the checkpoint journal lives on may fill mid-run.
 This module centralises the fallback decisions so every publisher of
-shared bytes — the dump, the mined key matrix, the fingerprint-cache
-blob (:meth:`~repro.attack.aes_search.KeyFingerprintCache.export_blob`,
-so workers attach precomputed join tables instead of rebuilding them),
-the heartbeat board — degrades identically:
+shared bytes — the dump, the mined key matrix, the heartbeat board —
+degrades identically:
 
 1. **POSIX shared memory** (:class:`~repro.dram.image.SharedDumpBuffer`)
    — the fast path: tmpfs pages, zero filesystem traffic;

@@ -226,7 +226,8 @@ class _SlotState:
 class HeartbeatMonitor:
     """Daemon thread that turns silent beat counters into stall verdicts.
 
-    The executor :meth:`track`\\ s a shard when it submits it and
+    The executor :meth:`track`\\ s a shard just before it submits it
+    (so the snapshot predates the worker's first beat) and
     :meth:`untrack`\\ s it on completion; the thread samples the board
     every ``poll_interval_s`` and files shards whose armed counter has
     not moved for ``stall_timeout_s`` into the stalled set, which the
@@ -286,7 +287,7 @@ class HeartbeatMonitor:
     # -------------------------------------------------------------- tracking
 
     def track(self, shard_offset: int) -> None:
-        """(Re)start stall tracking for a just-submitted shard."""
+        """(Re)start stall tracking for a shard about to be submitted."""
         slot = self.slot_of.get(shard_offset)
         if slot is None:
             return

@@ -93,7 +93,6 @@ class JobSpec:
     priority: int = 1
     submitter: str = "anonymous"
     checkpoint: str | None = None
-    executor: str = "auto"
     faults: list | None = None
 
     def to_json(self) -> dict:
@@ -107,12 +106,13 @@ class JobSpec:
             "priority": self.priority,
             "submitter": self.submitter,
             "checkpoint": self.checkpoint,
-            "executor": self.executor,
             "faults": self.faults,
         }
 
     @classmethod
     def from_json(cls, record: dict) -> "JobSpec":
+        # Keys the spec no longer has (older builds persisted an
+        # ``executor``) are ignored, so their WALs still replay.
         try:
             return cls(
                 job_id=str(record["job_id"]),
@@ -127,7 +127,6 @@ class JobSpec:
                 submitter=str(record.get("submitter", "anonymous")),
                 checkpoint=(None if record.get("checkpoint") is None
                             else str(record["checkpoint"])),
-                executor=str(record.get("executor", "auto")),
                 faults=record.get("faults"),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attack.adaptive import (
+    STAGE_ORDER,
     STRICT_STAGE,
     AdaptiveBudget,
     AdaptiveRecoveryEngine,
@@ -108,6 +111,24 @@ class TestBudgetLadder:
         estimate = DecayEstimate(rate=0.02, source="prior", sample_bits=0)
         assert len(AdaptiveBudget(estimate, total_work=1).stages()) == 1
         assert len(AdaptiveBudget(estimate, total_work=6).stages()) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate=st.floats(min_value=0.0, max_value=0.06),
+        total_work=st.integers(min_value=1, max_value=12),
+        max_stage=st.sampled_from((None, *STAGE_ORDER)),
+    )
+    def test_ladder_cost_never_exceeds_the_work_budget(self, rate, total_work, max_stage):
+        """After its first rung the ladder's cumulative cost stays within
+        ``total_work``, so the engine, which runs a subsequence of it,
+        never needs a budget check of its own."""
+        estimate = DecayEstimate(rate=rate, source="prior", sample_bits=0)
+        stages = AdaptiveBudget(estimate, total_work=total_work, max_stage=max_stage).stages()
+        assert stages[0] == STRICT_STAGE
+        spent = stages[0].cost
+        for stage in stages[1:]:
+            spent += stage.cost
+            assert spent <= total_work
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):

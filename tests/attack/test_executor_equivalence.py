@@ -3,11 +3,12 @@
 The sharded scan can run serial (one worker, in-process), on a thread
 pool (the fused kernels release the GIL; dump, keys, and fingerprint
 cache are shared by reference), or on a process pool (isolated,
-killable workers attaching published shared-memory segments).  All
-three must produce *identical* recoveries — and agree through the
-quarantine and checkpoint-resume paths, which is where an executor
-could plausibly diverge (different retry accounting, different attach
-protocol).
+killable workers attaching published shared-memory segments and
+building their own fingerprint caches).  The pool follows from the
+run — a stall watchdog selects processes — and all three must produce
+*identical* recoveries, and agree through the quarantine and
+checkpoint-resume paths, which is where an executor could plausibly
+diverge (different retry accounting, different attach protocol).
 """
 
 import sys
@@ -21,9 +22,14 @@ from repro.crypto.aes import schedule_bytes
 from repro.resilience.executor import STATUS_FROM_CHECKPOINT, STATUS_OK
 from repro.resilience.faults import PERMANENT, FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.watchdog import WatchdogConfig
 
 N_SHARDS = 4
 SEED = 11
+
+#: What selects each pool: a stall watchdog needs killable workers, so
+#: it runs the shards on processes; nothing runs them on threads.
+POOL_OPTIONS = {"thread": {}, "process": {"watchdog": WatchdogConfig()}}
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ def test_serial_baseline_finds_planted_pair(dump, serial_scan):
 def test_pool_executors_match_serial_byte_for_byte(dump, serial_scan, executor):
     image, _ = dump
     scan = resilient_recover_keys(
-        image, key_bits=256, workers=2, n_shards=N_SHARDS, executor=executor
+        image, key_bits=256, workers=2, n_shards=N_SHARDS, **POOL_OPTIONS[executor]
     )
     assert scan.executor == executor
     # Thread workers share the orchestrator's buffers; process workers
@@ -80,7 +86,7 @@ def test_concurrent_thread_scans_keep_their_own_state():
     def scan(index: int) -> None:
         start.wait(timeout=60)
         scans[index] = resilient_recover_keys(
-            dumps[index][0], key_bits=256, workers=2, n_shards=N_SHARDS, executor="thread"
+            dumps[index][0], key_bits=256, workers=2, n_shards=N_SHARDS
         )
 
     threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(dumps))]
@@ -95,6 +101,7 @@ def test_concurrent_thread_scans_keep_their_own_state():
         sys.setswitchinterval(previous)
     for thread, (_, master, _), scan in zip(threads, dumps, scans):
         assert not thread.is_alive()
+        assert scan.executor == "thread"
         assert {r.master_key for r in scan.recovered} == {master[:32], master[32:]}
         assert scan.complete
         assert [o.attempts for o in scan.ledger.outcomes.values()] == [1] * N_SHARDS
@@ -132,7 +139,7 @@ def test_quarantine_identical_across_executors(dump, serial_scan, executor):
     )
     scan = resilient_recover_keys(
         image, key_bits=256, workers=2, n_shards=N_SHARDS,
-        retry_policy=_policy(), fault_plan=plan, executor=executor,
+        retry_policy=_policy(), fault_plan=plan, **POOL_OPTIONS[executor],
     )
     assert scan.executor == executor
     assert scan.quarantined_offsets == [doomed]
@@ -158,14 +165,14 @@ def test_resume_crosses_executors(tmp_path, dump, serial_scan):
     first = resilient_recover_keys(
         image, key_bits=256, workers=2, n_shards=N_SHARDS,
         retry_policy=_policy(), fault_plan=plan,
-        checkpoint=checkpoint, executor="thread",
+        checkpoint=checkpoint,
     )
     assert first.executor == "thread"
     assert first.quarantined_offsets == [doomed]
 
     second = resilient_recover_keys(
         image, key_bits=256, workers=2, n_shards=N_SHARDS,
-        retry_policy=_policy(), checkpoint=checkpoint, executor="process",
+        retry_policy=_policy(), checkpoint=checkpoint, **POOL_OPTIONS["process"],
     )
     assert second.executor == "process"
     assert second.resumed_shards == N_SHARDS - 1

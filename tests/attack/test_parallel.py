@@ -6,7 +6,7 @@ from repro.attack.aes_search import RecoveredAesKey, ScheduleHit
 from repro.attack.parallel import (
     Shard,
     merge_recovered,
-    parallel_recover_keys,
+    resilient_recover_keys,
     shard_image,
 )
 from repro.attack.sweep import synthetic_dump
@@ -114,7 +114,7 @@ class TestSharding:
 class TestEndToEnd:
     def test_sharded_search_matches_monolithic(self):
         dump, master, _ = synthetic_dump(bit_error_rate=0.0, n_blocks=3 * 4096, seed=51)
-        recovered = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=4)
+        recovered = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=4).recovered
         masters = {r.master_key for r in recovered}
         assert master[:32] in masters and master[32:] in masters
 
@@ -124,7 +124,7 @@ class TestEndToEnd:
         dump, master, _ = synthetic_dump(
             bit_error_rate=0.0, n_blocks=3 * 4096, table_block=3070, seed=52
         )
-        recovered = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=4)
+        recovered = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=4).recovered
         masters = {r.master_key for r in recovered}
         assert master[:32] in masters and master[32:] in masters
 
@@ -132,12 +132,12 @@ class TestEndToEnd:
         # Three index periods so every table block's key gets exposed
         # (period 4096 and zero stride 3 are coprime).
         dump, master, _ = synthetic_dump(bit_error_rate=0.0, n_blocks=3 * 4096, seed=53)
-        recovered = parallel_recover_keys(dump, key_bits=256, workers=2)
+        recovered = resilient_recover_keys(dump, key_bits=256, workers=2).recovered
         assert master[:32] in {r.master_key for r in recovered}
 
     def test_merge_deduplicates_overlap(self):
         dump, master, _ = synthetic_dump(bit_error_rate=0.0, n_blocks=3 * 4096, seed=54)
-        recovered = parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=6)
+        recovered = resilient_recover_keys(dump, key_bits=256, workers=1, n_shards=6).recovered
         bases = [r.hits[0].table_base for r in recovered]
         assert len(bases) == len(set(bases))
 
@@ -145,7 +145,7 @@ class TestEndToEnd:
         from repro.util.rng import SplitMix64
 
         dump = MemoryImage(SplitMix64(1).next_bytes(256 * 64))
-        assert parallel_recover_keys(dump) == []
+        assert resilient_recover_keys(dump).recovered == []
 
 
 class TestMerge:

@@ -24,11 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.attack.parallel import (
-    parallel_recover_keys,
-    resilient_recover_keys,
-    shard_image,
-)
+from repro.attack.parallel import resilient_recover_keys, shard_image
 from repro.attack.sweep import synthetic_dump
 from repro.crypto.aes import schedule_bytes
 from repro.resilience.executor import STATUS_FROM_CHECKPOINT, STATUS_OK
@@ -49,7 +45,9 @@ def dump_and_master():
 def clean_baseline(dump_and_master):
     """Keys from an unsabotaged serial scan — the ground truth."""
     dump, _ = dump_and_master
-    return parallel_recover_keys(dump, key_bits=256, workers=1, n_shards=N_SHARDS)
+    return resilient_recover_keys(
+        dump, key_bits=256, workers=1, n_shards=N_SHARDS
+    ).recovered
 
 
 def test_clean_baseline_finds_the_planted_table(dump_and_master, clean_baseline):

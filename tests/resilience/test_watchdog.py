@@ -298,6 +298,78 @@ def test_consecutive_stalls_trip_the_circuit_breaker_to_serial():
     assert any("degrading" in event for event in events)
 
 
+# ------------------------------------------- stall kills through the scan
+#
+# A scripted ``hang`` fault beats once on entry (the scan task's first
+# beat) and then sleeps; the watchdog must arm on that beat, kill the
+# worker within the stall budget, and leave no hung process behind.
+
+_SCAN_HANG_S = 8.0
+
+
+def _hung_scan():
+    """A 2-worker process scan whose first shard hangs for _SCAN_HANG_S."""
+    from repro.attack.parallel import resilient_recover_keys, shard_image
+    from repro.attack.sweep import synthetic_dump
+    from repro.crypto.aes import schedule_bytes
+    from repro.resilience.faults import FaultPlan, FaultSpec
+
+    dump, master, _ = synthetic_dump(0.0, seed=5)
+    shards = shard_image(dump, 4, overlap_bytes=schedule_bytes(256) + 64)
+    plan = FaultPlan(
+        faults=((shards[0].base_offset, FaultSpec(kind="hang", hang_seconds=_SCAN_HANG_S)),),
+        seed=5,
+    )
+    start = time.monotonic()
+    scan = resilient_recover_keys(
+        dump,
+        workers=2,
+        n_shards=4,
+        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.01),
+        fault_plan=plan,
+        watchdog=WatchdogConfig(stall_timeout_s=1.0, poll_interval_s=0.05),
+    )
+    assert scan.executor == "process"
+    assert {r.master_key for r in scan.recovered} >= {master[:32], master[32:]}
+    return scan, time.monotonic() - start
+
+
+def test_stall_clock_arms_even_when_the_first_beat_beats_tracking(monkeypatch):
+    """Tracking starts before dispatch, so a worker whose first beat lands
+    before the monitor's snapshot is still armed and stall-killed.
+
+    Delaying ``track`` makes that race certain: a snapshot taken after
+    the submit would already hold the first beat, the counter would
+    never move again, and the hang would run to its end.
+    """
+    track = HeartbeatMonitor.track
+
+    def slow_track(self, shard_offset):
+        time.sleep(0.5)
+        track(self, shard_offset)
+
+    monkeypatch.setattr(HeartbeatMonitor, "track", slow_track)
+    scan, elapsed = _hung_scan()
+    assert scan.ledger.stall_kills >= 1
+    assert elapsed < _SCAN_HANG_S
+
+
+def test_stall_killed_worker_is_dead_when_the_scan_returns():
+    """The teardown kills the hung worker: no pool process outlives the
+    scan (a survivor would hold its shard's memory and stall exit)."""
+    import multiprocessing
+
+    before = {process.pid for process in multiprocessing.active_children()}
+    scan, _ = _hung_scan()
+    assert scan.ledger.stall_kills >= 1
+    survivors = [
+        process
+        for process in multiprocessing.active_children()
+        if process.pid not in before
+    ]
+    assert survivors == []
+
+
 def test_stall_error_is_structured():
     error = ShardStallError(0x4000, 12.5, 2)
     assert error.shard_offset == 0x4000

@@ -46,6 +46,22 @@ class TestAppendAndReplay:
         assert job.report_path == "r.json"
         assert job.terminal_events == 1
 
+    def test_spec_with_a_persisted_executor_still_replays(self, tmp_path, monkeypatch):
+        """Older builds wrote an ``executor`` into every spec record; the
+        key is ignored and the job replays to the same spec."""
+        wal = tmp_path / "jobs.wal"
+        to_json = JobSpec.to_json
+        monkeypatch.setattr(
+            JobSpec, "to_json", lambda self: {**to_json(self), "executor": "process"}
+        )
+        JobStore.open(wal).append_event("job-1", QUEUED, spec=spec(scan_workers=2))
+        monkeypatch.undo()
+        assert '"executor"' in wal.read_text()
+        job = replay_jobs(wal)["job-1"]
+        assert job.spec == spec(scan_workers=2)
+        assert job.state == QUEUED
+        assert JobStore.open(wal).get("job-1").spec == spec(scan_workers=2)
+
     def test_replay_of_missing_log_is_empty_service(self, tmp_path):
         assert replay_jobs(tmp_path / "absent.wal") == {}
 

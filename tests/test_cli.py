@@ -71,6 +71,27 @@ class TestCommands:
         assert main(["attack", path]) == 0
         assert master.hex() in capsys.readouterr().out
 
+    def test_fixed_budget_attack_scans_the_dump_once(self, tmp_path, capsys, monkeypatch):
+        """The XTS key is paired (and rescued) from the run's own report:
+        one key search per dump, printing the planted master key."""
+        from repro.attack.aes_search import AesKeySearch
+        from repro.attack.sweep import synthetic_dump
+
+        dump, master, _ = synthetic_dump(0.002, seed=5)
+        path = tmp_path / "dump.bin"
+        dump.save(path)
+        searches = []
+        recover_keys = AesKeySearch.recover_keys
+
+        def counting_recover_keys(self, *args, **kwargs):
+            searches.append(args)
+            return recover_keys(self, *args, **kwargs)
+
+        monkeypatch.setattr(AesKeySearch, "recover_keys", counting_recover_keys)
+        assert main(["attack", str(path)]) == 0
+        assert len(searches) == 1
+        assert f"XTS master key (primary||tweak): {master.hex()}" in capsys.readouterr().out
+
     def test_keyfind_on_plaintext(self, tmp_path, capsys):
         master = b"\x5e" * 32
         blob = bytearray(SplitMix64(2).next_bytes(64 * 512))
