@@ -11,7 +11,7 @@ controller:
    a reference image (``repro.analysis.decay_map``), the residual
    mismatch of mined-key support sets (every candidate's sightings
    disagree with their majority vote at exactly the channel's rate),
-   or a configurable prior.
+   or a fixed prior.
 2. **Escalate** through :class:`BudgetStage`\\ s — a strict first pass
    at the paper's budgets, then calibrated and widened retries whose
    tolerances are set to ``mean + 3σ`` of the mismatch a true artefact
@@ -348,7 +348,7 @@ def _tail_budget(bits: float, rate: float, floor: int, cap: int, sigmas: float =
     return max(floor, min(width, cap))
 
 
-def stage_for_rate(name: str, rate: float, cost: int, schedule_vote: bool = True) -> BudgetStage:
+def stage_for_rate(name: str, rate: float, cost: int) -> BudgetStage:
     """Budgets calibrated so true artefacts at ``rate`` pass with margin.
 
     Effective bit counts: a zero block's litmus invariants re-read each
@@ -365,7 +365,7 @@ def stage_for_rate(name: str, rate: float, cost: int, schedule_vote: bool = True
         keyfind_tolerance_bits=_tail_budget(700, rate, floor=8, cap=32),
         accept_mismatch_fraction=min(0.30, max(0.05, 6.0 * rate + 0.02)),
         repair_bits=1 if rate < 0.008 else 2,
-        schedule_vote=schedule_vote,
+        schedule_vote=True,
         cost=cost,
     )
 
@@ -406,10 +406,8 @@ def decode_stage_for_rate(rate: float) -> BudgetStage:
         verify_tolerance_bits=_tail_budget(700, inflated, floor=36, cap=40),
         keyfind_tolerance_bits=_tail_budget(700, inflated, floor=24, cap=32),
         accept_mismatch_fraction=min(0.25, max(0.10, 3.0 * inflated + 0.04)),
-        # One repair bit only: the widened stage's 2-bit escalation is
-        # a 32k-variant ballot per window, which the junk the wide
-        # verify budget admits would pay thousands of times over — and
-        # correction past one flip is the decoder's job here anyway.
+        # Unused: a decode search never ballots, so neither repair bits
+        # nor voting apply — the decoder does all the correcting.
         repair_bits=1,
         schedule_vote=True,
         schedule_decode=True,
@@ -712,16 +710,12 @@ class AdaptiveRecoveryEngine:
         self,
         key_bits: int = 256,
         total_work: int = 6,
-        prior_rate: float = DEFAULT_PRIOR_RATE,
-        region_bytes: int = DEFAULT_REGION_BYTES,
         max_candidate_keys: int | None = None,
         scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
         max_stage: str | None = None,
         decode_iters: int = DEFAULT_DECODE_ITERS,
         decode_state_store=None,
     ) -> None:
-        if not 0.0 <= prior_rate < 0.5:
-            raise ValueError("prior_rate must lie in [0, 0.5)")
         if max_candidate_keys is not None and max_candidate_keys < 1:
             raise ValueError("max_candidate_keys must be positive")
         if max_stage is not None and max_stage not in STAGE_ORDER:
@@ -730,8 +724,6 @@ class AdaptiveRecoveryEngine:
             raise ValueError("decode_iters must be at least 1")
         self.key_bits = key_bits
         self.total_work = total_work
-        self.prior_rate = prior_rate
-        self.region_bytes = region_bytes
         self.max_candidate_keys = max_candidate_keys
         self.scan_limit_bytes = scan_limit_bytes
         #: Ceiling on the escalation ladder (see :data:`STAGE_ORDER`).
@@ -776,11 +768,19 @@ class AdaptiveRecoveryEngine:
         Mirrors the pipeline's targeted rescue: with the base pinned by
         a recovered partner, verification affords a loose budget, so a
         tweak schedule too decayed for the open scan still surfaces.
+        Only unpaired schedules are rescued: a base whose partner was
+        already recovered is a complete pair, and its outer neighbours
+        can only hold junk.
         """
         stride = schedule_bytes(self.key_bits)
         by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
+        unpaired = [
+            base
+            for base in sorted(by_base)
+            if base - stride not in by_base and base + stride not in by_base
+        ]
         loose = max(40, stage.verify_tolerance_bits + 8)
-        for base in sorted(by_base):
+        for base in unpaired:
             for sibling in (base - stride, base + stride):
                 if sibling < 0 or sibling in by_base:
                     continue
@@ -824,7 +824,6 @@ class AdaptiveRecoveryEngine:
             candidates=strict_candidates,
             reference_map=reference_map,
             image=image,
-            prior_rate=self.prior_rate,
         )
         stages = AdaptiveBudget(
             estimate, total_work=self.total_work, max_stage=self.max_stage
@@ -853,7 +852,6 @@ class AdaptiveRecoveryEngine:
             triage_pool,
             litmus_tolerance_bits=widest.litmus_tolerance_bits,
             merge_radius_bits=widest.merge_radius_bits,
-            region_bytes=self.region_bytes,
         )
         diagnostics.extend(str(error) for error in quarantined)
         if not extents:
@@ -1057,7 +1055,7 @@ class AdaptiveRecoveryEngine:
 
             reference_map = decay_map(reference, image)
         deadline = Deadline.coerce(deadline)
-        estimate = estimate_decay_rate(reference_map=reference_map, prior_rate=self.prior_rate)
+        estimate = estimate_decay_rate(reference_map=reference_map)
         stages = AdaptiveBudget(estimate, total_work=self.total_work).stages()
         stages_run: list[str] = []
         for stage in stages:

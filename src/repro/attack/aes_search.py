@@ -47,7 +47,6 @@ from itertools import product
 import numpy as np
 
 from repro.attack.decode import (
-    DEFAULT_DAMPING,
     DEFAULT_DECODE_ITERS,
     ChannelModel,
     DecodeResult,
@@ -806,7 +805,6 @@ class AesKeySearch:
         decay_rate: float | None = None,
         schedule_decode: bool = False,
         decode_iters: int = DEFAULT_DECODE_ITERS,
-        decode_damping: float = DEFAULT_DAMPING,
         decode_state_store=None,
         deadline: Deadline | float | None = None,
     ) -> None:
@@ -858,19 +856,16 @@ class AesKeySearch:
         #: recovery's :func:`confidence_score` (None = self-calibrate
         #: from the residual alone).
         self.decay_rate = decay_rate
-        #: Belief-propagation decode: when the rescue loop has a mostly
-        #: right guess, run message passing over the key-expansion
-        #: constraint graph on the observed table instead of relying on
-        #: vote+repair alone.  Off by default for the same seed
-        #: equivalence reason as ``schedule_vote``; the adaptive
-        #: engine's ``decoded`` stage turns it on.
+        #: Belief-propagation decode: every base is list-decoded over
+        #: the key-expansion constraint graph (:meth:`_decode_group`)
+        #: in place of the ballot, vote and repair machinery, and a
+        #: base the decoder abstains on yields no key.  Off by default
+        #: for the same seed equivalence reason as ``schedule_vote``;
+        #: the adaptive engine's ``decoded`` stage turns it on.
         self.schedule_decode = bool(schedule_decode)
         if decode_iters < 1:
             raise ValueError("decode_iters must be at least 1")
-        if not 0.0 <= decode_damping < 1.0:
-            raise ValueError("decode_damping must lie in [0, 1)")
         self.decode_iters = int(decode_iters)
-        self.decode_damping = float(decode_damping)
         #: Optional :class:`~repro.resilience.checkpoint.DecodeStateStore`
         #: holding partial decode posteriors across a deadline, keyed by
         #: table base; with it a ``--resume`` warm-starts mid-decode and
@@ -1592,12 +1587,13 @@ class AesKeySearch:
         runs :func:`decode_schedule` under the search deadline — saving
         fresh partial state back through the store before re-raising on
         expiry, so a ``--resume`` warm-starts mid-decode — and folds the
-        outcome into the search's decode telemetry.  The list-decode
-        trials of :meth:`_decode_group` arrive as one batch keyed per
-        group (``{base:#x}:combos``), so a deadline hit mid-group
-        resumes every combo's messages, not just the one in flight.
-        Callers apply the plausibility gate first and record abstain
-        evidence themselves.
+        outcome into the search's decode telemetry.  Both of
+        :meth:`_decode_group`'s passes land here: the list-decode trials
+        as one batch keyed per group (``{base:#x}:combos``), so a
+        deadline hit mid-group resumes every combo's messages, not just
+        the one in flight, and each bootstrap re-decode as one table
+        (``{base:#x}:boot0``, ``:boot1``).  The caller applies the
+        plausibility gate first and records abstain evidence itself.
         """
         if self.decay_rate is not None:
             # A single-sighting pool key carries the dump's flip rate
@@ -1616,7 +1612,6 @@ class AesKeySearch:
                 ChannelModel.symmetric(clamp_rate(rate)),
                 known=knowns,
                 max_iters=self.decode_iters,
-                damping=self.decode_damping,
                 on_progress=self.on_progress,
                 deadline=self.deadline,
                 state=None if payload is None else DecodeState.from_dict(payload),
@@ -1639,17 +1634,6 @@ class AesKeySearch:
         stats["checks_updated"] += result.checks_updated
         stats["checks_dense"] += result.checks_dense
         return result
-
-    def _record_abstain(self, base: int, result: DecodeResult) -> None:
-        """File one table's abstain as structured evidence."""
-        self.decode_abstains.append(
-            DecodeAbstainError(
-                table_base=base,
-                iterations=result.iterations,
-                syndrome_weight=int(result.syndrome_weight[0]),
-                posterior_entropy=float(result.posterior_entropy[0]),
-            )
-        )
 
     def _span_table_from_hits(
         self, blocks: np.ndarray, base: int, group: list[ScheduleHit]
@@ -1731,15 +1715,16 @@ class AesKeySearch:
         group: list[ScheduleHit],
         span_gate: tuple[np.ndarray, np.ndarray, int],
         pinned: bool = False,
-    ) -> tuple[RecoveredAesKey | None, bool]:
+    ) -> RecoveredAesKey | None:
         """List-decode path: junk gate → candidate lists → BP per combo.
 
         The classical rescue needs a mostly-right expansion guess
         before it can even assemble an observed table; at the decoded
-        stage's channel no ballot produces one.  This path goes the
-        other way.  The verified hit spans *are* partial observations
-        of the table (``span_gate``, from :meth:`_span_table_from_hits`),
-        so the plausibility pre-gate sorts junk bases
+        stage's channel no ballot produces one.  This path, the only
+        one a ``schedule_decode`` search runs, goes the other way.  The
+        verified hit spans *are* partial observations of the table
+        (``span_gate``, from :meth:`_span_table_from_hits`), so the
+        plausibility pre-gate sorts junk bases
         from real ones before anything expensive runs (``pinned``
         bases — vouched for by a recovered XTS partner — skip it,
         since their groups may be pure junk-tail even when the table
@@ -1757,15 +1742,17 @@ class AesKeySearch:
         candidate bar missed, and the re-decode with that coverage
         converges.  The region residual check then confirms any
         decoded schedule against the dump like a classical ballot.
-        Returns ``(key, gated)``; ``gated`` tells the caller the base
-        never looked like a schedule at all.
+        Returns the confirmed key, or ``None`` when the base abstains:
+        the pre-gate rejected it (counted as ``gated``), or neither the
+        list decode nor the bootstrap converged on a schedule the dump
+        confirms.  An abstaining base yields no key.
         """
         variant = self.variant
         span_table, span_known, span_score = span_gate
         span_plausible = span_score >= _DECODE_SEED_MIN_CLEAN_CHECKS
         if not pinned and not span_plausible:
             self.decode_stats["gated"] += 1
-            return None, True
+            return None
         # A pinned base's junk-tail spans would poison the decode as
         # false observations; use them only when they look schedule-like.
         if not span_plausible:
@@ -1831,7 +1818,7 @@ class AesKeySearch:
                 if not batched.abstained(idx):
                     key = self._decoded_key(batched.table(idx), blocks, base, group)
                     if key is not None:
-                        return key, False
+                        return key
                     continue
                 syndrome = int(batched.syndrome_weight[idx])
                 if best is None or syndrome < best[0]:
@@ -1870,12 +1857,19 @@ class AesKeySearch:
                 )
                 final = result
                 if not result.abstained():
-                    return self._decoded_key(result, blocks, base, group), False
+                    return self._decoded_key(result, blocks, base, group)
         if final is not None and final.abstained():
             # One summarizing abstain for the whole base, in place of
             # per-combo evidence.
-            self._record_abstain(base, final)
-        return None, False
+            self.decode_abstains.append(
+                DecodeAbstainError(
+                    table_base=base,
+                    iterations=final.iterations,
+                    syndrome_weight=int(final.syndrome_weight[0]),
+                    posterior_entropy=float(final.posterior_entropy[0]),
+                )
+            )
+        return None
 
     def _decoded_key(
         self,
@@ -1933,27 +1927,14 @@ class AesKeySearch:
 
         Returns ``(key, decoded)``; ``decoded`` is true when the decode
         path produced the key, which then claims its region (see
-        :meth:`recover_keys`).
+        :meth:`recover_keys`).  A ``schedule_decode`` search decodes or
+        abstains (:meth:`_decode_group`) and never reaches the ballots
+        below.
         """
-        variant = self.variant
         if self.schedule_decode:
-            # The decode path runs first: at this stage's channel the
-            # ballot machinery below almost never assembles a usable
-            # guess, while the hit spans alone are enough for belief
-            # propagation.  A base the seed gate rejected never looked
-            # like a schedule at all — running the classical ballots on
-            # it would only manufacture spurious keys from the junk
-            # tail the wide verify budget admits (and burn most of the
-            # stage's wall time doing it).  Falling through on a
-            # genuine abstain keeps the classical rescue as the safety
-            # net for plausible bases the decoder could not settle.
-            decoded, gated = self._decode_group(
-                blocks, base, group, span_gate, pinned=pinned
-            )
-            if decoded is not None:
-                return decoded, True
-            if gated:
-                return None, False
+            key = self._decode_group(blocks, base, group, span_gate, pinned=pinned)
+            return key, key is not None
+        variant = self.variant
         spans: list[tuple[int, np.ndarray]] = []
         for hit in group:
             span = (
@@ -1970,10 +1951,6 @@ class AesKeySearch:
 
         best_agreement = 0.0
         best_counted_bits = 0
-        #: Converged decoded tables (as bytes) → mean max-posterior
-        #: probability, for recalibrating the final confidence when the
-        #: accepted master's expansion is one the decoder produced.
-        decode_certainty: dict[bytes, float] = {}
         schedule_bits = 8 * 4 * variant.total_words
         #: Region confirmation per master: every expansion is its
         #: master's, so a ballot ranked again by a later pass is not
@@ -2032,7 +2009,6 @@ class AesKeySearch:
             # strictly lower than any near-miss's, so the running
             # minimum converges on it.  The guess is refreshed between
             # iterations since a better guess picks better per-block keys.
-            decode_attempted = False
             for _iteration in range(3):
                 if self.on_progress is not None:
                     self.on_progress()
@@ -2042,41 +2018,13 @@ class AesKeySearch:
                 if observed is None:
                     break
                 table, known = observed
-                decoded_clean = False
-                if self.schedule_decode and not decode_attempted:
-                    # Message passing sees the whole table at once and
-                    # corrects channels far beyond what greedy repair
-                    # survives; a converged (zero-syndrome) decode IS a
-                    # valid codeword, so every byte becomes known and
-                    # vote/repair have nothing left to do.  An abstain
-                    # falls through to the classical correctors — and
-                    # is not retried on later rescue iterations, whose
-                    # observed table barely differs.
-                    decode_attempted = True
-                    if (
-                        schedule_plausibility(table, known, variant.key_bits)
-                        >= _DECODE_MIN_CLEAN_CHECKS
-                    ):
-                        result = self._decode(table, known, f"{base:#x}", before)
-                        if result.abstained():
-                            self._record_abstain(base, result)
-                        else:
-                            table = result.tables[0].copy()
-                            known = np.ones_like(known)
-                            decoded_clean = True
-                            decode_certainty[table.tobytes()] = float(result.certainty[0])
-                if not decoded_clean:
-                    if self.schedule_vote:
-                        # Consistency voting first: it corrects dense decay
-                        # (multiple flips per equation) that the greedy
-                        # single-residue repair stalls on, leaving the
-                        # greedy pass only the stragglers.
-                        table = vote_correct_table(
-                            table, variant.key_bits, known_bytes=known
-                        )
-                    table = repair_observed_table(
-                        table, variant.key_bits, known_bytes=known
-                    )
+                if self.schedule_vote:
+                    # Consistency voting first: it corrects dense decay
+                    # (multiple flips per equation) that the greedy
+                    # single-residue repair stalls on, leaving the
+                    # greedy pass only the stragglers.
+                    table = vote_correct_table(table, variant.key_bits, known_bytes=known)
+                table = repair_observed_table(table, variant.key_bits, known_bytes=known)
                 for repair in range(self.repair_bits + 1):
                     scored = {}
                     expansions = {}
@@ -2127,7 +2075,6 @@ class AesKeySearch:
                 best_fraction,
                 decay_rate=self.decay_rate,
                 coverage=best_counted_bits / schedule_bits,
-                posterior_certainty=decode_certainty.get(expansion.tobytes()),
             ),
         ), False
 
@@ -2142,7 +2089,8 @@ class AesKeySearch:
         Hamming budget (a wrong key's predicted-vs-check distance is
         binomial around half the check bits, so even 40 of 128 bits
         admits random junk at ~1e-5), giving heavily decayed windows a
-        chance to seed the ballot/repair machinery.
+        chance to seed the ballot/repair machinery, or the list decode
+        in a ``schedule_decode`` search.
         """
         if base < 0:
             return None

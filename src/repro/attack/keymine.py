@@ -77,7 +77,6 @@ def mine_scrambler_keys(
     image: MemoryImage,
     tolerance_bits: int = 16,
     merge_radius_bits: int = 16,
-    min_count: int = 1,
     scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
 ) -> list[CandidateKey]:
     """Extract candidate scrambler keys from a (possibly decayed) dump.
@@ -177,8 +176,6 @@ def mine_scrambler_keys(
 
     candidates = []
     for cluster, count in zip(members, counts):
-        if count < min_count:
-            continue
         if len(cluster) == 1:
             # Majority over identical copies is the copy itself.
             voted = cluster[0][0].tobytes()

@@ -403,7 +403,6 @@ def resilient_recover_keys(
     key_bits: int = 256,
     workers: int = 1,
     n_shards: int | None = None,
-    mining_tolerance_bits: int = 16,
     retry_policy: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = True,
@@ -447,7 +446,7 @@ def resilient_recover_keys(
     deadline = Deadline.coerce(deadline)
     deadline_seconds = deadline.total_seconds if deadline is not None else None
     start = time.perf_counter()
-    candidates = mine_scrambler_keys(dump, tolerance_bits=mining_tolerance_bits)
+    candidates = mine_scrambler_keys(dump)
     mine_seconds = time.perf_counter() - start
     if not candidates:
         return ScanReport(

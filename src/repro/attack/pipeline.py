@@ -34,16 +34,8 @@ class AttackConfig:
     """Tunables for the §III-C attack pipeline."""
 
     key_bits: int = 256
-    #: Litmus decay budget per mined key block.
-    litmus_tolerance_bits: int = 16
-    #: Hamming radius at which decayed key copies merge during mining.
-    merge_radius_bits: int = 16
-    #: Minimum sightings for a mined key to join the candidate set.
-    min_key_count: int = 1
     #: Only the first this-many bytes are mined for keys (≤16 MB per §III-B).
     key_scan_limit_bytes: int | None = 16 * 1024 * 1024
-    #: Hamming budget when verifying a predicted round key.
-    verify_tolerance_bits: int = 16
     #: Cap on candidate keys fed to the search (highest frequency first);
     #: None means use all mined candidates.
     max_candidate_keys: int | None = None
@@ -70,9 +62,6 @@ class AttackConfig:
     #: posteriors here, and a re-run with the same path warm-starts
     #: them and finishes byte-identically.
     decode_checkpoint: str | None = None
-    #: Decay-rate prior the adaptive engine falls back on when the dump
-    #: offers nothing measurable.
-    prior_decay_rate: float = 0.002
     #: Wall-clock budget for a whole run in seconds (None = unbounded).
     #: Charge decay makes the attack window physical: when the budget
     #: expires, sharded runs stop resumable (completed shards
@@ -220,11 +209,7 @@ class Ddr4ColdBootAttack:
 
         start = time.perf_counter()
         report.candidate_keys = mine_scrambler_keys(
-            dump,
-            tolerance_bits=config.litmus_tolerance_bits,
-            merge_radius_bits=config.merge_radius_bits,
-            min_count=config.min_key_count,
-            scan_limit_bytes=config.key_scan_limit_bytes,
+            dump, scan_limit_bytes=config.key_scan_limit_bytes
         )
         report.mine_seconds = time.perf_counter() - start
         if not report.candidate_keys:
@@ -233,11 +218,7 @@ class Ddr4ColdBootAttack:
         candidates = report.candidate_keys
         if config.max_candidate_keys is not None:
             candidates = candidates[: config.max_candidate_keys]
-        search = AesKeySearch(
-            keys_matrix(candidates),
-            key_bits=config.key_bits,
-            verify_tolerance_bits=config.verify_tolerance_bits,
-        )
+        search = AesKeySearch(keys_matrix(candidates), key_bits=config.key_bits)
         start = time.perf_counter()
         report.recovered_keys = search.recover_keys(dump)
         report.hits = [hit for rec in report.recovered_keys for hit in rec.hits]
@@ -257,7 +238,6 @@ class Ddr4ColdBootAttack:
         engine = AdaptiveRecoveryEngine(
             key_bits=config.key_bits,
             total_work=config.adaptive_total_work,
-            prior_rate=config.prior_decay_rate,
             max_candidate_keys=config.max_candidate_keys,
             scan_limit_bytes=config.key_scan_limit_bytes,
             max_stage=config.adaptive_max_stage,
@@ -333,7 +313,6 @@ class Ddr4ColdBootAttack:
             key_bits=config.key_bits,
             workers=workers,
             n_shards=n_shards,
-            mining_tolerance_bits=config.litmus_tolerance_bits,
             retry_policy=retry_policy,
             checkpoint=checkpoint,
             resume=resume,
@@ -393,11 +372,7 @@ class Ddr4ColdBootAttack:
         candidates = report.candidate_keys
         if self.config.max_candidate_keys is not None:
             candidates = candidates[: self.config.max_candidate_keys]
-        search = AesKeySearch(
-            keys_matrix(candidates),
-            key_bits=self.config.key_bits,
-            verify_tolerance_bits=self.config.verify_tolerance_bits,
-        )
+        search = AesKeySearch(keys_matrix(candidates), key_bits=self.config.key_bits)
         stride = schedule_bytes(self.config.key_bits)
         for base in sorted(by_base):
             after = search.recover_at_base(dump, base + stride)

@@ -17,9 +17,10 @@ from repro.attack.adaptive import (
     stage_for_rate,
     triage_regions,
 )
-from repro.attack.aes_search import confidence_score
+from repro.attack.aes_search import RecoveredAesKey, ScheduleHit, confidence_score
 from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
 from repro.attack.sweep import synthetic_dump
+from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.errors import (
     MixedScramblerRegionError,
@@ -337,3 +338,101 @@ class TestDecodedEngineEndToEnd:
         digest = json.loads(json.dumps(result.summary()))
         assert set(digest["stage_seconds"]) == set(digest["stages_run"])
         assert all(s >= 0.0 for s in digest["stage_seconds"].values())
+
+
+class TestOneDecodedPath:
+    """The decoded rung decodes or abstains; it never ballots."""
+
+    def test_decode_search_never_reaches_the_ballots(self, monkeypatch):
+        """On the ``adaptive-ber-0.024`` input the decoded rung's search
+        makes no ballot, vote or repair call, and still recovers both
+        planted halves."""
+        from repro.attack import aes_search
+        from repro.attack.aes_search import AesKeySearch
+
+        calls = {"_window_ballots": 0, "vote_correct_table": 0, "repair_observed_table": 0}
+        decoding: list[bool] = []
+        recover_from_group = AesKeySearch._recover_from_group
+
+        def tracking(self, *args, **kwargs):
+            decoding.append(self.schedule_decode)
+            try:
+                return recover_from_group(self, *args, **kwargs)
+            finally:
+                decoding.pop()
+
+        def spy(name, function):
+            def counting(*args, **kwargs):
+                if decoding and decoding[-1]:
+                    calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counting
+
+        monkeypatch.setattr(AesKeySearch, "_recover_from_group", tracking)
+        monkeypatch.setattr(
+            AesKeySearch, "_window_ballots",
+            spy("_window_ballots", AesKeySearch._window_ballots),
+        )
+        for name in ("vote_correct_table", "repair_observed_table"):
+            monkeypatch.setattr(aes_search, name, spy(name, getattr(aes_search, name)))
+
+        dump, master, _ = synthetic_dump(bit_error_rate=0.024, seed=5)
+        result = AdaptiveRecoveryEngine(total_work=10).recover(dump)
+        assert result.stages_run[-1] == "decoded"
+        assert calls == {"_window_ballots": 0, "vote_correct_table": 0, "repair_observed_table": 0}
+        assert set(result.masters) == {master[:32], master[32:]}
+
+    def test_abstaining_bases_yield_no_wrong_key(self):
+        """BER 0.028, seed 2: the decoded rung returns exactly the two
+        planted halves.  A classical fallback on the bases the decoder
+        abstained on used to add a wrong third key here."""
+        dump, master, _ = synthetic_dump(bit_error_rate=0.028, seed=2)
+        result = AdaptiveRecoveryEngine(total_work=10).recover(dump)
+        assert result.stages_run[-1] == "decoded"
+        assert sorted(result.masters) == sorted((master[:32], master[32:]))
+
+
+def _recovered_at(base: int) -> RecoveredAesKey:
+    """A recovered key whose one hit pins its schedule at ``base``."""
+    block, offset = divmod(base, BLOCK_SIZE)
+    hit = ScheduleHit(
+        block_index=block, key_index=0, offset=offset, round_index=0,
+        mismatch_bits=0, key_bits=256,
+    )
+    return RecoveredAesKey(
+        master_key=bytes(32), key_bits=256, votes=1, first_block_index=block,
+        match_fraction=1.0, region_agreement=1.0, hits=(hit,),
+    )
+
+
+class TestCompletePairs:
+    """The pinned XTS rescue runs only for unpaired schedules."""
+
+    class _RecordingSearch:
+        def __init__(self):
+            self.bases: list[int] = []
+
+        def recover_at_base(self, image, base, loose_tolerance_bits=40):
+            self.bases.append(base)
+            return None
+
+    def _complete(self, bases):
+        search = self._RecordingSearch()
+        engine = AdaptiveRecoveryEngine()
+        stage = stage_for_rate("calibrated", 0.01, cost=2)
+        image = MemoryImage(bytes(64 * BLOCK_SIZE))
+        kept = engine._complete_pairs(image, search, [_recovered_at(b) for b in bases], stage)
+        return search.bases, [r.hits[0].table_base for r in kept]
+
+    def test_complete_pair_is_not_rescued(self):
+        stride = schedule_bytes(256)
+        tried, kept = self._complete([1000, 1000 + stride])
+        assert tried == []
+        assert kept == [1000, 1000 + stride]
+
+    def test_unpaired_schedule_tries_both_siblings(self):
+        stride = schedule_bytes(256)
+        tried, kept = self._complete([1000])
+        assert tried == [1000 - stride, 1000 + stride]
+        assert kept == [1000]

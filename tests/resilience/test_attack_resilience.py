@@ -7,13 +7,15 @@ pipeline on a synthetic scrambled dump with a planted XTS key table:
   same keys as a clean serial run, with unrecoverable shards
   quarantined and reported rather than silently dropped;
 * a scan killed mid-run (SIGKILL — simulated power loss) resumes from
-  its checkpoint journal and does not re-search completed shards.
+  its checkpoint journal and does not re-search completed shards, and
+  leaves no process or shared-memory segment behind.
 
 The dump scan costs tens of seconds, so everything shares one
 module-scoped dump + clean baseline, and each test adds at most one
 more scan.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -125,6 +127,49 @@ print("finished", flush=True)  # the test SIGKILLs us long before this
 """
 
 
+def _live_parent(pid: int) -> int | None:
+    """The parent pid of a live (not zombie) process, else None."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The command name may hold spaces and parentheses; the fields
+    # after its closing parenthesis start with the state.
+    state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+    return None if state in "ZX" else int(ppid)
+
+
+def _descendants(pid: int) -> set[int]:
+    """Every live process below ``pid`` in the process tree."""
+    parents = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and (parent := _live_parent(int(entry.name))) is not None:
+            parents[int(entry.name)] = parent
+    found: set[int] = set()
+    frontier = {pid}
+    while frontier:
+        frontier = {child for child, parent in parents.items() if parent in frontier} - found
+        found |= frontier
+    return found
+
+
+def _is_resource_tracker(pid: int) -> bool:
+    try:
+        return b"resource_tracker" in Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return False
+
+
+def _shm_segments(pid: int) -> set[Path]:
+    """The ``/dev/shm`` segments ``pid`` has mapped."""
+    segments = set()
+    for line in Path(f"/proc/{pid}/maps").read_text().splitlines():
+        path = line.split(maxsplit=5)[5:]
+        if path and path[0].startswith("/dev/shm/"):
+            segments.add(Path(path[0]))
+    return segments
+
+
 def _journaled_offsets(path: Path) -> list[int]:
     offsets = []
     for line in path.read_text().splitlines():
@@ -135,7 +180,13 @@ def _journaled_offsets(path: Path) -> list[int]:
 
 
 def test_killed_scan_resumes_from_checkpoint(tmp_path, dump_and_master, clean_baseline):
-    """SIGKILL a scan mid-run; the resumed run skips the finished shards."""
+    """SIGKILL a scan mid-run; the resumed run skips the finished shards.
+
+    The kill takes the scan's pool workers too, as power loss would.
+    Its resource tracker is left to notice that its last writer is
+    gone, unlink the scan's shared-memory segments and exit, so nothing
+    the scan started outlives the test.
+    """
     dump, master = dump_and_master
     checkpoint = tmp_path / "scan.checkpoint.jsonl"
     script = tmp_path / "killed_scan.py"
@@ -164,11 +215,30 @@ def test_killed_scan_resumes_from_checkpoint(tmp_path, dump_and_master, clean_ba
             time.sleep(0.2)
         else:
             pytest.fail("no shard was journaled within the deadline")
+        # Freeze the scan so its process tree and mappings hold still.
+        child.send_signal(signal.SIGSTOP)
+        started = _descendants(child.pid)
+        segments = _shm_segments(child.pid)
         child.send_signal(signal.SIGKILL)
         child.wait(timeout=30)
+        for pid in started:
+            if not _is_resource_tracker(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
     finally:
         if child.poll() is None:
             child.kill()
+
+    assert segments, "the scan published no shared-memory segment"
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        alive = {pid for pid in started if _live_parent(pid) is not None}
+        left = {segment for segment in segments if segment.exists()}
+        if not alive and not left:
+            break
+        time.sleep(0.1)
+    assert not alive, f"processes the scan started outlived it: {sorted(alive)}"
+    assert not left, f"shared-memory segments outlived the scan: {sorted(map(str, left))}"
 
     survivors = _journaled_offsets(checkpoint)
     assert 1 <= len(survivors) < N_SHARDS
