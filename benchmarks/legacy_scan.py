@@ -12,6 +12,12 @@ schedule repair.  :func:`legacy_recover_keys` likewise reproduces the
 seed dispatch — pickling every shard's bytes and the whole key matrix
 into each task — and mines with :func:`seed_mine_scrambler_keys`, the
 dict walk + popcount-table merge the vectorised miner replaced.
+:func:`walk_mine_scrambler_keys` freezes the per-row banded merge walk
+and per-cluster vote loop that the block-vectorised miner replaced;
+it is the field-exact oracle for ``mine_scrambler_keys`` (order,
+counts and residual bits).  Both miners score blocks with
+:func:`seed_key_litmus_mismatch_bits`, the byte-pair popcount-table
+litmus kernel, so neither depends on the kernel they pin.
 :func:`claim_free_recover_keys` freezes the group loop of
 ``recover_keys`` as it ran before decoded keys claimed their regions.
 
@@ -38,16 +44,36 @@ from repro.attack.aes_search import (
 from repro.attack.keymine import (
     DEFAULT_SCAN_LIMIT_BYTES,
     CandidateKey,
-    _majority_vote,
     keys_matrix,
 )
-from repro.attack.litmus import key_litmus_mismatch_bits
+from repro.attack.litmus import INVARIANT_WORD_OFFSETS, SUB_WORD_OFFSETS
 from repro.attack.parallel import merge_recovered, shard_image
 from repro.crypto.aes import batch_next_round_key, expand_key, schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.executor import ResilientShardRunner
 from repro.util.bits import POPCOUNT_TABLE
 from repro.util.blocks import BLOCK_SIZE
+
+
+def seed_key_litmus_mismatch_bits(matrix: np.ndarray) -> np.ndarray:
+    """``key_litmus_mismatch_bits`` as the seed shipped it: byte-pair
+    XORs of every invariant through the popcount table."""
+    mismatch = np.zeros(matrix.shape[0], dtype=np.int64)
+    for base in SUB_WORD_OFFSETS:
+        for a, b, c, d in INVARIANT_WORD_OFFSETS:
+            lhs = matrix[:, base + a : base + a + 2] ^ matrix[:, base + b : base + b + 2]
+            rhs = matrix[:, base + c : base + c + 2] ^ matrix[:, base + d : base + d + 2]
+            mismatch += POPCOUNT_TABLE[lhs ^ rhs].sum(axis=1, dtype=np.int64)
+    return mismatch
+
+
+def _majority_vote(members: np.ndarray) -> bytes:
+    """Bitwise majority over an ``(n, 64)`` uint8 matrix of noisy copies."""
+    if members.shape[0] == 1:
+        return members[0].tobytes()
+    bits = np.unpackbits(members, axis=1)
+    voted = (bits.sum(axis=0) * 2 >= members.shape[0]).astype(np.uint8)
+    return np.packbits(voted).tobytes()
 
 
 def seed_mine_scrambler_keys(
@@ -70,7 +96,7 @@ def seed_mine_scrambler_keys(
     if scan_limit_bytes is not None:
         data = data[: scan_limit_bytes - scan_limit_bytes % BLOCK_SIZE]
     matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    mismatch = key_litmus_mismatch_bits(matrix)
+    mismatch = seed_key_litmus_mismatch_bits(matrix)
     passing = matrix[mismatch <= tolerance_bits]
     if passing.shape[0] == 0:
         return []
@@ -112,13 +138,153 @@ def seed_mine_scrambler_keys(
                 key=voted,
                 count=count,
                 litmus_mismatch_bits=int(
-                    key_litmus_mismatch_bits(
+                    seed_key_litmus_mismatch_bits(
                         np.frombuffer(voted, dtype=np.uint8).reshape(1, -1)
                     )[0]
                 ),
             )
         )
     candidates.sort(key=lambda c: (-c.count, c.key))
+    return candidates
+
+
+def walk_mine_scrambler_keys(
+    image: MemoryImage,
+    tolerance_bits: int = 16,
+    merge_radius_bits: int = 16,
+    scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
+) -> list[CandidateKey]:
+    """``mine_scrambler_keys`` before the block-vectorised merge walk.
+
+    One Python iteration per unique row: band-dict candidate lookup
+    below 64 bits (every representative at 64), then an ``argmin``
+    over exact distances; and one weighted majority vote plus residual
+    loop per cluster.  Field-exact oracle for the vectorised miner.
+    """
+    if merge_radius_bits < 0 or tolerance_bits < 0:
+        raise ValueError("tolerances must be non-negative")
+    data = image.data
+    if scan_limit_bytes is not None:
+        data = data[: scan_limit_bytes - scan_limit_bytes % BLOCK_SIZE]
+    matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    mismatch = seed_key_litmus_mismatch_bits(matrix)
+    passing = matrix[mismatch <= tolerance_bits]
+    if passing.shape[0] == 0:
+        return []
+
+    # Group exact duplicates first — vectorised: np.unique over rows
+    # replaces a Python dict walk of every passing block.  Then merge
+    # near-duplicates.
+    unique_rows, unique_counts = np.unique(passing, axis=0, return_counts=True)
+    # Representatives in descending count order, so the best-supported
+    # version of a key absorbs its decayed variants.  The stable sort
+    # keeps np.unique's lexicographic order as the tie-break, matching
+    # the dict-based ordering this replaced.
+    order = np.argsort(-unique_counts, kind="stable")
+    unique_rows = unique_rows[order]
+    ordered_counts = unique_counts[order].tolist()
+
+    # Greedy nearest-representative merge.  The Hamming distances run on
+    # uint64 views with a hardware popcount — 8 words per key instead of
+    # 64 table lookups.  The candidate set per row comes from an *exact*
+    # banded lookup: split the 64 bytes into ``merge_radius_bits + 1``
+    # disjoint byte bands — by pigeonhole, any representative within the
+    # merge radius matches at least one band byte-for-byte — and keep a
+    # dict per band from band bytes to the representatives holding them.
+    # Each row then measures exact distances only against its few band
+    # candidates instead of every representative, turning the
+    # O(uniques × reps) walk into O(uniques × candidates) with identical
+    # assignments (every in-radius representative is a candidate, and
+    # scanning candidates in ascending index keeps argmin's tie-break).
+    unique_words = unique_rows.view(np.uint64)
+    rep_words = np.empty((len(ordered_counts), BLOCK_SIZE // 8), dtype=np.uint64)
+    n_reps = 0
+    counts: list[int] = []
+    members: list[list[tuple[np.ndarray, int]]] = []
+    # Pigeonhole needs merge_radius_bits + 1 disjoint bands, and bands
+    # are byte-aligned, so radii past 63 bits fall back to the dense
+    # walk (they merge almost everything anyway, so reps stay few).
+    use_bands = 0 < merge_radius_bits < BLOCK_SIZE
+    if use_bands:
+        n_bands = merge_radius_bits + 1
+        edges = np.linspace(0, BLOCK_SIZE, n_bands + 1, dtype=np.int64)
+        band_slices = [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        band_reps: list[dict[bytes, list[int]]] = [{} for _ in band_slices]
+    for index, count in enumerate(ordered_counts):
+        row = unique_rows[index]
+        if n_reps and merge_radius_bits > 0:
+            if use_bands:
+                row_bytes = row.tobytes()
+                candidate_set: set[int] = set()
+                for lookup, band in zip(band_reps, band_slices):
+                    hits = lookup.get(row_bytes[band])
+                    if hits is not None:
+                        candidate_set.update(hits)
+                candidates_idx = sorted(candidate_set)
+                if not candidates_idx:
+                    merged = False
+                else:
+                    distances = np.bitwise_count(
+                        rep_words[candidates_idx] ^ unique_words[index]
+                    ).sum(axis=1, dtype=np.int64)
+                    best_pos = int(np.argmin(distances))
+                    merged = int(distances[best_pos]) <= merge_radius_bits
+                    best = candidates_idx[best_pos]
+            else:
+                distances = np.bitwise_count(rep_words[:n_reps] ^ unique_words[index]).sum(
+                    axis=1, dtype=np.int64
+                )
+                best = int(np.argmin(distances))
+                merged = int(distances[best]) <= merge_radius_bits
+            if merged:
+                counts[best] += count
+                members[best].append((row, count))
+                continue
+        if use_bands:
+            row_bytes = row.tobytes()
+            for lookup, band in zip(band_reps, band_slices):
+                lookup.setdefault(row_bytes[band], []).append(n_reps)
+        rep_words[n_reps] = unique_words[index]
+        n_reps += 1
+        counts.append(count)
+        members.append([(row, count)])
+
+    candidates = []
+    for cluster, count in zip(members, counts):
+        if len(cluster) == 1:
+            # Majority over identical copies is the copy itself.
+            voted = cluster[0][0].tobytes()
+        else:
+            # Expand weighted members for the majority vote (bounded:
+            # decay variants are few; weight caps keep this small).
+            rows = []
+            for row, value_count in cluster:
+                rows.extend([row] * min(value_count, 32))
+            voted = _majority_vote(np.vstack(rows))
+        # Residual mismatch of the vote against its own support: the
+        # decay the vote filtered out.  Weighted exactly as the vote
+        # was, so residual / support_bits estimates the per-bit decay
+        # rate of the blocks behind this candidate.
+        voted_words = np.frombuffer(voted, dtype=np.uint8).view(np.uint64)
+        residual = 0
+        weight_total = 0
+        for row, value_count in cluster:
+            weight = min(value_count, 32)
+            distance = int(np.bitwise_count(row.view(np.uint64) ^ voted_words).sum())
+            residual += weight * distance
+            weight_total += weight
+        candidates.append(
+            CandidateKey(
+                key=voted,
+                count=count,
+                litmus_mismatch_bits=residual,
+                support_bits=8 * BLOCK_SIZE * weight_total,
+            )
+        )
+    # Frequency first (true keys recur); among equally-frequent
+    # candidates the one whose support sits *closest* to its vote wins
+    # — a large residual marks a coincidental merge, not a real key.
+    candidates.sort(key=lambda c: (-c.count, c.litmus_mismatch_bits, c.key))
     return candidates
 
 

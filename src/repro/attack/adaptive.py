@@ -42,8 +42,10 @@ from repro.attack.keyfind import KeyfindMatch, find_aes_keys
 from repro.attack.keymine import (
     DEFAULT_SCAN_LIMIT_BYTES,
     CandidateKey,
+    MiningState,
     keys_matrix,
     mine_scrambler_keys,
+    nearest_distances,
 )
 from repro.attack.litmus import key_litmus_mismatch_bits, litmus_parity_matrix
 from repro.attack.parallel import merge_recovered
@@ -579,7 +581,8 @@ def triage_regions(
     mismatch = key_litmus_mismatch_bits(matrix)
     passing_mask = mismatch <= litmus_tolerance_bits
     dump_density = float(passing_mask.mean())
-    pool_words = keys_matrix(candidates).view(np.uint64) if candidates else None
+    pool = keys_matrix(candidates)
+    as_values = np.dtype((np.void, BLOCK_SIZE))
 
     blocks_per_region = region_bytes // BLOCK_SIZE
     quarantined: list[RegionQuarantineError] = []
@@ -602,17 +605,15 @@ def triage_regions(
         region_pass = passing_mask[first:last]
         n_pass = int(region_pass.sum())
         verdict: RegionQuarantineError | None = None
-        if n_pass >= 8 and pool_words is not None and pool_words.size:
+        if n_pass >= 8 and pool.shape[0]:
             rows = np.ascontiguousarray(region[region_pass])
-            row_words = rows.view(np.uint64)
             far_bits = 2 * merge_radius_bits
-            distances = np.empty(row_words.shape[0], dtype=np.int64)
-            for index in range(row_words.shape[0]):
-                distances[index] = int(
-                    np.bitwise_count(pool_words ^ row_words[index])
-                    .sum(axis=1, dtype=np.int64)
-                    .min()
-                )
+            # A passing block that is itself a pool key sits at distance
+            # 0; only the others need their exact pool minimum.
+            distances = np.zeros(rows.shape[0], dtype=np.int64)
+            outside = ~np.isin(rows.view(as_values).ravel(), pool.view(as_values).ravel())
+            if outside.any():
+                distances[outside] = nearest_distances(rows[outside], pool)
             far = distances > far_bits
             far_fraction = float(far.mean())
             if far_fraction > 0.5:
@@ -739,16 +740,17 @@ class AdaptiveRecoveryEngine:
         """The scannable extents spliced for mining (keys are position-free).
 
         The miner groups blocks by *value* only, so concatenating the
-        healthy stretches — up to the paper's 16 MB mining bound — keeps
-        quarantined bytes out of the candidate pool without re-indexing.
+        healthy stretches — up to the scan limit, or all of them without
+        one — keeps quarantined bytes out of the candidate pool without
+        re-indexing.
         """
         if len(extents) == 1 and extents[0] == (0, len(image)):
             return image
-        limit = self.scan_limit_bytes or DEFAULT_SCAN_LIMIT_BYTES
+        limit = self.scan_limit_bytes
         parts: list[bytes] = []
         total = 0
         for offset, length in extents:
-            take = min(length, limit - total)
+            take = length if limit is None else min(length, limit - total)
             take -= take % BLOCK_SIZE
             if take <= 0:
                 break
@@ -809,11 +811,16 @@ class AdaptiveRecoveryEngine:
         """
         deadline = Deadline.coerce(deadline)
         diagnostics: list[str] = []
+        # One mining state per dump: the litmus scores are computed once,
+        # and a budget pair mined twice (strict here and as a rung, the
+        # widest pair for triage and as a rung) is answered from memory.
+        mining = MiningState(image, self.scan_limit_bytes)
         strict_candidates = mine_scrambler_keys(
             image,
             tolerance_bits=STRICT_STAGE.litmus_tolerance_bits,
             merge_radius_bits=STRICT_STAGE.merge_radius_bits,
             scan_limit_bytes=self.scan_limit_bytes,
+            state=mining,
         )
         reference_map = None
         if reference is not None:
@@ -846,6 +853,7 @@ class AdaptiveRecoveryEngine:
                 tolerance_bits=widest.litmus_tolerance_bits,
                 merge_radius_bits=widest.merge_radius_bits,
                 scan_limit_bytes=self.scan_limit_bytes,
+                state=mining,
             )
         extents, quarantined = triage_regions(
             image,
@@ -866,6 +874,8 @@ class AdaptiveRecoveryEngine:
                 diagnostics=diagnostics,
             )
         mining_image = self._mining_image(image, extents)
+        if mining_image is not image:
+            mining = MiningState(mining_image, self.scan_limit_bytes)
 
         recovered: list[RecoveredAesKey] = []
         candidates = strict_candidates
@@ -931,6 +941,7 @@ class AdaptiveRecoveryEngine:
                     tolerance_bits=stage.litmus_tolerance_bits,
                     merge_radius_bits=stage.merge_radius_bits,
                     scan_limit_bytes=self.scan_limit_bytes,
+                    state=mining,
                 )
                 if self.max_candidate_keys is not None:
                     candidates = candidates[: self.max_candidate_keys]

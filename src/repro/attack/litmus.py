@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.bits import POPCOUNT_TABLE
 from repro.util.blocks import BLOCK_SIZE, as_block_matrix
 
 #: The §III-B invariants as byte offsets within a 16-byte sub-word:
@@ -54,16 +53,26 @@ def key_litmus_mismatch_bits(blocks: bytes | np.ndarray) -> np.ndarray:
     Accepts raw bytes or an ``(n, 64)`` uint8 matrix; returns an ``(n,)``
     int64 array.  A pristine scrambler key scores 0; each decayed bit
     inside the tested byte pairs adds at most a few mismatch bits.
+
+    Every invariant compares 2-byte words at even offsets, so each one
+    is a single XOR of four columns of a ``uint16`` view and one
+    hardware popcount (byte order is irrelevant to the bit count).
     """
     matrix = as_block_matrix(blocks) if not isinstance(blocks, np.ndarray) else blocks
     if matrix.ndim != 2 or matrix.shape[1] != BLOCK_SIZE:
         raise ValueError(f"expected (n, {BLOCK_SIZE}) blocks, got {matrix.shape}")
+    # The word view needs a contiguous last axis (strided or Fortran
+    # inputs are copied).
+    words = np.ascontiguousarray(matrix, dtype=np.uint8).view(np.uint16)
     mismatch = np.zeros(matrix.shape[0], dtype=np.int64)
     for base in SUB_WORD_OFFSETS:
         for a, b, c, d in INVARIANT_WORD_OFFSETS:
-            lhs = matrix[:, base + a : base + a + 2] ^ matrix[:, base + b : base + b + 2]
-            rhs = matrix[:, base + c : base + c + 2] ^ matrix[:, base + d : base + d + 2]
-            mismatch += POPCOUNT_TABLE[lhs ^ rhs].sum(axis=1, dtype=np.int64)
+            mismatch += np.bitwise_count(
+                words[:, (base + a) // 2]
+                ^ words[:, (base + b) // 2]
+                ^ words[:, (base + c) // 2]
+                ^ words[:, (base + d) // 2]
+            )
     return mismatch
 
 

@@ -200,6 +200,17 @@ class TestTriage:
         assert record["offset"] == 0x1000 and record["length"] == 0x2000
         assert isinstance(error, RegionQuarantineError)
 
+    def test_unlimited_mining_splices_every_healthy_extent(self):
+        """Without a scan limit the miner reads the whole dump, so once a
+        region is quarantined the spliced mining image must keep every
+        healthy byte, not stop at the default 16 MiB."""
+        mib = 1024 * 1024
+        image = MemoryImage(bytes(20 * mib))
+        extents = [(0, 10 * mib), (11 * mib, 9 * mib)]
+        unlimited = AdaptiveRecoveryEngine(scan_limit_bytes=None)._mining_image(image, extents)
+        assert len(unlimited) == 19 * mib
+        assert len(AdaptiveRecoveryEngine()._mining_image(image, extents)) == 16 * mib
+
 
 class TestEngine:
     def test_beyond_the_seed_cliff_adaptive_still_recovers(self):

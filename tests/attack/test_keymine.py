@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import CandidateKey, MiningState, keys_matrix, mine_scrambler_keys
 from repro.dram.image import MemoryImage
 from repro.scrambler.ddr4 import Ddr4Scrambler
 from repro.util.rng import SplitMix64
@@ -76,6 +76,18 @@ class TestScanLimit:
         limited = mine_scrambler_keys(image, scan_limit_bytes=64 * 64)
         full = mine_scrambler_keys(image, scan_limit_bytes=None)
         assert len(limited) < len(full)
+
+
+class TestMiningState:
+    def test_state_must_come_from_the_same_image_and_limit(self):
+        scrambler = Ddr4Scrambler(boot_seed=3)
+        image = scrambled_image_with_zero_blocks(scrambler, n_blocks=256, zero_every=4)
+        state = MiningState(image)
+        with pytest.raises(ValueError):
+            mine_scrambler_keys(MemoryImage(bytes(image.data)), state=state)
+        with pytest.raises(ValueError):
+            mine_scrambler_keys(image, scan_limit_bytes=None, state=state)
+        assert mine_scrambler_keys(image, state=state) == mine_scrambler_keys(image)
 
 
 class TestCandidateKey:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.attack.litmus import (
     INVARIANT_WORD_OFFSETS,
     key_litmus_mismatch_bits,
+    litmus_parity_matrix,
     litmus_pass_mask,
     passes_key_litmus,
 )
@@ -95,3 +96,53 @@ class TestVectorisedScan:
     def test_wrong_block_length_rejected(self):
         with pytest.raises(ValueError):
             passes_key_litmus(bytes(32))
+
+
+def _syndrome_weight(matrix: np.ndarray) -> np.ndarray:
+    """Independent definition: unsatisfied checks of the parity matrix."""
+    bits = np.unpackbits(np.ascontiguousarray(matrix), axis=1).astype(np.int64)
+    return ((bits @ litmus_parity_matrix().T.astype(np.int64)) % 2).sum(axis=1)
+
+
+class TestKernelMatchesParityChecks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_blocks=st.integers(1, 40),
+        kind=st.sampled_from(("random", "decayed", "zeros", "ones")),
+        flips=st.integers(0, 24),
+        layout=st.sampled_from(("contiguous", "row-strided", "offset", "fortran", "byte-strided")),
+    )
+    def test_mismatch_is_the_syndrome_weight(self, seed, n_blocks, kind, flips, layout):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            blocks = rng.integers(0, 256, size=(n_blocks, 64), dtype=np.uint8)
+        elif kind == "zeros":
+            blocks = np.zeros((n_blocks, 64), dtype=np.uint8)
+        elif kind == "ones":
+            blocks = np.full((n_blocks, 64), 0xFF, dtype=np.uint8)
+        else:
+            scrambler = Ddr4Scrambler(boot_seed=seed % 1000)
+            blocks = np.frombuffer(
+                b"".join(scrambler.key_for(0, i) for i in range(n_blocks)), dtype=np.uint8
+            ).reshape(n_blocks, 64).copy()
+            for _ in range(flips):
+                row, bit = int(rng.integers(0, n_blocks)), int(rng.integers(0, 512))
+                blocks[row, bit // 8] ^= 0x80 >> (bit % 8)
+        # The kernel reads 2-byte words, which needs a contiguous last
+        # axis: every other layout must give the same answer.
+        if layout == "row-strided":
+            wide = np.zeros((2 * n_blocks, 64), dtype=np.uint8)
+            wide[::2] = blocks
+            blocks = wide[::2]
+        elif layout == "offset":
+            wide = np.zeros((n_blocks, 65), dtype=np.uint8)
+            wide[:, 1:] = blocks
+            blocks = wide[:, 1:]
+        elif layout == "fortran":
+            blocks = np.asfortranarray(blocks)
+        elif layout == "byte-strided":
+            wide = np.zeros((n_blocks, 128), dtype=np.uint8)
+            wide[:, ::2] = blocks
+            blocks = wide[:, ::2]
+        assert np.array_equal(key_litmus_mismatch_bits(blocks), _syndrome_weight(blocks))

@@ -13,9 +13,17 @@ The residual-scheduled float32 decoder is held to the dense float64
 decoder frozen in :mod:`benchmarks.legacy_decode`, run per table as the
 decode harness runs it: identical bytes wherever both converge, and
 never an abstain where the oracle converges.
+
+The key miner is held to the per-row merge walk frozen in
+:mod:`benchmarks.legacy_scan` at every budget pair the adaptive ladder
+mines with: the same candidates in the same order, field for field.
+The seed miner breaks ties by key and stores the vote's own litmus
+mismatch as the residual, so against it only the ``(key, count)``
+multiset is comparable.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +33,19 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
-from benchmarks.legacy_scan import SeedAesKeySearch  # noqa: E402
+from benchmarks.legacy_scan import (  # noqa: E402
+    SeedAesKeySearch,
+    seed_mine_scrambler_keys,
+    walk_mine_scrambler_keys,
+)
 
+from repro.attack.adaptive import decode_stage_for_rate, stage_for_rate  # noqa: E402
 from repro.attack.aes_search import AesKeySearch  # noqa: E402
 from repro.attack.decode import ChannelModel, decode_schedule  # noqa: E402
+from repro.attack.keymine import MiningState, mine_scrambler_keys  # noqa: E402
 from repro.crypto.aes import expand_key  # noqa: E402
+from repro.dram.cells import apply_decay, ground_state_pattern  # noqa: E402
+from repro.dram.image import MemoryImage  # noqa: E402
 
 
 def _schedule(rng: np.random.Generator, key_bits: int) -> np.ndarray:
@@ -196,3 +212,97 @@ def test_decoder_matches_dense_oracle(seed, key_bits, rate, to_ground, erase_at,
     for i, master in enumerate(masters):
         if live.converged[i]:
             assert live.tables[i].tobytes() == expand_key(master)
+
+
+def _structured_keys(rng: np.random.Generator, n_keys: int) -> np.ndarray:
+    """Keys shaped like the scrambler's: each 16-byte sub-word's second
+    half is its first half XOR a repeated 16-bit constant, so every key
+    passes the litmus test with zero mismatch."""
+    first = rng.integers(0, 256, size=(n_keys, 4, 1, 8), dtype=np.uint8)
+    constant = np.tile(rng.integers(0, 256, size=(n_keys, 4, 1, 2), dtype=np.uint8), 4)
+    return np.concatenate([first, first ^ constant], axis=2).reshape(n_keys, 64)
+
+
+def _scrambled_dump(
+    seed: int, n_keys: int, n_blocks: int, zero_fraction: float,
+    constant_fraction: float, rate: float,
+) -> MemoryImage:
+    """Random plaintext over a few keys, with zero pages (each a sighting
+    of its key; few keys make repeats), 2-byte constant fill (``key ^
+    constant`` blocks, which pass the litmus test too), and decay toward
+    each cell's ground state."""
+    rng = np.random.default_rng(seed)
+    keys = _structured_keys(rng, n_keys)
+    plain = rng.integers(0, 256, size=(n_blocks, 64), dtype=np.uint8)
+    kind = rng.random(n_blocks)
+    plain[kind < zero_fraction] = 0
+    filled = (kind >= zero_fraction) & (kind < zero_fraction + constant_fraction)
+    plain[filled] = np.tile(rng.integers(0, 256, size=(int(filled.sum()), 2), dtype=np.uint8), 32)
+    blocks = plain ^ keys[rng.integers(0, n_keys, size=n_blocks)]
+    flat = blocks.reshape(-1)
+    apply_decay(flat, ground_state_pattern(flat.size, serial=seed, stripe_bytes=64), rate, rng)
+    return MemoryImage(blocks.tobytes())
+
+
+_RATES = st.floats(0.002, 0.05)
+
+#: Every budget pair the adaptive ladder mines with — strict, the
+#: calibrated/widened and decoded stages at rates across the ladder's
+#: range — plus the radius edges: 0 (no merge), 1–7 (bands wider than
+#: 8 bytes), 63 (one byte per band) and 64 (every representative is a
+#: candidate).
+_BUDGETS = st.one_of(
+    st.just((16, 16)),
+    _RATES.map(lambda rate: stage_for_rate("calibrated", rate, cost=2)),
+    _RATES.map(decode_stage_for_rate),
+    st.builds(
+        lambda tolerance, radius: (tolerance, radius),
+        st.integers(0, 96),
+        st.sampled_from((0, 1, 2, 3, 4, 5, 6, 7, 63, 64)),
+    ),
+).map(lambda b: b if isinstance(b, tuple) else (b.litmus_tolerance_bits, b.merge_radius_bits))
+
+
+def _key_counts(candidates) -> Counter:
+    return Counter((c.key, c.count) for c in candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_keys=st.integers(1, 24),
+    # Up to several walk blocks of unique passing rows.
+    n_blocks=st.sampled_from((1, 40, 300, 1200)),
+    zero_fraction=st.sampled_from((0.0, 0.3, 0.6, 0.9)),
+    constant_fraction=st.floats(0.0, 0.3),
+    rate=st.sampled_from((0.0, 0.002, 0.01, 0.03, 0.05)),
+    budget=_BUDGETS,
+    scan_limit=st.sampled_from((None, 64 * 700 + 13)),
+)
+def test_miner_matches_frozen_walk(
+    seed, n_keys, n_blocks, zero_fraction, constant_fraction, rate, budget, scan_limit,
+):
+    image = _scrambled_dump(seed, n_keys, n_blocks, zero_fraction, constant_fraction, rate)
+    tolerance, radius = budget
+    mined = mine_scrambler_keys(image, tolerance, radius, scan_limit_bytes=scan_limit)
+    assert mined == walk_mine_scrambler_keys(image, tolerance, radius, scan_limit_bytes=scan_limit)
+    assert _key_counts(mined) == _key_counts(
+        seed_mine_scrambler_keys(image, tolerance, radius, scan_limit_bytes=scan_limit)
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budgets=st.lists(_BUDGETS, min_size=1, max_size=5),
+    scan_limit=st.sampled_from((None, 64 * 300)),
+)
+def test_mining_state_answers_as_fresh_calls(seed, budgets, scan_limit):
+    image = _scrambled_dump(seed, 6, 600, 0.5, 0.1, 0.02)
+    state = MiningState(image, scan_limit)
+    # Every pair twice, in drawn order then reversed: the second answer
+    # comes from memory, after the caller emptied the first.
+    for tolerance, radius in budgets + budgets[::-1]:
+        mined = mine_scrambler_keys(image, tolerance, radius, scan_limit, state=state)
+        assert mined == mine_scrambler_keys(image, tolerance, radius, scan_limit)
+        mined.clear()
