@@ -5,16 +5,20 @@ Boots a Table-I Skylake victim, fills its whole module through the
 scrambling controller, dumps it back through the descrambler, and
 decays the raw image — then repeats every stage on the preserved seed
 implementation (:mod:`benchmarks.legacy_machine`), asserts the bulk and
-legacy paths produce **byte-identical** scrambled contents and plaintext
-dumps, and writes the measurements to ``BENCH_machine.json``::
+legacy paths produce **byte-identical** scrambled contents, plaintext
+dumps and (on the dense decay path, at and above
+``SPARSE_DECAY_THRESHOLD``) decayed images, and writes the measurements
+to ``BENCH_machine.json``::
 
     python benchmarks/machine_harness.py              # 64 MiB reference run
     python benchmarks/machine_harness.py --smoke      # CI-sized quick pass
     python benchmarks/machine_harness.py --size-mib 16 --no-baseline
 
 Every stage record has the same shape — ``{"wall_s": float,
-"mib_per_s": float}`` — and ``end_to_end`` is the boot+fill+dump sum
-(the cost of simulating one machine's life up to the attacker's dump).
+"mib_per_s": float}`` — and ``end_to_end`` is the boot+fill+dump+decay
+sum (the cost of simulating one machine's life and its cold transfer).
+The default decay is the −25 °C, 5 s transfer's flip probability, the
+one the cold boot experiment pays.
 The record is refused (no file written, non-zero exit) unless the two
 paths agree byte for byte.  See ``docs/performance.md``.
 """
@@ -34,7 +38,7 @@ for _path in (str(_REPO_ROOT / "src"), str(_REPO_ROOT)):
 
 import numpy as np  # noqa: E402
 
-from repro.dram.cells import apply_decay  # noqa: E402
+from repro.dram.cells import SPARSE_DECAY_THRESHOLD, apply_decay  # noqa: E402
 from repro.dram.module import DramModule  # noqa: E402
 from repro.scrambler.base import bios_seed  # noqa: E402
 from repro.scrambler.ddr3 import Ddr3Scrambler  # noqa: E402
@@ -59,12 +63,14 @@ STAGE_FIELDS = ("wall_s", "mib_per_s")
 #: Stages a complete record must report.
 REQUIRED_STAGES = ("boot", "fill", "dump", "decay", "end_to_end")
 #: Stages whose sum defines end_to_end.
-END_TO_END_STAGES = ("boot", "fill", "dump")
+END_TO_END_STAGES = ("boot", "fill", "dump", "decay")
 
 #: Pinned defaults — change them and historical records stop comparing.
 DEFAULT_SEED = 7
 DEFAULT_MACHINE = "i5-6400"
-DEFAULT_DECAY_P = 0.001
+#: The −25 °C, 5 s transfer's flip probability (``DDR4_A``), on the
+#: dense decay path; records taken at the old 0.001 do not compare.
+DEFAULT_DECAY_P = 0.016474
 
 
 def validate_bench_record(record: dict) -> None:
@@ -123,8 +129,15 @@ def _scrambled_contents(modules: dict) -> bytes:
     return b"".join(modules[channel].dump() for channel in sorted(modules))
 
 
-def _run_fast(spec, size: int, seed: int, payload: bytes, decay_p: float) -> tuple[dict, bytes, bytes]:
-    """Time the bulk path; returns (stages, scrambled contents, dump)."""
+def _end_to_end(stages: dict, size_mib: float) -> dict:
+    return _stage(sum(stages[name]["wall_s"] for name in END_TO_END_STAGES), size_mib)
+
+
+def _run_fast(
+    spec, size: int, seed: int, payload: bytes, decay_p: float
+) -> tuple[dict, bytes, bytes, np.ndarray]:
+    """Time the bulk path; returns (stages, scrambled contents, dump,
+    decayed contents)."""
     size_mib = size / (1 << 20)
 
     start = time.perf_counter()
@@ -157,12 +170,14 @@ def _run_fast(spec, size: int, seed: int, payload: bytes, decay_p: float) -> tup
         "fill": _stage(fill_s, size_mib),
         "dump": _stage(dump_s, size_mib),
         "decay": {**_stage(decay_s, size_mib), "flips": flips},
-        "end_to_end": _stage(boot_s + fill_s + dump_s, size_mib),
     }
-    return stages, scrambled, plain
+    stages["end_to_end"] = _end_to_end(stages, size_mib)
+    return stages, scrambled, plain, raw
 
 
-def _run_legacy(spec, size: int, seed: int, payload: bytes, decay_p: float) -> tuple[dict, bytes, bytes]:
+def _run_legacy(
+    spec, size: int, seed: int, payload: bytes, decay_p: float
+) -> tuple[dict, bytes, bytes, np.ndarray]:
     """Time the frozen seed path on an identically configured machine."""
     from repro.dram.address import address_map_for
 
@@ -208,9 +223,9 @@ def _run_legacy(spec, size: int, seed: int, payload: bytes, decay_p: float) -> t
         "fill": _stage(fill_s, size_mib),
         "dump": _stage(dump_s, size_mib),
         "decay": {**_stage(decay_s, size_mib), "flips": flips},
-        "end_to_end": _stage(boot_s + fill_s + dump_s, size_mib),
     }
-    return stages, scrambled, plain
+    stages["end_to_end"] = _end_to_end(stages, size_mib)
+    return stages, scrambled, plain, raw
 
 
 def run_benchmark(
@@ -227,7 +242,7 @@ def run_benchmark(
     print(f"[machine-harness] {machine_name}, {size_mib} MiB, seed={seed}")
     payload = _fill_payload(size, seed)
 
-    stages, scrambled, plain = _run_fast(spec, size, seed, payload, decay_p)
+    stages, scrambled, plain, decayed = _run_fast(spec, size, seed, payload, decay_p)
     if plain != payload:
         raise SystemExit(
             "[machine-harness] FATAL: descrambled dump does not round-trip the fill"
@@ -252,8 +267,14 @@ def run_benchmark(
     }
 
     if with_baseline:
-        base, base_scrambled, base_plain = _run_legacy(spec, size, seed, payload, decay_p)
+        base, base_scrambled, base_plain, base_decayed = _run_legacy(
+            spec, size, seed, payload, decay_p
+        )
         identical = scrambled == base_scrambled and plain == base_plain
+        # Below the threshold the sparse sampler flips other bits than
+        # the frozen dense draw, so only the dense path can be compared.
+        if decay_p >= SPARSE_DECAY_THRESHOLD:
+            identical = identical and np.array_equal(decayed, base_decayed)
         print(
             f"[machine-harness] baseline boot: {base['boot']['wall_s']:.2f}s, "
             f"fill: {base['fill']['wall_s']:.2f}s, dump: {base['dump']['wall_s']:.2f}s, "
@@ -262,7 +283,8 @@ def run_benchmark(
         if not identical:
             raise SystemExit(
                 "[machine-harness] FATAL: bulk and legacy paths disagree on "
-                "scrambled contents or dump bytes — refusing to emit a record"
+                "scrambled contents, dump bytes or the decayed image — "
+                "refusing to emit a record"
             )
         record["baseline"] = base
         record["identical_dumps"] = identical

@@ -248,23 +248,20 @@ def _all_pairs(blocks: np.ndarray, n_keys: int) -> np.ndarray:
     return pairs
 
 
-def _word_popcount(array: np.ndarray, skip_byte0: bool = False) -> np.ndarray:
-    """Per-row popcount of an ``(n, 4)`` uint8 array, as ``(n,)`` uint8.
+#: SubWord over a little-endian byte pair: entry ``v`` holds the S-box
+#: images of ``v``'s low and high bytes in the same byte positions.
+_SUB_PAIRS = SBOX[np.arange(1 << 16) & 0xFF].astype(np.uint32) | (
+    SBOX[np.arange(1 << 16) >> 8].astype(np.uint32) << 8
+)
 
-    One ``bitwise_count`` over the rows viewed as uint32 replaces the
-    per-byte count + axis reduce — the prefilter calls this thousands
-    of times per scan, and the fused form is ~25× faster.  With
-    ``skip_byte0`` the count excludes each row's byte 0 (the column a
-    round-varying Rcon perturbs) by subtracting its own count; a row's
-    total always bounds its byte-0 count, so the uint8 difference
-    cannot wrap.
+
+def _words(matrix: np.ndarray, column: int) -> np.ndarray:
+    """Every row's little-endian uint32 word at byte ``column``: a view.
+
+    ``'<u4'`` makes byte ``column`` the word's low byte on any host, as
+    the key bands' ``'<u2'`` does for their band values.
     """
-    counts = np.bitwise_count(
-        np.ascontiguousarray(array).view(np.uint32).ravel()
-    )
-    if skip_byte0:
-        counts -= np.bitwise_count(array[:, 0])
-    return counts
+    return matrix[:, column : column + 4].view("<u4")[:, 0]
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -393,9 +390,9 @@ class KeyFingerprintCache:
             self._bands[(offset, phase)] = entry
         return entry
 
-    def fingerprint_bytes(self, offset: int, phase: int) -> np.ndarray:
-        """The raw ``(k, 4 * relations)`` uint8 fingerprint matrix."""
-        return self.bands(offset, phase)[0].view(np.uint8)
+    def fingerprint_words(self, offset: int, phase: int) -> np.ndarray:
+        """The ``(k, relations)`` fingerprint matrix as ``'<u4'`` words."""
+        return self.bands(offset, phase)[0].view("<u4")
 
     def precompute(
         self,
@@ -1140,9 +1137,8 @@ class AesKeySearch:
         ``o``, half ``h`` is band-table row ``o + 2h``.  The band table
         is transposed so one offset's probe reads contiguous rows; the
         byte streams land side by side in one ``(blocks, 3·width)``
-        matrix, so the prefilter fetches a pair's *entire* fingerprint
-        neighbourhood with a single row gather — one cache line per
-        pair instead of one per relation byte.
+        matrix, from which the prefilter gathers each pair's relation
+        words at its offset.
         """
         width = max(self.offsets) + 4
         relations = _linear_relation_offsets(self.variant.nk, phase)
@@ -1255,15 +1251,23 @@ class AesKeySearch:
         Exact stages, each a lower bound on *every* compatible round's
         mismatch, so pairs that could pass any round of any of the
         (relation-sharing) ``phases`` always survive — the final hit
-        list is identical to verifying every pair, joined or not.
+        list is identical to verifying every pair, joined or not.  Each
+        stage reads only the little-endian uint32 words it bounds, one
+        per pair from a strided view of the relation streams, the key
+        fingerprints, the chunk or the keys, and popcounts them whole.
 
         Stage 0 applies the chain bound to the first **two** relations
         only.  Dropping a run's non-negative terms (or whole runs) can
         only lower its per-bit minimum, so the two-relation bound is
-        itself a bound on the full one — and it already rejects all but
-        ~10^-4 of joined pairs for a third of the gather and popcount
-        traffic, leaving the full three-relation machinery a rounding
-        error.
+        itself a bound on the full one, and it reads two of the three
+        relation words.  It does not reject most joined pairs.  On the
+        first 16 MiB of the ``coldboot-64mib`` dump (seed 21, tolerance
+        16), 1,704,369 of 3,586,883 pass it, 1,576,222 of them zero
+        pages (blocks within 64 bits of their own mined key); 1,576,222
+        pass stage 1 and none pass stage 2.  At the decoded rung's
+        radius-1 join on ``synthetic_dump(0.024, seed=5)`` (tolerance
+        40) all 1,402,130 pass stage 0, 1,205,991 stage 1 and 99,920
+        stage 2.
 
         Stage 1 is the phase-independent chain bound over all relations
         (:meth:`_mismatch_lower_bounds`).  It cannot reject a pair whose
@@ -1272,75 +1276,75 @@ class AesKeySearch:
         ``u_t`` is zero — so stage 2 anchors the chain exactly when the
         S-box word is ``t = 0``: its expansion input is the *window's
         last word*, observed data, making every linear word's residual
-        ``x_t = x_0 ^ u_1 ^ … ^ u_t`` computable outright.  Only the
-        round constant escapes (it perturbs byte 0 of every residual
-        when the ``t = 0`` transform carries Rcon), so those byte
-        columns are excluded from the bound; phases whose ``t = 0``
+        ``x_t = x_0 ^ u_1 ^ … ^ u_t`` computable outright.  ``SubWord``
+        is two lookups in a byte-pair S-box table and ``RotWord`` an
+        8-bit rotate.  Only the round constant escapes (it perturbs byte
+        0 of every residual when the ``t = 0`` transform carries Rcon),
+        so that byte is masked out of the bound; phases whose ``t = 0``
         transform is SubWord-only (AES-256 odd rounds) bound all 32
         bits of every word — there the bound *is* the round mismatch.
         """
         nk = self.variant.nk
         ts = [(a - 4 * nk) // 4 for a, _, _ in _linear_relation_offsets(nk, phases[0])]
-        key_fp = self._key_cache.fingerprint_bytes(offset, phases[0])
+        key_words = self._key_cache.fingerprint_words(offset, phases[0])
         width = streams.shape[1] // len(ts)
-        # Single row gathers: each pair's whole fingerprint neighbourhood
-        # (all relations) and its key fingerprint, one take() each —
-        # numpy's row-take is several times faster than the equivalent
-        # per-relation mixed advanced-plus-slice indexing.
-        block_fp = streams.take(pairs[:, 0], axis=0)
-        pair_fp = key_fp.take(pairs[:, 1], axis=0)
+        # Gathers go through take(): from a strided word view, and for
+        # (n, 2) row selection, it is several times faster than fancy
+        # indexing.
+        block_rows = np.ascontiguousarray(pairs[:, 0])
+        key_rows = np.ascontiguousarray(pairs[:, 1])
 
         def u_part(r: int) -> np.ndarray:
-            lo = r * width + offset
-            return block_fp[:, lo : lo + 4] ^ pair_fp[:, 4 * r : 4 * r + 4]
+            block_words = _words(streams, r * width + offset).take(block_rows)
+            return block_words ^ key_words[:, r].take(key_rows)
 
         # Stage 0: two-relation coarse bound over every joined pair.
         u_parts = [u_part(0), u_part(1)]
         coarse = np.flatnonzero(
             self._mismatch_lower_bounds(u_parts, ts[:2]) <= tolerance
         )
-        pairs = pairs[coarse]
+        pairs = pairs.take(coarse, axis=0)
         if pairs.shape[0] == 0:
             return pairs
-        block_fp = block_fp.take(coarse, axis=0)
-        pair_fp = pair_fp.take(coarse, axis=0)
-        u_parts = [part.take(coarse, axis=0) for part in u_parts]
+        block_rows = block_rows.take(coarse)
+        key_rows = key_rows.take(coarse)
+        u_parts = [part.take(coarse) for part in u_parts]
         u_parts.extend(u_part(r) for r in range(2, len(ts)))
 
         # Stage 1: the full chain bound on the coarse survivors.
         survivors = np.flatnonzero(self._mismatch_lower_bounds(u_parts, ts) <= tolerance)
-        pairs = pairs[survivors]
+        pairs = pairs.take(survivors, axis=0)
         if 0 in ts or pairs.shape[0] == 0:
             return pairs
-        u_parts = [part.take(survivors, axis=0) for part in u_parts]
-        block_rows = pairs[:, 0]
-        key_rows = pairs[:, 1]
-        nk = self.variant.nk
+        block_rows = block_rows.take(survivors)
+        key_rows = key_rows.take(survivors)
+        u_parts = [part.take(survivors) for part in u_parts]
+
+        # Stage 2: the S-box anchor at t = 0.
+        def span_word(column: int) -> np.ndarray:
+            block_words = _words(chunk, offset + column).take(block_rows)
+            return block_words ^ _words(self.keys, offset + column).take(key_rows)
+
         p = 4 * nk
-        columns = offset + np.array(
-            (0, 1, 2, 3, p - 4, p - 3, p - 2, p - 1, p, p + 1, p + 2, p + 3)
-        )
-        spans = chunk[block_rows[:, None], columns]
-        spans ^= self.keys[key_rows[:, None], columns]
-        source = spans[:, 0:4]
-        previous = spans[:, 4:8]
-        check = spans[:, 8:12]
+        source_check = span_word(0) ^ span_word(p)
+        previous = span_word(p - 4)
+        sub = _SUB_PAIRS.take(previous & 0xFFFF) | _SUB_PAIRS.take(previous >> 16) << 16
         best: np.ndarray | None = None
         for phase in phases:
+            parts = u_parts
             if phase % nk == 0:  # RotWord ∘ SubWord ∘ Rcon at t = 0
-                x = SBOX[previous[:, (1, 2, 3, 0)]]
-                rcon_byte = True  # Rcon varies per round on byte 0: exclude it
+                x = (sub >> 8 | sub << 24) ^ source_check
+                # Rcon varies per round on byte 0: mask it out of x_t.
+                x &= 0xFFFFFF00
+                parts = [part & 0xFFFFFF00 for part in u_parts]
             else:  # nk > 6 S-box rule: SubWord only, round-independent
-                x = SBOX[previous]
-                rcon_byte = False
-            x ^= source
-            x ^= check
-            bound = _word_popcount(x, skip_byte0=rcon_byte).astype(np.int64)
-            for part in u_parts:
+                x = sub ^ source_check
+            bound = np.bitwise_count(x).astype(np.int16)
+            for part in parts:
                 x ^= part
-                bound += _word_popcount(x, skip_byte0=rcon_byte)
+                bound += np.bitwise_count(x)
             best = bound if best is None else np.minimum(best, bound)
-        return pairs[best <= tolerance]
+        return pairs.take(np.flatnonzero(best <= tolerance), axis=0)
 
     @staticmethod
     def _mismatch_lower_bounds(u_parts: list[np.ndarray], ts: list[int]) -> np.ndarray:
@@ -1349,7 +1353,7 @@ class AesKeySearch:
         Write ``x_t = predicted_t ^ check_t`` for the four verified
         words; the mismatch of a round is ``Σ popcount(x_t)``.  For a
         *linear* predicted word ``t`` the expansion step is a pure XOR,
-        so ``x_t ^ x_{t-1} = u_t`` — the (block ^ key) fingerprint part,
+        so ``x_t ^ x_{t-1} = u_t`` — the (block ^ key) fingerprint word,
         a data-only quantity — at **every** round sharing the phase
         (``x_{-1} = 0``: relation ``t = 0`` chains to the window's last
         word, which prediction starts from; Rcon deltas between rounds
@@ -1365,9 +1369,12 @@ class AesKeySearch:
           ``min(k, L + 1 - k)`` where ``k`` counts set bits among the
           prefix XORs — closed forms below for L ≤ 3 (runs are at most
           the four predicted words, and a length-4 run is anchored).
+
+        ``u_parts`` are uint32 words, one per pair and relation.  Four
+        words bound at most 128 bits, so the bounds fit int16.
         """
-        bounds = np.zeros(u_parts[0].shape[0], dtype=np.int64)
-        popcount = _word_popcount
+        bounds = np.zeros(u_parts[0].shape[0], dtype=np.int16)
+        popcount = np.bitwise_count
 
         runs: list[list[int]] = [[0]]
         for i in range(1, len(ts)):

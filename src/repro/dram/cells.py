@@ -23,6 +23,8 @@ so freezing, transferring warm, and resocketing compose correctly
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +32,20 @@ import numpy as np
 from repro.util.bits import popcount_bytes
 from repro.util.rng import derive_seed
 
-#: Bytes processed per chunk when applying decay, to bound the size of
-#: the temporary per-bit random arrays (8 floats per byte).
+#: Bytes per chunk of the sparse path, bounding its per-byte popcount
+#: and cumulative-count arrays.
 DECAY_CHUNK_BYTES = 1 << 20
+
+#: Bytes per block of the dense path: 2^21 raw 32-bit halves, so each
+#: thread holds about 10 MiB of draws, compare and mask at a time.
+DECAY_BLOCK_BYTES = 1 << 18
 
 #: Below this flip probability, decay switches from the dense per-bit
 #: Bernoulli draw to sparse position sampling (same distribution, cost
-#: proportional to the number of flips instead of the number of bits).
-#: Kept conservatively low: above it the draw is bit-for-bit identical
-#: to the original dense implementation (same RNG consumption), so
+#: proportional to the number of flips instead of the number of bits,
+#: but other bits).  At and above it the dense path flips exactly the
+#: bits that one float32 draw per bit, ``rng.random(8n, float32) < p``,
+#: would flip, and leaves the generator where that draw would, so
 #: fixed-seed simulations of cold-to-moderate transfers reproduce the
 #: exact historical flip patterns; the sparse win only matters in the
 #: sub-0.5% regimes where flips are rare anyway.
@@ -168,6 +175,90 @@ def ground_state_pattern(
     return np.repeat(stripe_values, stripe_bytes)[:n_bytes]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_threshold(flip_probability: float) -> int:
+    """The count T of float32 draws ``k·2^-24`` (k < 2^24) below ``p``.
+
+    NumPy's float32 draw is ``(u >> 8)·2^-24`` for the next 32-bit half
+    ``u``, so ``draw < p`` holds exactly when ``u < T·2^8``.  Bisecting
+    the reference comparison itself keeps its promotion of ``p``: a
+    Python float compares in float32, an ``np.float64`` in float64.
+    """
+    lo, hi = 0, 1 << 24
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (np.array([mid * 2.0**-24], dtype=np.float32) < flip_probability)[0]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _dense_decay(
+    data: np.ndarray, ground: np.ndarray, flip_probability: float, rng: np.random.Generator
+) -> int:
+    """The per-bit draw of :func:`apply_decay`, from raw PCG64 words.
+
+    Byte ``i`` takes 32-bit halves ``8i - lead … 8i + 7 - lead`` of the
+    generator's stream, low half first, where ``lead`` is 1 when the
+    generator holds a buffered high half (stream position −1).  So each
+    block draws from a copy of the generator advanced to its first word,
+    and the blocks run on a thread pool.
+    """
+    n = len(data)
+    cut = None  # a 32-bit half below this flips its bit; None: every bit
+    if flip_probability < 1.0:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"dense decay reads PCG64 words, not {type(bit_generator).__name__}")
+        state = bit_generator.state
+        lead = state["has_uint32"]
+        threshold = _draw_threshold(flip_probability)
+        if threshold < 1 << 24:
+            cut = threshold << 8
+
+    def decay_block(start: int) -> int:
+        stop = min(n, start + DECAY_BLOCK_BYTES)
+        chunk = data[start:stop]
+        mask = chunk ^ ground[start:stop]
+        if cut is not None:
+            word, skip = divmod(8 * start - lead, 2)
+            generator = np.random.PCG64()
+            generator.state = state
+            generator.advance(max(word, 0))
+            halves = generator.random_raw(4 * (stop - start) + skip + min(word, 0))
+            halves = halves.astype("<u8", copy=False).view("<u4")
+            if word < 0:  # the buffered half is word −1's high half
+                halves = np.concatenate((np.array([0, state["uinteger"]], "<u4"), halves))
+            mask &= np.packbits(halves[skip : skip + 8 * (stop - start)] < cut)
+        chunk ^= mask
+        return int(popcount_bytes(mask).sum())
+
+    starts = range(0, n, DECAY_BLOCK_BYTES)
+    workers = min(_usable_cpus(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            flipped = sum(pool.map(decay_block, starts))
+    else:
+        flipped = sum(map(decay_block, starts))
+    if flip_probability < 1.0 and n:
+        # The float draw takes 8n halves, 4n words: a buffered half
+        # stays buffered, and the last word's high half is kept.
+        last_word = int(bit_generator.advance(4 * n - 1).random_raw())
+        final = bit_generator.state
+        final["has_uint32"] = lead
+        final["uinteger"] = last_word >> 32
+        bit_generator.state = final
+    return flipped
+
+
 def apply_decay(
     data: np.ndarray,
     ground: np.ndarray,
@@ -179,6 +270,12 @@ def apply_decay(
     Operates in place on ``data`` (uint8).  Only bits that differ from
     the ground state can flip (a discharged cell cannot spontaneously
     recharge).  Returns the number of bits flipped.
+
+    At and above :data:`SPARSE_DECAY_THRESHOLD` the flips are exactly
+    those of one float32 draw per bit, read as raw PCG64 words in
+    :data:`DECAY_BLOCK_BYTES` blocks on a thread pool sized to the
+    usable CPUs, and ``rng`` ends where that draw would leave it; a
+    ``TypeError`` rejects any other bit generator.
     """
     if data.shape != ground.shape:
         raise ValueError("data and ground state must have the same shape")
@@ -186,34 +283,27 @@ def apply_decay(
         raise ValueError(f"flip probability out of range: {flip_probability}")
     if flip_probability == 0.0:
         return 0
-    flipped = 0
+    if flip_probability >= SPARSE_DECAY_THRESHOLD:
+        return _dense_decay(data, ground, flip_probability, rng)
     n = len(data)
+    flipped = 0
     for start in range(0, n, DECAY_CHUNK_BYTES):
         stop = min(n, start + DECAY_CHUNK_BYTES)
         chunk = data[start:stop]
         vulnerable = chunk ^ ground[start:stop]
-        if flip_probability >= 1.0:
-            mask = vulnerable
-        elif flip_probability >= SPARSE_DECAY_THRESHOLD:
-            raw = rng.random((stop - start) * 8, dtype=np.float32) < flip_probability
-            mask = np.packbits(raw) & vulnerable
-        else:
-            # Sparse path: sample which vulnerable bits flip instead of
-            # drawing a float per bit of the chunk.
-            counts = popcount_bytes(vulnerable)
-            cumulative = np.cumsum(counts, dtype=np.int64)
-            total = int(cumulative[-1]) if counts.size else 0
-            if total == 0:
-                continue
-            ranks = _sample_flip_positions(rng, total, flip_probability)
-            if ranks.size == 0:
-                continue
-            byte_index = np.searchsorted(cumulative, ranks, side="right")
-            rank_in_byte = ranks - (cumulative[byte_index] - counts[byte_index])
-            masks = _SELECT_TABLE[vulnerable[byte_index], rank_in_byte]
-            np.bitwise_xor.at(chunk, byte_index, masks)
-            flipped += int(ranks.size)
+        # Sparse path: sample which vulnerable bits flip instead of
+        # drawing a float per bit of the chunk.
+        counts = popcount_bytes(vulnerable)
+        cumulative = np.cumsum(counts, dtype=np.int64)
+        total = int(cumulative[-1]) if counts.size else 0
+        if total == 0:
             continue
-        chunk ^= mask
-        flipped += int(popcount_bytes(mask).sum())
+        ranks = _sample_flip_positions(rng, total, flip_probability)
+        if ranks.size == 0:
+            continue
+        byte_index = np.searchsorted(cumulative, ranks, side="right")
+        rank_in_byte = ranks - (cumulative[byte_index] - counts[byte_index])
+        masks = _SELECT_TABLE[vulnerable[byte_index], rank_in_byte]
+        np.bitwise_xor.at(chunk, byte_index, masks)
+        flipped += int(ranks.size)
     return flipped

@@ -14,6 +14,11 @@ decoder frozen in :mod:`benchmarks.legacy_decode`, run per table as the
 decode harness runs it: identical bytes wherever both converge, and
 never an abstain where the oracle converges.
 
+The scan's mismatch prefilter is held to its byte-wise form frozen in
+:mod:`benchmarks.legacy_scan`, on the joined pairs of every (offset,
+phase group) at both join radii and on the all-pairs input of the
+neighbour walk: the same survivors, values and order.
+
 The key miner is held to the per-row merge walk frozen in
 :mod:`benchmarks.legacy_scan` at every budget pair the adaptive ladder
 mines with: the same candidates in the same order, field for field.
@@ -35,12 +40,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
 from benchmarks.legacy_scan import (  # noqa: E402
     SeedAesKeySearch,
+    bytewise_prefilter_chunk_pairs,
     seed_mine_scrambler_keys,
     walk_mine_scrambler_keys,
 )
 
 from repro.attack.adaptive import decode_stage_for_rate, stage_for_rate  # noqa: E402
-from repro.attack.aes_search import AesKeySearch  # noqa: E402
+from repro.attack.aes_search import AesKeySearch, _all_pairs  # noqa: E402
 from repro.attack.decode import ChannelModel, decode_schedule  # noqa: E402
 from repro.attack.keymine import MiningState, mine_scrambler_keys  # noqa: E402
 from repro.crypto.aes import expand_key  # noqa: E402
@@ -306,3 +312,73 @@ def test_mining_state_answers_as_fresh_calls(seed, budgets, scan_limit):
         mined = mine_scrambler_keys(image, tolerance, radius, scan_limit, state=state)
         assert mined == mine_scrambler_keys(image, tolerance, radius, scan_limit)
         mined.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_bits=st.sampled_from((128, 192, 256)),
+    join_radius=st.sampled_from((0, 1)),
+    tolerance=st.integers(0, 48),
+    n_keys=st.integers(1, 12),
+    n_blocks=st.integers(1, 200),
+    zero_fraction=st.sampled_from((0.0, 0.3, 0.8)),
+    constant_fraction=st.floats(0.0, 0.3),
+    planted=st.integers(0, 4),
+    rate=st.sampled_from((0.0, 0.002, 0.01, 0.03)),
+    chunk_start=st.integers(0, 8),
+    walk=st.tuples(st.integers(0, 199), st.integers(0, 8)),
+)
+def test_prefilter_matches_bytewise_oracle(
+    seed, key_bits, join_radius, tolerance, n_keys, n_blocks, zero_fraction,
+    constant_fraction, planted, rate, chunk_start, walk,
+):
+    rng = np.random.default_rng(seed)
+    keys = _structured_keys(rng, n_keys)
+    # Zero pages join their own key with every linear residual zero, so
+    # only the S-box anchor can drop them; constant fill makes ``key ^
+    # constant`` blocks; planted schedules give true pairs at several
+    # rounds.  Decay pulls every cell toward its ground state.
+    plain = rng.integers(0, 256, size=(n_blocks, 64), dtype=np.uint8)
+    kind = rng.random(n_blocks)
+    plain[kind < zero_fraction] = 0
+    filled = (kind >= zero_fraction) & (kind < zero_fraction + constant_fraction)
+    plain[filled] = np.tile(rng.integers(0, 256, size=(int(filled.sum()), 2), dtype=np.uint8), 32)
+    flat = plain.reshape(-1)
+    for _ in range(planted):
+        schedule = _schedule(rng, key_bits)
+        at = int(rng.integers(0, max(1, flat.size - schedule.size + 1)))
+        piece = schedule[: flat.size - at]
+        flat[at : at + piece.size] = piece
+    blocks = plain ^ keys[rng.integers(0, n_keys, size=n_blocks)]
+    flat = blocks.reshape(-1)
+    ground = ground_state_pattern(flat.size, serial=seed, stripe_bytes=64)
+    apply_decay(flat, ground, rate, np.random.Generator(np.random.PCG64(seed)))
+    # The scan reads row slices of a read-only buffer, as the fused
+    # pass does with each chunk of ``image.blocks_matrix()``.
+    chunk = MemoryImage(blocks.tobytes()).blocks_matrix()[min(chunk_start, n_blocks - 1) :]
+    center, radius = walk
+    center = min(center, chunk.shape[0] - 1)
+    near = chunk[max(0, center - radius) : center + radius + 1].copy()
+
+    search = AesKeySearch(
+        keys, key_bits=key_bits, verify_tolerance_bits=tolerance, join_radius_bits=join_radius
+    )
+    every_pair = _all_pairs(np.arange(near.shape[0], dtype=np.int64), n_keys)
+    for group in search._phase_groups():
+        streams, band_tables = search._relation_tables(chunk, group[0])
+        near_streams = search._relation_tables(near, group[0])[0]
+        memo: dict = {}
+        for offset in search.offsets:
+            joined = search._probe_chunk(band_tables, offset, group[0], memo)
+            for rows, rows_streams, pairs in (
+                (chunk, streams, joined),
+                (near, near_streams, every_pair),
+            ):
+                got = search._prefilter_chunk_pairs(
+                    rows, rows_streams, pairs, offset, group, tolerance
+                )
+                want = bytewise_prefilter_chunk_pairs(
+                    search, rows, rows_streams, pairs, offset, group, tolerance
+                )
+                assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,11 +1,20 @@
 """Tests for the charge-decay physics model."""
 
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dram.cells import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from benchmarks.legacy_machine import legacy_apply_decay  # noqa: E402
+
+from repro.dram.cells import (  # noqa: E402
     SPARSE_DECAY_THRESHOLD,
     DecayModel,
     apply_decay,
@@ -218,3 +227,104 @@ class TestSparseSamplerDistribution:
         flipped = apply_decay(data, ground, probability, rng)
         assert flipped <= 1
         assert int(np.unpackbits(data ^ np.uint8(0xFF)).sum()) == flipped
+
+
+def _float32_edges(k: int) -> list[float]:
+    """The float32 draw value k·2^-24 and its float64 neighbours."""
+    value = k * 2.0**-24
+    return [np.nextafter(value, 0.0), value, np.nextafter(value, 1.0)]
+
+
+#: Flip probabilities where the dense draw's cut is easiest to misplace:
+#: the sparse/dense switch itself, draw values k·2^-24 (a draw equal to
+#: p does not flip) with their neighbours, and the largest double below
+#: 1, which rounds to 1.0 when the comparison runs in float32.
+_EDGE_PROBABILITIES = [
+    SPARSE_DECAY_THRESHOLD,
+    *(edge for k in (83_887, 276_390, 1 << 23, (1 << 24) - 1) for edge in _float32_edges(k)),
+    float(np.nextafter(1.0, 0.0)),
+]
+
+
+class TestDenseDecayMatchesFloatDraw:
+    """The dense path flips exactly the bits of one float32 draw per bit.
+
+    ``legacy_apply_decay`` is that draw, frozen: ``rng.random(8n,
+    float32) < p`` over the whole image.  The dense path must leave the
+    same bytes, return the same count and leave the generator in the
+    same state, whatever the image size, the CPUs it may use, the type
+    of ``p`` (a Python float compares in float32, an ``np.float64`` in
+    float64), and whether the generator holds a buffered 32-bit half.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        probability=st.one_of(
+            st.floats(SPARSE_DECAY_THRESHOLD, 1.0, exclude_max=True),
+            st.sampled_from(_EDGE_PROBABILITIES),
+        ),
+        as_numpy=st.booleans(),
+        # From one byte to several 256 KiB draw blocks, on no boundary.
+        n_bytes=st.one_of(st.integers(1, 5000), st.integers(1, (3 << 18) + 5000)),
+        cpus=st.sampled_from((1, 2, 3)),
+        buffered=st.booleans(),
+    )
+    # The transfer's −25 °C, 5 s flip probability over several blocks;
+    # a buffered half carried across block boundaries; every draw flips.
+    @example(21, 0.016474, False, (3 << 18) + 4097, 3, False)
+    @example(5, 0.5, True, (1 << 20) + 64, 2, True)
+    @example(7, float(np.nextafter(1.0, 0.0)), False, (1 << 18) + 1, 3, True)
+    def test_matches_legacy_float_draw(
+        self, seed, probability, as_numpy, n_bytes, cpus, buffered
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 256, n_bytes, dtype=np.uint8)
+        ground = ground_state_pattern(n_bytes, serial=seed, stripe_bytes=512)
+        p = np.float64(probability) if as_numpy else float(probability)
+        live_rng = np.random.Generator(np.random.PCG64(seed))
+        if buffered:
+            live_rng.random(dtype=np.float32)  # leaves the high half buffered
+        frozen_rng = np.random.Generator(np.random.PCG64())
+        frozen_rng.bit_generator.state = live_rng.bit_generator.state
+        live, frozen = data.copy(), data.copy()
+        with mock.patch.object(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True
+        ), mock.patch.object(os, "cpu_count", lambda: cpus):
+            flipped = apply_decay(live, ground, p, live_rng)
+        assert flipped == legacy_apply_decay(frozen, ground, p, frozen_rng)
+        assert np.array_equal(live, frozen)
+        assert live_rng.bit_generator.state == frozen_rng.bit_generator.state
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        """Each thread draws and writes its own blocks: with four threads
+        on eight blocks and a 1 µs switch interval, the bytes and the
+        count still match the single-stream draw."""
+        n_bytes = (8 << 18) - 3
+        data = np.full(n_bytes, 0xA5, dtype=np.uint8)
+        ground = ground_state_pattern(n_bytes, serial=11)
+        live, frozen = data.copy(), data.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(
+                os, "sched_getaffinity", lambda pid: set(range(4)), create=True
+            ):
+                flipped = apply_decay(
+                    live, ground, 0.03, np.random.Generator(np.random.PCG64(3))
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert flipped == legacy_apply_decay(
+            frozen, ground, 0.03, np.random.Generator(np.random.PCG64(3))
+        )
+        assert np.array_equal(live, frozen)
+
+    def test_rejects_other_bit_generators(self):
+        data = np.full(64, 0xFF, dtype=np.uint8)
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(TypeError):
+            apply_decay(data, np.zeros_like(data), 0.1, rng)
+        assert np.all(data == 0xFF)
+        # No draw is needed at p = 1 or below the dense threshold.
+        assert apply_decay(data, np.zeros_like(data), 1.0, rng) == 8 * 64
