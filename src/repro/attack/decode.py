@@ -32,6 +32,17 @@ are float32 (float64 remains the checkpoint format, which stores
 float32 values exactly); the dense float64 decoder they replaced is
 frozen in ``benchmarks/legacy_decode.py`` as the test oracle.
 
+A sweep's dirty checks do not depend on each other — each reads the
+posteriors, fixed until the sweep ends, and reads and writes only its
+own three edge messages — so each call runs a sweep's check chunks,
+and then the posterior refresh split by table, on as many threads as
+the process may use CPUs: its own and those of a pool it opens for
+itself.  NumPy releases the GIL inside the gathers, ufuncs and matmuls
+that do the work.  The arithmetic and its order are those of a serial
+sweep, so results and checkpoints are bit-identical at any thread
+count; the serial decoder is frozen beside the dense one as the oracle
+for that.
+
 Channel priors come from the asymmetric ground-state decay model: DRAM
 cells only leak *toward* their ground state, so the flip probability of
 an observed bit depends on whether it currently sits at ground
@@ -47,7 +58,10 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +69,7 @@ import numpy as np
 from repro.crypto.aes import SBOX, rounds_for, schedule_constraints
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceededError
+from repro.util import cpus
 
 #: Default cap on message-passing sweeps.  The graph's diameter is a
 #: few dozen hops (information must cross the whole schedule), and on
@@ -91,8 +106,9 @@ _HOPELESS_PROBE_SWEEPS = 2
 #: Each row carries a handful of (3, 256) float temporaries through
 #: ~20 elementwise passes; chunking keeps that working set inside the
 #: CPU cache instead of streaming the full batch through memory once
-#: per pass.  Purely a blocking factor — results are identical for any
-#: value.
+#: per pass.  A chunk is also the unit of work handed to the sweep's
+#: thread pool.  Purely a blocking factor — results are identical for
+#: any value.
 _SWEEP_CHUNK = 128
 
 #: Flip rates are clamped to this interval before becoming priors: a
@@ -591,29 +607,26 @@ class _SweepSchedule:
 
     @classmethod
     def from_dict(cls, data: dict, batch: int, n_checks: int) -> "_SweepSchedule":
+        """Rebuild the bookkeeping of a ``batch``-table decode.
+
+        A record whose CRC holds but whose masks, pending drift or
+        counters are not shaped for this batch raises ``ValueError``.
+        """
+
+        def bits(key: str, count: int) -> np.ndarray:
+            raw = np.frombuffer(_unb64(data[key]), dtype=np.uint8)
+            if raw.size != (count + 7) // 8:
+                raise ValueError(f"scheduling state {key} does not hold {count} bits")
+            return np.unpackbits(raw)[:count].astype(bool)
+
         sched = cls(batch, n_checks)
-        sched.frozen = (
-            np.unpackbits(np.frombuffer(_unb64(data["frozen_b64"]), dtype=np.uint8))[
-                :batch
-            ].astype(bool)
-        )
-        sched.converged = (
-            np.unpackbits(
-                np.frombuffer(_unb64(data["converged_b64"]), dtype=np.uint8)
-            )[:batch].astype(bool)
-        )
-        sched.dirty = (
-            np.unpackbits(np.frombuffer(_unb64(data["dirty_b64"]), dtype=np.uint8))[
-                : batch * n_checks
-            ]
-            .astype(bool)
-            .reshape(batch, n_checks)
-        )
-        sched.pending = (
-            np.frombuffer(_unb64(data["pending_b64"]), dtype="<f4")
-            .reshape(batch, n_checks)
-            .astype(np.float32)
-        )
+        sched.frozen = bits("frozen_b64", batch)
+        sched.converged = bits("converged_b64", batch)
+        sched.dirty = bits("dirty_b64", batch * n_checks).reshape(batch, n_checks)
+        pending = np.frombuffer(_unb64(data["pending_b64"]), dtype="<f4")
+        if pending.size != batch * n_checks:
+            raise ValueError("scheduling state pending_b64 does not fit the batch")
+        sched.pending = pending.reshape(batch, n_checks).astype(np.float32)
         sched.best_syndrome = np.asarray(data["best"], dtype=np.int64)
         sched.stagnant = np.asarray(data["stagnant"], dtype=np.int64)
         sched.table_iterations = np.asarray(data["titers"], dtype=np.int64)
@@ -731,18 +744,22 @@ def decode_schedule(
         start_iteration = 0
         sched = _SweepSchedule(batch, n_checks)
     clp_flat = cv_log_pad.reshape(batch * (n_edges + 1), 256)
-
-    # The edge gather leaves advanced-index-first strides on its
-    # output; adding through ``out=`` pins the posterior buffer
-    # C-contiguous so ``post_flat`` below is a true view of it.
-    posterior_log = np.empty_like(prior_log)
-    np.add(
-        prior_log,
-        cv_log_pad[:, graph.var_in_edges, :].sum(axis=2),
-        out=posterior_log,
-    )
+    posterior_log = np.empty((batch, n_vars, 256), dtype=np.float32)
     post_flat = posterior_log.reshape(batch * n_vars, 256)
-    hard = posterior_log.argmax(axis=2).astype(np.uint8)
+    hard = np.empty((batch, n_vars), dtype=np.uint8)
+
+    def refresh(tables: np.ndarray) -> None:
+        # Posterior = prior + ((e0 + e1) + e2) over a variable's three
+        # padded edge messages, each slot one flat gather, then the hard
+        # decisions.  Float addition commutes, so adding the prior last
+        # changes no bit.
+        edge_rows = tables[:, None] * (n_edges + 1)
+        total = clp_flat[edge_rows + graph.var_in_edges[:, 0]]
+        total += clp_flat[edge_rows + graph.var_in_edges[:, 1]]
+        total += clp_flat[edge_rows + graph.var_in_edges[:, 2]]
+        total += prior_log[tables]
+        posterior_log[tables] = total
+        hard[tables] = total.argmax(axis=2)
 
     rows = np.arange(n_checks)
     syndrome_weight = np.full(batch, n_checks, dtype=np.int64)
@@ -784,139 +801,180 @@ def decode_schedule(
             sched=sched.to_dict(),
         )
 
-    for iteration in range(start_iteration, max_iters):
-        active = np.flatnonzero(~sched.frozen)
-        if active.size == 0:
-            break
-        # Hard-decision syndrome for the tables still in play.
-        syn = syndrome_of(hard[active])
-        syndrome_weight[active] = syn
-        now_converged = syn == 0
-        if now_converged.any():
-            done = active[now_converged]
-            sched.converged[done] = True
-            sched.frozen[done] = True
-            sched.dirty[done] = False
-            sched.table_iterations[done] = iteration
-        # Stagnation abstain, per table: that many sweeps without a new
-        # syndrome minimum and the table freezes rather than burning
-        # the full iteration budget to reach the same abstain.
-        live = active[~now_converged]
-        if live.size:
-            improved = syndrome_weight[live] < sched.best_syndrome[live]
-            sched.best_syndrome[live] = np.minimum(
-                sched.best_syndrome[live], syndrome_weight[live]
-            )
-            sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
-            stalled = np.zeros(live.size, dtype=bool)
-            if stall_sweeps:
-                # Stagnation only abstains tables still far from a
-                # codeword: one oscillating within a handful of violated
-                # checks is circling a fixpoint it usually reaches, and
-                # its dirty set is tiny — let it spend the budget.
-                near = sched.best_syndrome[live] * 32 <= n_checks
-                stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
-                # Hopeless triage: still violating the majority of
-                # checks after the probe sweeps means junk, not a slow
-                # decode — abstain now rather than dribble toward the
-                # stagnation limit one syndrome point at a time.
-                if iteration >= _HOPELESS_PROBE_SWEEPS:
-                    stalled |= fully_known[live] & (
-                        sched.best_syndrome[live] * 2 > n_checks
-                    )
-            # A table with no dirty checks has reached a message
-            # fixpoint — nothing can change it, so freeze it now.
-            stalled |= ~sched.dirty[live].any(axis=1)
-            if stalled.any():
-                halt = live[stalled]
-                sched.frozen[halt] = True
-                sched.dirty[halt] = False
-                sched.table_iterations[halt] = iteration
-        if sched.frozen.all():
-            break
-        if deadline is not None and deadline.expired:
-            error = DeadlineExceededError(
-                deadline.total_seconds, context=f"schedule decode sweep {iteration}"
-            )
-            error.decode_state = snapshot_state(iteration)  # type: ignore[attr-defined]
-            raise error
-        if on_progress is not None and iteration % max(1, beat_every) == 0:
-            on_progress()
+    # Each sweep's chunks and the posterior refresh run on every usable
+    # CPU, up to one per chunk: the calling thread and ``workers - 1``
+    # pool threads take items off one queue until it runs dry.  NumPy
+    # releases the GIL inside the ufuncs, matmuls and fancy-index
+    # gathers that do the work.  The pool lives for this call only, so
+    # it closes on a deadline too and no thread outlives the decode
+    # (process shard workers fork).
+    workers = max(1, min(cpus.usable_cpus(), -(-batch * n_checks // _SWEEP_CHUNK)))
+    pool_or_none = (
+        ThreadPoolExecutor(workers - 1, thread_name_prefix="decode")
+        if workers > 1
+        else nullcontext()
+    )
+    with pool_or_none as pool:
 
-        # ---- one residual-scheduled message sweep -------------------
-        sel_t, sel_c = np.nonzero(sched.dirty)
-        m = sel_t.size
-        checks_updated += int(m)
-        checks_dense += int((~sched.frozen).sum()) * n_checks
-        flat_v = sel_t[:, None] * n_vars + graph.check_vars[sel_c]  # (M, 3)
-        flat_e = (
-            sel_t[:, None] * (n_edges + 1) + (3 * sel_c)[:, None] + slot[None, :]
-        )  # (M, 3)
-        residual = np.empty(m, dtype=np.float32)  # (M,)
-        # The sweep walks the dirty checks in cache-sized chunks: every
-        # op below is row-independent, so chunking changes nothing but
-        # keeps the ~20 passes over the chunk temporaries in L2 instead
-        # of streaming multi-MB arrays through memory once per op.
-        for lo in range(0, m, _SWEEP_CHUNK):
-            hi = min(m, lo + _SWEEP_CHUNK)
-            cc = sel_c[lo:hi]
-            cfv, cfe = flat_v[lo:hi], flat_e[lo:hi]
-            # BP messages are scale-invariant (any per-message factor
-            # becomes an additive posterior constant that the max-shift
-            # removes), so the sweep skips every cosmetic normalisation,
-            # folds the damping factor into the one scale it does apply,
-            # and re-derives the old probability messages from the logs
-            # it already gathered instead of keeping a second array.
-            g = clp_flat[cfe]  # (chunk, 3, 256) log old messages
-            # Variable→check messages: posterior, own edge divided out.
-            vc = post_flat[cfv]
-            vc -= g
-            vc -= vc.max(axis=-1, keepdims=True)
-            np.exp(vc, out=vc)
-            # Prev operand enters the XOR in its transformed domain.
-            bidx = slot2_base[: hi - lo]
-            vc[:, 2, :] = vc.ravel()[bidx + graph.inv_take[cc]]
-            w = _wht(vc.reshape(-1, 256)).reshape(-1, 3, 256)
-            prods = np.empty_like(w)
-            # XOR convolution: pointwise product in the WHT domain.
-            np.multiply(w[:, 1], w[:, 2], out=prods[:, 0])
-            np.multiply(w[:, 0], w[:, 2], out=prods[:, 1])
-            np.multiply(w[:, 0], w[:, 1], out=prods[:, 2])
-            fresh = _wht(prods.reshape(-1, 256)).reshape(-1, 3, 256)
-            fresh[:, 2, :] = fresh.ravel()[bidx + graph.fwd_take[cc]]
-            np.clip(fresh, tiny, None, out=fresh)
-            fresh *= (1.0 - damping) / fresh.sum(axis=-1, keepdims=True)
-            old = np.exp(g, out=g)
-            fresh += np.multiply(old, damping, out=prods)
-            np.subtract(old, fresh, out=old)
-            np.abs(old, out=old)
-            residual[lo:hi] = old.max(axis=(1, 2))
-            np.log(fresh, out=fresh)
-            clp_flat[cfe.ravel()] = fresh.reshape((hi - lo) * 3, 256)
-        # Refresh posteriors + hard decisions of the touched tables.
-        # (Vars whose checks all rested keep their values — their edge
-        # messages are unchanged, so recomputing them is a no-op.)
-        upd = np.unique(sel_t)
-        sub = cv_log_pad[
-            upd[:, None, None], graph.var_in_edges[None, :, :], :
-        ].sum(axis=2)
-        posterior_log[upd] = prior_log[upd] + sub
-        hard[upd] = posterior_log[upd].argmax(axis=2).astype(np.uint8)
-        # Residual scheduling: a check re-runs once the message drift
-        # that reached its variables accumulates past the tolerance.
-        # Each variable feeds at most one check per slot, so the
-        # scatter-max decomposes into three unique-index maximums.
-        perturb = np.zeros(batch * n_vars, dtype=np.float32)
-        for k in range(3):
-            idx = flat_v[:, k]
-            perturb[idx] = np.maximum(perturb[idx], residual)
-        sched.pending[sel_t, sel_c] = 0.0
-        act = np.flatnonzero(~sched.frozen)
-        sched.pending[act] += perturb.reshape(batch, n_vars)[act][
-            :, graph.check_vars
-        ].max(axis=2)
-        sched.dirty[act] = sched.pending[act] > RESIDUAL_TOL
-        iterations = iteration + 1
+        def run(task, items) -> None:
+            queue = iter(items)
+            lock = threading.Lock()
+
+            def drain() -> None:
+                while True:
+                    with lock:
+                        item = next(queue, None)
+                    if item is None:
+                        return
+                    task(item)
+
+            helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
+            try:
+                drain()
+            finally:
+                # No helper is still at work once this returns, and a
+                # helper's exception is raised here.
+                for helper in helpers:
+                    helper.result()
+
+        def by_table(tables: np.ndarray) -> list[np.ndarray]:
+            return np.array_split(tables, max(1, min(workers, tables.size)))
+
+        run(refresh, by_table(np.arange(batch)))
+        for iteration in range(start_iteration, max_iters):
+            active = np.flatnonzero(~sched.frozen)
+            if active.size == 0:
+                break
+            # Hard-decision syndrome for the tables still in play.
+            syn = syndrome_of(hard[active])
+            syndrome_weight[active] = syn
+            now_converged = syn == 0
+            if now_converged.any():
+                done = active[now_converged]
+                sched.converged[done] = True
+                sched.frozen[done] = True
+                sched.dirty[done] = False
+                sched.table_iterations[done] = iteration
+            # Stagnation abstain, per table: that many sweeps without a new
+            # syndrome minimum and the table freezes rather than burning
+            # the full iteration budget to reach the same abstain.
+            live = active[~now_converged]
+            if live.size:
+                improved = syndrome_weight[live] < sched.best_syndrome[live]
+                sched.best_syndrome[live] = np.minimum(
+                    sched.best_syndrome[live], syndrome_weight[live]
+                )
+                sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
+                stalled = np.zeros(live.size, dtype=bool)
+                if stall_sweeps:
+                    # Stagnation only abstains tables still far from a
+                    # codeword: one oscillating within a handful of violated
+                    # checks is circling a fixpoint it usually reaches, and
+                    # its dirty set is tiny — let it spend the budget.
+                    near = sched.best_syndrome[live] * 32 <= n_checks
+                    stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
+                    # Hopeless triage: still violating the majority of
+                    # checks after the probe sweeps means junk, not a slow
+                    # decode — abstain now rather than dribble toward the
+                    # stagnation limit one syndrome point at a time.
+                    if iteration >= _HOPELESS_PROBE_SWEEPS:
+                        stalled |= fully_known[live] & (
+                            sched.best_syndrome[live] * 2 > n_checks
+                        )
+                # A table with no dirty checks has reached a message
+                # fixpoint — nothing can change it, so freeze it now.
+                stalled |= ~sched.dirty[live].any(axis=1)
+                if stalled.any():
+                    halt = live[stalled]
+                    sched.frozen[halt] = True
+                    sched.dirty[halt] = False
+                    sched.table_iterations[halt] = iteration
+            if sched.frozen.all():
+                break
+            if deadline is not None and deadline.expired:
+                error = DeadlineExceededError(
+                    deadline.total_seconds, context=f"schedule decode sweep {iteration}"
+                )
+                error.decode_state = snapshot_state(iteration)  # type: ignore[attr-defined]
+                raise error
+            if on_progress is not None and iteration % max(1, beat_every) == 0:
+                on_progress()
+
+            # ---- one residual-scheduled message sweep -------------------
+            sel_t, sel_c = np.nonzero(sched.dirty)
+            m = sel_t.size
+            checks_updated += int(m)
+            checks_dense += int((~sched.frozen).sum()) * n_checks
+            flat_v = sel_t[:, None] * n_vars + graph.check_vars[sel_c]  # (M, 3)
+            flat_e = (
+                sel_t[:, None] * (n_edges + 1) + (3 * sel_c)[:, None] + slot[None, :]
+            )  # (M, 3)
+            residual = np.empty(m, dtype=np.float32)  # (M,)
+
+            # The sweep walks the dirty checks in cache-sized chunks: every
+            # op below is row-independent, so chunking changes nothing but
+            # keeps the ~20 passes over the chunk temporaries in L2 instead
+            # of streaming multi-MB arrays through memory once per op.  A
+            # chunk reads ``post_flat`` (fixed until the sweep ends) and
+            # reads and writes only its own rows' edges, so chunks run on
+            # the pool in any order.
+            def sweep_chunk(lo: int) -> None:
+                hi = min(m, lo + _SWEEP_CHUNK)
+                cc = sel_c[lo:hi]
+                cfv, cfe = flat_v[lo:hi], flat_e[lo:hi]
+                # BP messages are scale-invariant (any per-message factor
+                # becomes an additive posterior constant that the max-shift
+                # removes), so the sweep skips every cosmetic normalisation,
+                # folds the damping factor into the one scale it does apply,
+                # and re-derives the old probability messages from the logs
+                # it already gathered instead of keeping a second array.
+                g = clp_flat[cfe]  # (chunk, 3, 256) log old messages
+                # Variable→check messages: posterior, own edge divided out.
+                vc = post_flat[cfv]
+                vc -= g
+                vc -= vc.max(axis=-1, keepdims=True)
+                np.exp(vc, out=vc)
+                # Prev operand enters the XOR in its transformed domain.
+                bidx = slot2_base[: hi - lo]
+                vc[:, 2, :] = vc.ravel()[bidx + graph.inv_take[cc]]
+                w = _wht(vc.reshape(-1, 256)).reshape(-1, 3, 256)
+                prods = np.empty_like(w)
+                # XOR convolution: pointwise product in the WHT domain.
+                np.multiply(w[:, 1], w[:, 2], out=prods[:, 0])
+                np.multiply(w[:, 0], w[:, 2], out=prods[:, 1])
+                np.multiply(w[:, 0], w[:, 1], out=prods[:, 2])
+                fresh = _wht(prods.reshape(-1, 256)).reshape(-1, 3, 256)
+                fresh[:, 2, :] = fresh.ravel()[bidx + graph.fwd_take[cc]]
+                np.clip(fresh, tiny, None, out=fresh)
+                fresh *= (1.0 - damping) / fresh.sum(axis=-1, keepdims=True)
+                old = np.exp(g, out=g)
+                fresh += np.multiply(old, damping, out=prods)
+                np.subtract(old, fresh, out=old)
+                np.abs(old, out=old)
+                residual[lo:hi] = old.max(axis=(1, 2))
+                np.log(fresh, out=fresh)
+                clp_flat[cfe.ravel()] = fresh.reshape((hi - lo) * 3, 256)
+
+            run(sweep_chunk, range(0, m, _SWEEP_CHUNK))
+            # Refresh posteriors + hard decisions of the touched tables.
+            # (Vars whose checks all rested keep their values — their edge
+            # messages are unchanged, so recomputing them is a no-op.)
+            run(refresh, by_table(np.unique(sel_t)))
+            # Residual scheduling: a check re-runs once the message drift
+            # that reached its variables accumulates past the tolerance.
+            # Each variable feeds at most one check per slot, so the
+            # scatter-max decomposes into three unique-index maximums.
+            perturb = np.zeros(batch * n_vars, dtype=np.float32)
+            for k in range(3):
+                idx = flat_v[:, k]
+                perturb[idx] = np.maximum(perturb[idx], residual)
+            sched.pending[sel_t, sel_c] = 0.0
+            act = np.flatnonzero(~sched.frozen)
+            sched.pending[act] += perturb.reshape(batch, n_vars)[act][
+                :, graph.check_vars
+            ].max(axis=2)
+            sched.dirty[act] = sched.pending[act] > RESIDUAL_TOL
+            iterations = iteration + 1
 
     never_frozen = ~sched.frozen
     if never_frozen.any():
@@ -926,10 +984,15 @@ def decode_schedule(
     # weights are consistent with ``tables`` regardless of history.
     syndrome_weight = syndrome_of(hard).astype(np.int64)
 
-    shifted = posterior_log - posterior_log.max(axis=-1, keepdims=True)
-    posterior = np.exp(shifted)
+    # In place where the arithmetic allows: these temporaries, beside
+    # the messages, set the decode's memory high-water mark.
+    posterior = posterior_log - posterior_log.max(axis=-1, keepdims=True)
+    np.exp(posterior, out=posterior)
     posterior /= posterior.sum(axis=-1, keepdims=True)
-    entropy = -(posterior * np.log2(np.clip(posterior, tiny, None))).sum(axis=-1)
+    plogp = np.clip(posterior, tiny, None)
+    np.log2(plogp, out=plogp)
+    plogp *= posterior
+    entropy = -plogp.sum(axis=-1)
     return DecodeResult(
         tables=hard,
         converged=sched.converged.copy(),

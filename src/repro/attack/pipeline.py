@@ -54,7 +54,8 @@ class AttackConfig:
     adaptive_max_stage: str | None = None
     #: Cap on belief-propagation sweeps per decoded table (at least 1).
     #: Each decode is one batched :func:`~repro.attack.decode.decode_schedule`
-    #: call on the calling thread.
+    #: call, which runs its sweeps on a thread pool of its own sized to
+    #: the usable CPUs.
     decode_iters: int = 72
     #: Path for the decode-state sidecar
     #: (:class:`~repro.resilience.checkpoint.DecodeStateStore`): a

@@ -23,12 +23,12 @@ so freezing, transferring warm, and resocketing compose correctly
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util import cpus
 from repro.util.bits import popcount_bytes
 from repro.util.rng import derive_seed
 
@@ -175,14 +175,6 @@ def ground_state_pattern(
     return np.repeat(stripe_values, stripe_bytes)[:n_bytes]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _draw_threshold(flip_probability: float) -> int:
     """The count T of float32 draws ``k·2^-24`` (k < 2^24) below ``p``.
 
@@ -242,7 +234,7 @@ def _dense_decay(
         return int(popcount_bytes(mask).sum())
 
     starts = range(0, n, DECAY_BLOCK_BYTES)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(cpus.usable_cpus(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             flipped = sum(pool.map(decay_block, starts))

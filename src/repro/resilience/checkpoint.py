@@ -445,8 +445,9 @@ class DecodeStateStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._entries: dict[str, dict] = {}
-        # Each search decodes on its calling thread, but nothing stops
-        # two searches (or a search and a watchdog flush) from sharing a
+        # A decode saves its state from the thread that called it (its
+        # sweep pool never touches the store), but nothing stops two
+        # searches (or a search and a watchdog flush) from sharing a
         # store — serialise the read-modify-rewrite cycle so concurrent
         # saves cannot drop entries.
         self._lock = threading.Lock()

@@ -6,8 +6,11 @@ recovery below the code's threshold, abstain-not-wrong above it, across
 all three AES variants and asymmetric channels.
 """
 
+import base64
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,10 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
-from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
+from benchmarks.legacy_decode import (  # noqa: E402
+    legacy_decode_schedules,
+    serial_decode_schedule,
+)
 
 from repro.attack.decode import (  # noqa: E402
     DEFAULT_DAMPING,
@@ -33,8 +39,10 @@ from repro.attack.decode import (  # noqa: E402
     schedule_plausibility,
 )
 from repro.crypto.aes import expand_key, rounds_for  # noqa: E402
+from repro.resilience.checkpoint import DecodeStateStore  # noqa: E402
 from repro.resilience.deadline import Deadline  # noqa: E402
 from repro.resilience.errors import DeadlineExceededError  # noqa: E402
+from repro.util import cpus as util_cpus  # noqa: E402
 
 
 def _corrupt(schedule: bytes, rate: float, seed: int) -> np.ndarray:
@@ -406,6 +414,110 @@ class TestDecodeStateRoundTrip:
 
         resumed = decode_schedule(observed, 256, channel, state=state)
         assert _same_result(straight, resumed)
+
+
+def _mixed_batch(seed: int, n_true: int, n_junk: int, rate: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.vstack(
+        [_corrupt(expand_key(_master(256, seed + i)), rate, seed + i) for i in range(n_true)]
+        + [rng.integers(0, 256, 240, np.uint8) for _ in range(n_junk)]
+    )
+
+
+class TestDecodeStateShape:
+    """A decode state whose CRC holds but whose scheduling record is
+    shaped for another batch is rejected as a whole: the resume takes
+    the every-check-dirty fallback instead of running on short masks."""
+
+    N_CHECKS = build_constraint_graph(256).n_checks
+
+    @pytest.mark.parametrize(
+        "key, size",
+        [
+            ("frozen_b64", 1), ("frozen_b64", 3),
+            ("converged_b64", 1), ("converged_b64", 3),
+            ("dirty_b64", 16 * N_CHECKS // 8 - 1), ("dirty_b64", 16 * N_CHECKS // 8 + 1),
+            ("pending_b64", 4 * (16 * N_CHECKS - 1)), ("pending_b64", 4 * (16 * N_CHECKS + 1)),
+        ],
+    )
+    def test_misshapen_records_raise(self, key, size):
+        from repro.attack.decode import _SweepSchedule
+
+        record = _SweepSchedule(16, self.N_CHECKS).to_dict()
+        raw = base64.b64decode(record[key])
+        record[key] = base64.b64encode(raw[:size].ljust(size, b"\0")).decode()
+        with pytest.raises(ValueError):
+            _SweepSchedule.from_dict(record, 16, self.N_CHECKS)
+
+    def test_short_masks_take_the_every_check_dirty_fallback(self, tmp_path):
+        """Regression: a 16-table state with its frozen and converged
+        masks cut to 8 bits used to resume into 8 ``converged`` flags."""
+        # Cut at sweep 3: the junk froze at sweep 2, the true tables
+        # decode until sweeps 4 and 5.
+        observed = _mixed_batch(73, 4, 12, 0.06)
+        channel = ChannelModel.symmetric(0.06)
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(observed, 256, channel, deadline=CountdownDeadline(3))
+        state = err.value.decode_state
+        assert state.sched["frozen_b64"] != state.sched["converged_b64"]
+        record = state.to_dict()
+        for key in ("frozen_b64", "converged_b64"):
+            record["sched"][key] = base64.b64encode(
+                base64.b64decode(record["sched"][key])[:1]
+            ).decode()
+        # Through the sidecar, so the cut record carries a valid CRC.
+        DecodeStateStore(tmp_path / "decode").save("cut", record)
+        cut = DecodeState.from_dict(DecodeStateStore(tmp_path / "decode").load("cut"))
+        assert cut is not None and cut.sched == record["sched"]
+
+        resumed = decode_schedule(observed, 256, channel, state=cut)
+        fallback = decode_schedule(
+            observed, 256, channel,
+            state=DecodeState(state.iteration, state.messages, state.digest),
+        )
+        assert resumed.converged.shape == (16,)
+        assert _same_result(resumed, fallback)
+
+
+class TestDecodeThreads:
+    def test_no_thread_outlives_a_decode(self):
+        """The sweep pool lives for one call: it is gone after a decode
+        that returns and after one that a deadline cuts short."""
+        observed = _mixed_batch(81, 2, 6, 0.04)
+        channel = ChannelModel.symmetric(0.04)
+        before = set(threading.enumerate())
+        pooled = []
+
+        def beat():
+            pooled.append(len(threading.enumerate()) > len(before))
+
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: 4):
+            decode_schedule(observed, 256, channel, on_progress=beat, beat_every=1)
+            with pytest.raises(DeadlineExceededError):
+                decode_schedule(
+                    observed, 256, channel, deadline=CountdownDeadline(2),
+                    on_progress=beat, beat_every=1,
+                )
+        assert pooled and all(pooled)
+        assert set(threading.enumerate()) == before
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        """Four threads on a 1 µs switch interval share each sweep's
+        chunks and refresh: every message still lands where the serial
+        decoder puts it."""
+        observed = _mixed_batch(85, 3, 9, 0.05)
+        channel = ChannelModel.symmetric(0.05)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(util_cpus, "usable_cpus", lambda: 4):
+                live = decode_schedule(observed, 256, channel)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = serial_decode_schedule(observed, 256, channel)
+        assert _same_result(live, serial)
+        assert live.posterior_entropy.tobytes() == serial.posterior_entropy.tobytes()
+        assert live.converged[:3].all()
 
 
 class TestWatchdogHeartbeat:

@@ -12,7 +12,10 @@ asserts identical results, values and order.
 The residual-scheduled float32 decoder is held to the dense float64
 decoder frozen in :mod:`benchmarks.legacy_decode`, run per table as the
 decode harness runs it: identical bytes wherever both converge, and
-never an abstain where the oracle converges.
+never an abstain where the oracle converges.  Its sweeps run their
+dirty-check chunks and posterior refresh on a thread pool sized to the
+usable CPUs; the serial decoder frozen beside the dense one pins that,
+at every CPU count and across an interrupt and resume, bit for bit.
 
 The scan's mismatch prefilter is held to its byte-wise form frozen in
 :mod:`benchmarks.legacy_scan`, on the joined pairs of every (offset,
@@ -27,17 +30,22 @@ mismatch as the residual, so against it only the ``(key, count)``
 multiset is comparable.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
-from benchmarks.legacy_decode import legacy_decode_schedules  # noqa: E402
+from benchmarks.legacy_decode import (  # noqa: E402
+    legacy_decode_schedules,
+    serial_decode_schedule,
+)
 from benchmarks.legacy_scan import (  # noqa: E402
     SeedAesKeySearch,
     bytewise_prefilter_chunk_pairs,
@@ -47,11 +55,15 @@ from benchmarks.legacy_scan import (  # noqa: E402
 
 from repro.attack.adaptive import decode_stage_for_rate, stage_for_rate  # noqa: E402
 from repro.attack.aes_search import AesKeySearch, _all_pairs  # noqa: E402
-from repro.attack.decode import ChannelModel, decode_schedule  # noqa: E402
+from repro.attack.decode import ChannelModel, DecodeResult, decode_schedule  # noqa: E402
 from repro.attack.keymine import MiningState, mine_scrambler_keys  # noqa: E402
-from repro.crypto.aes import expand_key  # noqa: E402
+from repro.crypto.aes import expand_key, rounds_for  # noqa: E402
 from repro.dram.cells import apply_decay, ground_state_pattern  # noqa: E402
 from repro.dram.image import MemoryImage  # noqa: E402
+from repro.resilience.errors import DeadlineExceededError  # noqa: E402
+from repro.util import cpus as util_cpus  # noqa: E402
+
+from .test_decode import CountdownDeadline  # noqa: E402
 
 
 def _schedule(rng: np.random.Generator, key_bits: int) -> np.ndarray:
@@ -218,6 +230,107 @@ def test_decoder_matches_dense_oracle(seed, key_bits, rate, to_ground, erase_at,
     for i, master in enumerate(masters):
         if live.converged[i]:
             assert live.tables[i].tobytes() == expand_key(master)
+
+
+def _assert_same_decode(live: DecodeResult, frozen: DecodeResult) -> None:
+    for field in dataclasses.fields(DecodeResult):
+        got, want = getattr(live, field.name), getattr(frozen, field.name)
+        if field.name in ("posterior_entropy", "certainty"):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        elif isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
+def _cpus(count: int):
+    return mock.patch.object(util_cpus, "usable_cpus", lambda: count)
+
+
+def _cut(decode, *args, checks: int, **kwargs):
+    """``(result, None)`` if the decode ends within ``checks`` deadline
+    polls, else ``(None, its checkpoint)``."""
+    try:
+        return decode(*args, deadline=CountdownDeadline(checks), **kwargs), None
+    except DeadlineExceededError as error:
+        return None, error.decode_state
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_bits=st.sampled_from((128, 192, 256)),
+    n_tables=st.integers(1, 30),
+    junk_share=st.floats(0.0, 1.0),
+    rate=st.floats(0.0, 0.045),
+    to_ground=st.floats(0.5, 2.0),
+    erase_share=st.sampled_from((None, 0.0, 0.3, 1.0)),
+    erase_frac=st.floats(0.0, 0.5),
+    cpus=st.integers(1, 4),
+    cut_after=st.one_of(st.none(), st.integers(0, 6)),
+)
+# A mixed batch cut after its junk froze, resumed on another pool size;
+# and a cut whose checkpoint does not round-trip every message log
+# exactly, so the resume leaves the straight run's trajectory.
+@example(5, 256, 16, 0.5, 0.04, 1.5, 0.3, 0.3, 2, 3)
+@example(0, 128, 1, 1.0, 0.03125, 1.0, 1.0, 0.25, 3, 2)
+def test_threaded_decoder_matches_serial_decoder(
+    seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share, erase_frac,
+    cpus, cut_after,
+):
+    rng = np.random.default_rng(seed)
+    channel = ChannelModel(
+        rate_to_ground=max(rate, 1e-4) * to_ground,
+        rate_from_ground=max(rate, 1e-4),
+    )
+    # Planted schedules decayed through the channel (ground state zero)
+    # mixed with junk tables.
+    tables = []
+    for _ in range(n_tables):
+        if rng.random() < junk_share:
+            tables.append(rng.integers(0, 256, 16 * (rounds_for(key_bits) + 1), dtype=np.uint8))
+            continue
+        bits = np.unpackbits(np.frombuffer(expand_key(rng.bytes(key_bits // 8)), np.uint8))
+        flip = np.where(bits == 1, channel.rate_to_ground, channel.rate_from_ground)
+        tables.append(np.packbits(bits ^ (rng.random(bits.size) < flip)))
+    observed = np.stack(tables)
+    # An erased span of up to half the table in a share of the tables,
+    # handed over through ``known``; None hands over no mask at all.
+    known = None
+    if erase_share is not None:
+        n_bytes = observed.shape[1]
+        known = np.ones(observed.shape, dtype=bool)
+        for row in np.flatnonzero(rng.random(n_tables) < erase_share):
+            span = int(erase_frac * n_bytes)
+            lo = int(rng.integers(0, n_bytes - span + 1))
+            known[row, lo : lo + span] = False
+        observed[~known] = 0
+
+    args = (observed, key_bits, channel)
+    with _cpus(cpus):
+        live = decode_schedule(*args, known=known)
+    _assert_same_decode(live, serial_decode_schedule(*args, known=known))
+    if cut_after is None:
+        return
+    # Cut both decoders at the same sweep: the checkpoints must match
+    # bit for bit, and a resume under another CPU count must land where
+    # the serial resume does.
+    with _cpus(cpus):
+        live_done, live_state = _cut(decode_schedule, *args, known=known, checks=cut_after)
+    frozen_done, frozen_state = _cut(
+        serial_decode_schedule, *args, known=known, checks=cut_after
+    )
+    if frozen_state is None:
+        _assert_same_decode(live_done, frozen_done)
+        return
+    assert live_state is not None
+    assert live_state.iteration == frozen_state.iteration
+    assert live_state.digest == frozen_state.digest
+    assert live_state.messages.tobytes() == frozen_state.messages.tobytes()
+    assert live_state.sched == frozen_state.sched
+    with _cpus(cpus % 4 + 1):
+        resumed = decode_schedule(*args, known=known, state=live_state)
+    _assert_same_decode(resumed, serial_decode_schedule(*args, known=known, state=frozen_state))
 
 
 def _structured_keys(rng: np.random.Generator, n_keys: int) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Tests for the charge-decay physics model."""
 
-import os
 import sys
 from pathlib import Path
 from unittest import mock
@@ -20,6 +19,7 @@ from repro.dram.cells import (  # noqa: E402
     apply_decay,
     ground_state_pattern,
 )
+from repro.util import cpus as util_cpus  # noqa: E402
 
 
 class TestDecayModel:
@@ -288,9 +288,7 @@ class TestDenseDecayMatchesFloatDraw:
         frozen_rng = np.random.Generator(np.random.PCG64())
         frozen_rng.bit_generator.state = live_rng.bit_generator.state
         live, frozen = data.copy(), data.copy()
-        with mock.patch.object(
-            os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True
-        ), mock.patch.object(os, "cpu_count", lambda: cpus):
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: cpus):
             flipped = apply_decay(live, ground, p, live_rng)
         assert flipped == legacy_apply_decay(frozen, ground, p, frozen_rng)
         assert np.array_equal(live, frozen)
@@ -307,9 +305,7 @@ class TestDenseDecayMatchesFloatDraw:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(
-                os, "sched_getaffinity", lambda pid: set(range(4)), create=True
-            ):
+            with mock.patch.object(util_cpus, "usable_cpus", lambda: 4):
                 flipped = apply_decay(
                     live, ground, 0.03, np.random.Generator(np.random.PCG64(3))
                 )
