@@ -12,20 +12,22 @@ controller:
    mismatch of mined-key support sets (every candidate's sightings
    disagree with their majority vote at exactly the channel's rate),
    or a fixed prior.
-2. **Escalate** through :class:`BudgetStage`\\ s — a strict first pass
-   at the paper's budgets, then calibrated and widened retries whose
+2. **Escalate** through three :class:`BudgetStage`\\ s — a strict
+   first pass at the paper's budgets, a calibrated retry whose
    tolerances are set to ``mean + 3σ`` of the mismatch a true artefact
-   would show at the estimated rate — under a total work budget.
+   would show at the estimated rate, then belief-propagation decoding
+   (:mod:`repro.attack.decode`) — under a total work budget.
 3. **Quarantine** regions that cannot contribute (torn constant fill,
    a second scrambler's keystream, decay past the litmus horizon) with
    structured :class:`~repro.resilience.errors.RegionQuarantineError`
    diagnostics, and complete the scan over the remainder.
 
-Escalated stages turn on the cross-round consistency voting of
+The calibrated stage turns on the cross-round consistency voting of
 :func:`repro.attack.aes_search.vote_correct_table` — correcting flipped
-schedule bits instead of merely tolerating them — and thread the decay
-estimate into :func:`repro.attack.aes_search.confidence_score` so every
-recovery carries a posterior confidence calibrated to the channel.
+schedule bits instead of merely tolerating them.  Every stage threads
+the decay estimate into :func:`repro.attack.aes_search.confidence_score`
+so every recovery carries a posterior confidence calibrated to the
+channel.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from repro.attack.aes_search import AesKeySearch, RecoveredAesKey
 from repro.attack.decode import DEFAULT_DECODE_ITERS, clamp_rate
-from repro.attack.keyfind import KeyfindMatch, find_aes_keys
 from repro.attack.keymine import (
     DEFAULT_SCAN_LIMIT_BYTES,
     CandidateKey,
@@ -75,7 +76,7 @@ DEFAULT_REGION_BYTES = 256 * 1024
 
 #: A stage's recoveries stop the escalation ladder only when at least
 #: one clears this posterior confidence.  Just past the classical
-#: crossover a calibrated/widened ballot occasionally coughs up a
+#: crossover a calibrated ballot occasionally coughs up a
 #: junk-tail key scored ~1e-3 (a true key at any stage's operating
 #: point scores ≥~5e-2); breaking on it would both return a wrong key
 #: and starve the decoded stage that can still produce the right one.
@@ -84,28 +85,14 @@ DEFAULT_REGION_BYTES = 256 * 1024
 #: diagnostics.
 STOP_CONFIDENCE_FLOOR = 0.01
 
-#: Past this estimated decay rate the classical vote+repair stages are
+#: Past this estimated decay rate the calibrated vote+repair stage is
 #: provably hopeless — the crossover where a true schedule's best
-#: verify window sinks below the junk floor sits near 0.020, and the
-#: widened stage's 1.5× inflation buys at most a few millirate beyond
-#: it — yet their junk handling is the most expensive part of the
-#: ladder (minutes per stage, against seconds for the strict pass).
-#: The budget therefore escalates straight from strict to the decoded
+#: verify window sinks below the junk floor sits near 0.020 — yet its
+#: junk handling is the most expensive part of a classical pass.  The
+#: budget therefore escalates straight from strict to the decoded
 #: stage, spending the work where belief propagation can still win
 #: instead of burning it on ballots that cannot.
 CLASSICAL_CEILING_RATE = 0.028
-
-#: Past this estimated rate the decoded rung runs *before* widened.
-#: Between here and :data:`CLASSICAL_CEILING_RATE` both rungs can in
-#: principle recover — but the decoder converges in seconds where the
-#: widened stage's junk ballots take tens of seconds, so the ladder
-#: tries belief propagation first and only falls back to the widened
-#: budgets when the decoder abstains.  At or below this rate the
-#: classical stages are cheap and near-certain, and decoded stays the
-#: ladder's top rung.  The threshold sits at the v1 classical
-#: crossover: exactly where a true window's verify margin starts
-#: sinking toward the junk floor.
-DECODE_FIRST_RATE = 0.020
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +154,8 @@ def _litmus_mismatch_estimate(
     size therefore reads the channel's flip rate directly, with no
     need for repeated sightings of any single key.  Slightly
     optimistic at extreme rates (blocks decayed past the cap drop out
-    of the population); the widened budget stage absorbs that.
+    of the population); the calibrated stage's ``+3σ`` headroom and
+    the decoded stage's doubled rate absorb that.
     """
     data = image.data
     if scan_limit_bytes is not None:
@@ -210,7 +198,7 @@ def estimate_decay_rate(
     The measured estimates are mildly optimistic: blocks that pass the
     litmus budget are the less-decayed ones, so heavily damaged dumps
     under-report.  :class:`AdaptiveBudget` compensates with ``+3σ``
-    headroom and a widened final stage.
+    headroom and a decoded final stage calibrated to twice the rate.
 
     Every exit path clamps the rate into ``[1e-6, 0.499]`` (see
     :func:`repro.attack.decode.clamp_rate`): a literal zero — a
@@ -282,9 +270,7 @@ class BudgetStage:
     litmus_tolerance_bits: int
     merge_radius_bits: int
     verify_tolerance_bits: int
-    keyfind_tolerance_bits: int
     accept_mismatch_fraction: float
-    repair_bits: int
     schedule_vote: bool
     #: Belief-propagation decode of observed tables
     #: (:mod:`repro.attack.decode`) — the ladder's last resort, far
@@ -315,8 +301,6 @@ class BudgetStage:
             self.litmus_tolerance_bits,
             self.merge_radius_bits,
             self.verify_tolerance_bits,
-            self.keyfind_tolerance_bits,
-            self.repair_bits,
         ) < 0:
             raise ValueError("budgets must be non-negative")
         if not 0.0 < self.accept_mismatch_fraction < 0.5:
@@ -329,9 +313,7 @@ STRICT_STAGE = BudgetStage(
     litmus_tolerance_bits=16,
     merge_radius_bits=16,
     verify_tolerance_bits=16,
-    keyfind_tolerance_bits=8,
     accept_mismatch_fraction=0.05,
-    repair_bits=1,
     schedule_vote=False,
     cost=1,
 )
@@ -350,36 +332,35 @@ def _tail_budget(bits: float, rate: float, floor: int, cap: int, sigmas: float =
     return max(floor, min(width, cap))
 
 
-def stage_for_rate(name: str, rate: float, cost: int) -> BudgetStage:
-    """Budgets calibrated so true artefacts at ``rate`` pass with margin.
+def stage_for_rate(rate: float) -> BudgetStage:
+    """The ``calibrated`` rung: budgets true artefacts at ``rate`` pass
+    with margin.
 
     Effective bit counts: a zero block's litmus invariants re-read each
     of its 512 bits about three times; two noisy sightings of one key
     differ over 2·512 member bits; a verification window's 128 check
-    bits plus its (nonlinearly diffused) window bits behave like ~700;
-    the plaintext keyfind window is the same shape.
+    bits plus its (nonlinearly diffused) window bits behave like ~700.
     """
     return BudgetStage(
-        name=name,
+        name="calibrated",
         litmus_tolerance_bits=_tail_budget(1536, rate, floor=16, cap=64),
         merge_radius_bits=_tail_budget(1024, rate, floor=16, cap=48),
         verify_tolerance_bits=_tail_budget(700, rate, floor=16, cap=44),
-        keyfind_tolerance_bits=_tail_budget(700, rate, floor=8, cap=32),
         accept_mismatch_fraction=min(0.30, max(0.05, 6.0 * rate + 0.02)),
-        repair_bits=1 if rate < 0.008 else 2,
         schedule_vote=True,
-        cost=cost,
+        cost=2,
     )
 
 
-#: Stage names in escalation order, for ``max_stage`` validation.
-STAGE_ORDER = ("strict", "calibrated", "widened", "decoded")
+#: Stage names in escalation order: every ladder is a prefix of this
+#: order, less ``calibrated`` past :data:`CLASSICAL_CEILING_RATE`.
+STAGE_ORDER = ("strict", "calibrated", "decoded")
 
 
 def decode_stage_for_rate(rate: float) -> BudgetStage:
     """The ladder's top rung: budgets wide enough to *reach* the decoder.
 
-    The decoder corrects channels several times past the widened
+    The decoder corrects channels several times past the calibrated
     stage's horizon, but it only ever sees tables that survived mining,
     the fingerprint join, and verification — and at high decay those
     gates, not the corrector, are what starve recovery.  On a
@@ -406,11 +387,9 @@ def decode_stage_for_rate(rate: float) -> BudgetStage:
         litmus_tolerance_bits=_tail_budget(1536, inflated, floor=64, cap=96),
         merge_radius_bits=_tail_budget(1024, inflated, floor=48, cap=64),
         verify_tolerance_bits=_tail_budget(700, inflated, floor=36, cap=40),
-        keyfind_tolerance_bits=_tail_budget(700, inflated, floor=24, cap=32),
         accept_mismatch_fraction=min(0.25, max(0.10, 3.0 * inflated + 0.04)),
-        # Unused: a decode search never ballots, so neither repair bits
-        # nor voting apply — the decoder does all the correcting.
-        repair_bits=1,
+        # Unused: a decode search never ballots, so voting does not
+        # apply — the decoder does all the correcting.
         schedule_vote=True,
         schedule_decode=True,
         join_radius_bits=1,
@@ -423,29 +402,21 @@ def decode_stage_for_rate(rate: float) -> BudgetStage:
 class AdaptiveBudget:
     """Derives the escalation ladder for a decay estimate.
 
-    Strict first — at low decay the paper's budgets are both the
-    fastest and the most junk-resistant pass — then a stage calibrated
-    to the estimated rate (with consistency voting on), then a widened
-    stage at 1.5× the estimate to absorb estimator optimism, and
-    finally the ``decoded`` stage: belief-propagation decoding behind
-    budgets wide enough to feed it (:func:`decode_stage_for_rate`).
-    Past :data:`CLASSICAL_CEILING_RATE` the calibrated and widened
-    rungs are dropped entirely — hopeless at that channel, and by far
-    the slowest — so the ladder jumps from strict to decoded (which
-    then fits even the default work budget).  Stages are kept while
-    their cumulative cost fits ``total_work``.
+    Strict first (cost 1) — at low decay the paper's budgets are both
+    the fastest and the most junk-resistant pass — then a stage
+    calibrated to the estimated rate with consistency voting on (cost
+    2), and finally the ``decoded`` stage (cost 4): belief-propagation
+    decoding behind budgets wide enough to feed it
+    (:func:`decode_stage_for_rate`).  Past
+    :data:`CLASSICAL_CEILING_RATE` the calibrated rung is dropped —
+    hopeless at that channel — so the ladder jumps from strict to
+    decoded.  The default ``total_work=10`` fits every rung.
     """
 
     estimate: DecayEstimate
-    total_work: int = 6
+    total_work: int = 10
     #: Highest rung the ladder may climb (a :data:`STAGE_ORDER` name);
-    #: ``None`` lets the work budget alone decide.  The decoded stage
-    #: costs 4, so at the default ``total_work=6`` it is trimmed
-    #: whenever the full four-rung ladder applies — callers that want
-    #: it unconditionally (the CLI's ``--max-stage decoded``, the
-    #: robustness benchmark) raise ``total_work`` to 10.  Past
-    #: :data:`CLASSICAL_CEILING_RATE` the middle rungs drop out and
-    #: strict+decoded (cost 5) fits the default budget on its own.
+    #: ``None`` lets the work budget alone decide.
     max_stage: str | None = None
 
     def __post_init__(self) -> None:
@@ -457,49 +428,30 @@ class AdaptiveBudget:
             )
 
     def stages(self) -> list[BudgetStage]:
-        """The ladder, strict first, trimmed to the work budget.
+        """The ladder in :data:`STAGE_ORDER` order, cut to the work budget.
 
-        Past the first rung the ladder's cumulative cost never exceeds
-        ``total_work``, so an engine running any subsequence of it stays
-        within budget.  The wall-clock deadline is the engine's to
-        enforce, rung by rung, with costs measured on the dump.
+        Strict always runs; the ladder stops before the first later rung
+        whose cost would take the cumulative cost past ``total_work``,
+        so an engine running any subsequence of it stays within budget.
+        The wall-clock deadline is the engine's to enforce, rung by
+        rung, with costs measured on the dump.
         """
         rate = self.estimate.rate
         ladder = [STRICT_STAGE]
         if rate <= CLASSICAL_CEILING_RATE:
-            calibrated = stage_for_rate("calibrated", rate, cost=2)
-            if calibrated != STRICT_STAGE:
-                ladder.append(calibrated)
-            widened = stage_for_rate("widened", max(1.5 * rate, rate + 0.004), cost=3)
-            if widened != ladder[-1]:
-                ladder.append(widened)
-        decoded = decode_stage_for_rate(rate)
-        if rate > DECODE_FIRST_RATE and ladder and ladder[-1].name == "widened":
-            # Decode-first band: belief propagation converges in
-            # seconds where the widened ballots take tens of seconds,
-            # so decoded slots in ahead of widened; the engine stops at
-            # the first stage that recovers, making widened the
-            # fallback for decoder abstains rather than the default.
-            ladder.insert(len(ladder) - 1, decoded)
-        else:
-            ladder.append(decoded)
+            ladder.append(stage_for_rate(rate))
+        ladder.append(decode_stage_for_rate(rate))
         if self.max_stage is not None:
             keep_through = STAGE_ORDER.index(self.max_stage)
             ladder = [
                 stage for stage in ladder if STAGE_ORDER.index(stage.name) <= keep_through
             ]
-        kept: list[BudgetStage] = []
         spent = 0
-        for stage in ladder:
-            # Skip (rather than stop at) a rung that does not fit: with
-            # decoded ordered ahead of widened the ladder's costs are no
-            # longer monotonic, so a later, cheaper rung may still fit
-            # the remaining work budget.
-            if kept and spent + stage.cost > self.total_work:
-                continue
-            kept.append(stage)
+        for count, stage in enumerate(ladder):
             spent += stage.cost
-        return kept
+            if count and spent > self.total_work:
+                return ladder[:count]
+        return ladder
 
 
 # --------------------------------------------------------------------------
@@ -702,7 +654,7 @@ class AdaptiveRecoveryEngine:
     """Runs the full estimate → triage → escalate → recover loop.
 
     ``total_work`` bounds how much of the ladder runs (strict costs 1,
-    calibrated 2, widened 3 — roughly their relative runtimes); the
+    calibrated 2, decoded 4; the default of 10 fits all three); the
     engine stops at the first stage that recovers schedules, so a
     lightly decayed dump pays only the strict pass.
     """
@@ -710,7 +662,7 @@ class AdaptiveRecoveryEngine:
     def __init__(
         self,
         key_bits: int = 256,
-        total_work: int = 6,
+        total_work: int = 10,
         max_candidate_keys: int | None = None,
         scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
         max_stage: str | None = None,
@@ -842,9 +794,7 @@ class AdaptiveRecoveryEngine:
         # Triage compares each region's litmus passers against the pool
         # the *widest* stage would mine — a strict pool misses the keys
         # only visible at escalated tolerances and would flag healthy
-        # regions of a heavily decayed dump as alien.  (Max by budget,
-        # not last in the ladder: in the decode-first band the decoded
-        # rung runs before widened but still mines the widest.)
+        # regions of a heavily decayed dump as alien.
         widest = max(stages, key=lambda stage: stage.litmus_tolerance_bits)
         triage_pool = strict_candidates
         if widest.litmus_tolerance_bits > STRICT_STAGE.litmus_tolerance_bits:
@@ -963,7 +913,6 @@ class AdaptiveRecoveryEngine:
                     self.key_bits,
                     verify_tolerance_bits=stage.verify_tolerance_bits,
                     accept_mismatch_fraction=stage.accept_mismatch_fraction,
-                    repair_bits=stage.repair_bits,
                     schedule_vote=stage.schedule_vote,
                     join_radius_bits=stage.join_radius_bits,
                     extension_radius_blocks=stage.extension_radius_blocks,
@@ -1044,38 +993,3 @@ class AdaptiveRecoveryEngine:
             decode_abstains=decode_abstains,
             stage_seconds=stage_seconds,
         )
-
-    # ---------------------------------------------------------------- keyfind
-
-    def keyfind(
-        self,
-        image: MemoryImage,
-        reference: MemoryImage | None = None,
-        deadline: "Deadline | float | None" = None,
-    ) -> tuple[list[KeyfindMatch], list[str]]:
-        """Escalating Halderman-style search over *unscrambled* memory.
-
-        No litmus statistics exist without a scrambler, so the estimate
-        comes from a reference image or the prior; the ladder then
-        escalates ``find_aes_keys``'s window tolerance stage by stage.
-        Returns ``(matches, stages_run)``.
-        """
-        reference_map = None
-        if reference is not None:
-            from repro.analysis.decay_map import decay_map
-
-            reference_map = decay_map(reference, image)
-        deadline = Deadline.coerce(deadline)
-        estimate = estimate_decay_rate(reference_map=reference_map)
-        stages = AdaptiveBudget(estimate, total_work=self.total_work).stages()
-        stages_run: list[str] = []
-        for stage in stages:
-            if deadline is not None and deadline.expired:
-                break
-            stages_run.append(stage.name)
-            matches = find_aes_keys(
-                image, key_bits=self.key_bits, tolerance_bits=stage.keyfind_tolerance_bits
-            )
-            if matches:
-                return matches, stages_run
-        return [], stages_run

@@ -829,8 +829,10 @@ class AesKeySearch:
         #: A candidate key is accepted when at most this fraction of the
         #: full schedule region's bits disagree with its expansion.
         self.accept_mismatch_fraction = accept_mismatch_fraction
-        #: Decay repair: windows are retried with up to this many bit
-        #: flips when no pristine window reconstructs a consistent key.
+        #: Decay repair: when no pristine window reconstructs a clean
+        #: key, windows are retried with each single bit flipped (0
+        #: turns this off).  A ballot flips at most one bit, so values
+        #: above 1 only repeat that pass.
         self.repair_bits = repair_bits
         if join_radius_bits not in (0, 1):
             raise ValueError("join_radius_bits must be 0 or 1")
@@ -845,7 +847,7 @@ class AesKeySearch:
         #: before the greedy equation repair.  Off by default — it can
         #: recover keys the seed path cannot, which would break the
         #: fast-vs-seed equivalence checks; the adaptive engine turns
-        #: it on in its widened stages.
+        #: it on in its calibrated stage.
         self.schedule_vote = bool(schedule_vote)
         if decay_rate is not None and not 0.0 <= decay_rate < 0.5:
             raise ValueError("decay_rate must lie in [0, 0.5)")

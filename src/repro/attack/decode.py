@@ -689,9 +689,11 @@ def decode_schedule(
     and abstains immediately instead of feeding the stagnation
     counter.  Setting ``stall_sweeps=0`` disables both abstains.
 
-    Messages run in float32 (checkpoints always store float64, which
-    represents every float32 exactly, so interrupt/resume stays
-    bit-exact).
+    Messages run in float32; checkpoints store their exponentials in
+    float64, from which the resume recovers every float32 log exactly.
+    A resumed decode therefore returns every field of the straight
+    run's :class:`DecodeResult` bit for bit, except ``checks_updated``
+    and ``checks_dense``, which count the work of this call alone.
     """
     graph = build_constraint_graph(key_bits)
     observed = np.asarray(observed, dtype=np.uint8)
@@ -728,8 +730,10 @@ def decode_schedule(
         and state.digest == digest
         and state.messages.shape == (batch, n_checks, 3, 256)
     ):
-        messages = state.messages.astype(np.float32)
-        cv_log_pad[:, :n_edges, :] = np.log(messages).reshape(batch, n_edges, 256)
+        # The float64 log of the snapshot's float64 exponentials rounds
+        # once, back to exactly the float32 logs it was taken from.
+        logs = np.log(np.asarray(state.messages, dtype=np.float64))
+        cv_log_pad[:, :n_edges, :] = logs.reshape(batch, n_edges, 256)
         start_iteration = int(state.iteration)
         sched = None
         if state.sched is not None:
@@ -737,12 +741,14 @@ def decode_schedule(
                 sched = _SweepSchedule.from_dict(state.sched, batch, n_checks)
             except (KeyError, ValueError, TypeError):
                 sched = None
+        restored = sched is not None
         if sched is None:
             sched = _SweepSchedule(batch, n_checks)
     else:
         cv_log_pad[:, :n_edges, :] = np.log(np.float64(1.0) / 256.0)
         start_iteration = 0
         sched = _SweepSchedule(batch, n_checks)
+        restored = False
     clp_flat = cv_log_pad.reshape(batch * (n_edges + 1), 256)
     posterior_log = np.empty((batch, n_vars, 256), dtype=np.float32)
     post_flat = posterior_log.reshape(batch * n_vars, 256)
@@ -789,8 +795,8 @@ def decode_schedule(
 
     def snapshot_state(iteration: int) -> DecodeState:
         # Re-exponentiate the log-domain messages.  The exp/log
-        # round-trip through float64 recovers every float32 log
-        # exactly, so resuming from the snapshot is bit-exact.
+        # round-trip through float64, rounded once to float32, recovers
+        # every float32 log exactly, so resuming is bit-exact.
         messages = np.exp(cv_log_pad[:, :n_edges, :].astype(np.float64)).reshape(
             batch, n_checks, 3, 256
         )
@@ -845,50 +851,57 @@ def decode_schedule(
             active = np.flatnonzero(~sched.frozen)
             if active.size == 0:
                 break
-            # Hard-decision syndrome for the tables still in play.
-            syn = syndrome_of(hard[active])
-            syndrome_weight[active] = syn
-            now_converged = syn == 0
-            if now_converged.any():
-                done = active[now_converged]
-                sched.converged[done] = True
-                sched.frozen[done] = True
-                sched.dirty[done] = False
-                sched.table_iterations[done] = iteration
-            # Stagnation abstain, per table: that many sweeps without a new
-            # syndrome minimum and the table freezes rather than burning
-            # the full iteration budget to reach the same abstain.
-            live = active[~now_converged]
-            if live.size:
-                improved = syndrome_weight[live] < sched.best_syndrome[live]
-                sched.best_syndrome[live] = np.minimum(
-                    sched.best_syndrome[live], syndrome_weight[live]
-                )
-                sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
-                stalled = np.zeros(live.size, dtype=bool)
-                if stall_sweeps:
-                    # Stagnation only abstains tables still far from a
-                    # codeword: one oscillating within a handful of violated
-                    # checks is circling a fixpoint it usually reaches, and
-                    # its dirty set is tiny — let it spend the budget.
-                    near = sched.best_syndrome[live] * 32 <= n_checks
-                    stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
-                    # Hopeless triage: still violating the majority of
-                    # checks after the probe sweeps means junk, not a slow
-                    # decode — abstain now rather than dribble toward the
-                    # stagnation limit one syndrome point at a time.
-                    if iteration >= _HOPELESS_PROBE_SWEEPS:
-                        stalled |= fully_known[live] & (
-                            sched.best_syndrome[live] * 2 > n_checks
-                        )
-                # A table with no dirty checks has reached a message
-                # fixpoint — nothing can change it, so freeze it now.
-                stalled |= ~sched.dirty[live].any(axis=1)
-                if stalled.any():
-                    halt = live[stalled]
-                    sched.frozen[halt] = True
-                    sched.dirty[halt] = False
-                    sched.table_iterations[halt] = iteration
+            # A restored schedule was snapshotted after its sweep's
+            # convergence and stall bookkeeping; running that again
+            # would count the sweep twice toward ``stall_sweeps``.
+            if not (restored and iteration == start_iteration):
+                # Hard-decision syndrome for the tables still in play.
+                syn = syndrome_of(hard[active])
+                syndrome_weight[active] = syn
+                now_converged = syn == 0
+                if now_converged.any():
+                    done = active[now_converged]
+                    sched.converged[done] = True
+                    sched.frozen[done] = True
+                    sched.dirty[done] = False
+                    sched.table_iterations[done] = iteration
+                # Stagnation abstain, per table: that many sweeps without
+                # a new syndrome minimum and the table freezes rather than
+                # burning the full iteration budget to reach the same
+                # abstain.
+                live = active[~now_converged]
+                if live.size:
+                    improved = syndrome_weight[live] < sched.best_syndrome[live]
+                    sched.best_syndrome[live] = np.minimum(
+                        sched.best_syndrome[live], syndrome_weight[live]
+                    )
+                    sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
+                    stalled = np.zeros(live.size, dtype=bool)
+                    if stall_sweeps:
+                        # Stagnation only abstains tables still far from
+                        # a codeword: one oscillating within a handful of
+                        # violated checks is circling a fixpoint it usually
+                        # reaches, and its dirty set is tiny — let it spend
+                        # the budget.
+                        near = sched.best_syndrome[live] * 32 <= n_checks
+                        stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
+                        # Hopeless triage: still violating the majority
+                        # of checks after the probe sweeps means junk, not
+                        # a slow decode — abstain now rather than dribble
+                        # toward the stagnation limit one syndrome point
+                        # at a time.
+                        if iteration >= _HOPELESS_PROBE_SWEEPS:
+                            stalled |= fully_known[live] & (
+                                sched.best_syndrome[live] * 2 > n_checks
+                            )
+                    # A table with no dirty checks has reached a message
+                    # fixpoint — nothing can change it, so freeze it now.
+                    stalled |= ~sched.dirty[live].any(axis=1)
+                    if stalled.any():
+                        halt = live[stalled]
+                        sched.frozen[halt] = True
+                        sched.dirty[halt] = False
+                        sched.table_iterations[halt] = iteration
             if sched.frozen.all():
                 break
             if deadline is not None and deadline.expired:

@@ -44,13 +44,8 @@ class AttackConfig:
     #: and the Hamming budgets escalate stage by stage until schedules
     #: surface (see :mod:`repro.attack.adaptive`).
     adaptive: bool = False
-    #: Work budget for the adaptive escalation ladder (strict costs 1,
-    #: calibrated 2, widened 3, decoded 4).
-    adaptive_total_work: int = 6
     #: Highest rung the adaptive ladder may climb (``"strict"``,
-    #: ``"calibrated"``, ``"widened"``, ``"decoded"``; None lets the
-    #: work budget decide).  Note the decoded stage's cost of 4 only
-    #: fits when ``adaptive_total_work`` ≥ 10.
+    #: ``"calibrated"`` or ``"decoded"``); None climbs the whole ladder.
     adaptive_max_stage: str | None = None
     #: Cap on belief-propagation sweeps per decoded table (at least 1).
     #: Each decode is one batched :func:`~repro.attack.decode.decode_schedule`
@@ -238,7 +233,6 @@ class Ddr4ColdBootAttack:
             store = DecodeStateStore(config.decode_checkpoint)
         engine = AdaptiveRecoveryEngine(
             key_bits=config.key_bits,
-            total_work=config.adaptive_total_work,
             max_candidate_keys=config.max_candidate_keys,
             scan_limit_bytes=config.key_scan_limit_bytes,
             max_stage=config.adaptive_max_stage,

@@ -146,14 +146,10 @@ def _run_attack(args: argparse.Namespace) -> int:
         from repro.resilience.checkpoint import verify_journal_file
 
         verify_journal_file(checkpoint)
-    # The decoded rung costs 4 work units; asking for it explicitly
-    # raises the ladder budget so it actually fits.
-    total_work = 10 if args.max_stage == "decoded" else 6
     attack = Ddr4ColdBootAttack(
         AttackConfig(
             key_bits=args.key_bits,
             adaptive=args.adaptive,
-            adaptive_total_work=total_work,
             adaptive_max_stage=args.max_stage,
             decode_iters=args.decode_iters,
             # In adaptive mode the journal path doubles as the decode
@@ -564,10 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pre-decay reference dump for a direct decay-rate "
                              "measurement (adaptive mode only)")
     attack.add_argument("--max-stage", metavar="STAGE", default=None,
-                        choices=("strict", "calibrated", "widened", "decoded"),
-                        help="highest adaptive escalation rung; 'decoded' "
-                             "turns on belief-propagation key recovery and "
-                             "raises the work budget to fit it")
+                        choices=("strict", "calibrated", "decoded"),
+                        help="highest adaptive escalation rung (default: "
+                             "climb strict, calibrated, then decoded, the "
+                             "belief-propagation key recovery)")
     attack.add_argument("--decode-iters", type=_positive_int, default=72,
                         help="cap on message-passing sweeps per decoded "
                              "table (adaptive mode, default: 72)")

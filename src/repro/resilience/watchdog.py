@@ -184,34 +184,6 @@ def beat(shard_offset: int) -> None:
     _bump(view, slot)
 
 
-def throttled(callback, every: int = 4):
-    """Wrap a zero-arg liveness callback to fire once per ``every`` calls.
-
-    Long vectorized stages (the belief-propagation decode sweeps, the
-    widened-stage rescue iterations) beat from *inside* their inner
-    loops so the stall-killer never mistakes a healthy multi-minute
-    computation for a hang — but a beat per numpy kernel is wasted
-    syscall traffic.  This throttle is the chunking: the wrapped
-    callback counts every invocation and forwards one beat per chunk,
-    always including the very first call (so the stall clock arms the
-    moment the stage starts).  ``callback=None`` yields ``None`` so
-    call sites can wire it unconditionally.
-    """
-    if callback is None:
-        return None
-    if every < 1:
-        raise ValueError("throttle interval must be at least 1")
-    count = 0
-
-    def tick() -> None:
-        nonlocal count
-        if count % every == 0:
-            callback()
-        count += 1
-
-    return tick
-
-
 # ------------------------------------------------------------- monitor side
 
 

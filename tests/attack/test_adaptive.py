@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack.adaptive import (
+    CLASSICAL_CEILING_RATE,
     STAGE_ORDER,
     STRICT_STAGE,
     AdaptiveBudget,
@@ -89,7 +90,6 @@ class TestBudgetLadder:
     def test_strict_stage_matches_the_papers_constants(self):
         assert STRICT_STAGE.litmus_tolerance_bits == 16
         assert STRICT_STAGE.verify_tolerance_bits == 16
-        assert STRICT_STAGE.keyfind_tolerance_bits == 8
         assert STRICT_STAGE.schedule_vote is False
 
     def test_ladder_starts_strict_and_widens(self):
@@ -102,8 +102,8 @@ class TestBudgetLadder:
         assert all(s.schedule_vote for s in stages[1:])
 
     def test_budgets_scale_with_rate(self):
-        low = stage_for_rate("calibrated", 0.004, cost=2)
-        high = stage_for_rate("calibrated", 0.02, cost=2)
+        low = stage_for_rate(0.004)
+        high = stage_for_rate(0.02)
         assert high.litmus_tolerance_bits > low.litmus_tolerance_bits
         assert high.verify_tolerance_bits > low.verify_tolerance_bits
         assert high.accept_mismatch_fraction > low.accept_mismatch_fraction
@@ -111,7 +111,8 @@ class TestBudgetLadder:
     def test_total_work_trims_the_ladder(self):
         estimate = DecayEstimate(rate=0.02, source="prior", sample_bits=0)
         assert len(AdaptiveBudget(estimate, total_work=1).stages()) == 1
-        assert len(AdaptiveBudget(estimate, total_work=6).stages()) == 3
+        assert len(AdaptiveBudget(estimate, total_work=6).stages()) == 2
+        assert len(AdaptiveBudget(estimate, total_work=7).stages()) == 3
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -120,22 +121,35 @@ class TestBudgetLadder:
         max_stage=st.sampled_from((None, *STAGE_ORDER)),
     )
     def test_ladder_cost_never_exceeds_the_work_budget(self, rate, total_work, max_stage):
-        """After its first rung the ladder's cumulative cost stays within
+        """Rungs run in STAGE_ORDER order — ``calibrated`` only up to
+        the classical ceiling, nothing past ``max_stage``.  After its
+        first rung the ladder's cumulative cost stays within
         ``total_work``, so the engine, which runs a subsequence of it,
-        never needs a budget check of its own."""
+        never needs a budget check of its own; and the budget cuts a
+        rung only together with every rung after it."""
         estimate = DecayEstimate(rate=rate, source="prior", sample_bits=0)
+        whole = AdaptiveBudget(estimate, total_work=100, max_stage=max_stage).stages()
+        top = STAGE_ORDER.index(max_stage) if max_stage is not None else len(STAGE_ORDER)
+        assert [s.name for s in whole] == [
+            name
+            for index, name in enumerate(STAGE_ORDER)
+            if index <= top and (name != "calibrated" or rate <= CLASSICAL_CEILING_RATE)
+        ]
         stages = AdaptiveBudget(estimate, total_work=total_work, max_stage=max_stage).stages()
+        assert stages == whole[: len(stages)]
         assert stages[0] == STRICT_STAGE
         spent = stages[0].cost
         for stage in stages[1:]:
             spent += stage.cost
             assert spent <= total_work
+        if len(stages) < len(whole):
+            assert spent + whole[len(stages)].cost > total_work
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
-            BudgetStage("bad", 16, 16, 16, 8, 0.6, 1, False)
+            BudgetStage("bad", 16, 16, 16, 0.6, False)
         with pytest.raises(ValueError):
-            BudgetStage("bad", -1, 16, 16, 8, 0.05, 1, False)
+            BudgetStage("bad", -1, 16, 16, 0.05, False)
 
 
 class TestConfidenceCalibration:
@@ -245,18 +259,6 @@ class TestEngine:
         assert digest["n_recovered"] == len(result.recovered)
         assert digest["stages_run"] == ["strict"]
 
-    def test_keyfind_stops_at_strict_on_clean_memory(self):
-        from repro.crypto.aes import expand_key
-
-        rng = np.random.default_rng(11)
-        data = bytearray(rng.integers(0, 256, 64 * 1024, np.uint8).tobytes())
-        master = bytes(rng.integers(0, 256, 32, np.uint8))
-        schedule = expand_key(master)
-        data[4096 : 4096 + len(schedule)] = schedule
-        matches, stages_run = AdaptiveRecoveryEngine().keyfind(MemoryImage(bytes(data)))
-        assert stages_run == ["strict"]
-        assert any(m.master_key == master for m in matches)
-
 
 class TestDecodedRung:
     """The belief-propagation rung and the ladder reshaping around it."""
@@ -271,11 +273,9 @@ class TestDecodedRung:
         assert stages[-1].schedule_decode
 
     def test_classical_rungs_drop_past_the_ceiling(self):
-        """Past CLASSICAL_CEILING_RATE the calibrated/widened budgets
-        are hopeless (the v1 crossover was 0.020) and slow; the ladder
-        must jump straight from strict to decoded."""
-        from repro.attack.adaptive import CLASSICAL_CEILING_RATE
-
+        """Past CLASSICAL_CEILING_RATE the calibrated budgets are
+        hopeless (the v1 crossover was 0.020) and slow; the ladder must
+        jump straight from strict to decoded."""
         estimate = DecayEstimate(
             rate=CLASSICAL_CEILING_RATE + 0.004, source="prior", sample_bits=0
         )
@@ -284,11 +284,11 @@ class TestDecodedRung:
 
     def test_classical_rungs_survive_below_the_ceiling(self):
         estimate = DecayEstimate(rate=0.015, source="prior", sample_bits=0)
-        names = [s.name for s in AdaptiveBudget(estimate, total_work=10).stages()]
-        assert names == ["strict", "calibrated", "widened", "decoded"]
+        names = [s.name for s in AdaptiveBudget(estimate).stages()]
+        assert names == ["strict", "calibrated", "decoded"]
 
     def test_decoded_fits_the_default_budget_past_the_ceiling(self):
-        """strict(1) + decoded(4) = 5 ≤ the default total_work of 6 —
+        """strict(1) + decoded(4) = 5 ≤ the default total_work of 10 —
         the decode escalation is reachable without any budget bump
         exactly where it is the only remaining option."""
         estimate = DecayEstimate(rate=0.04, source="prior", sample_bits=0)
@@ -403,6 +403,19 @@ class TestOneDecodedPath:
         assert result.stages_run[-1] == "decoded"
         assert sorted(result.masters) == sorted((master[:32], master[32:]))
 
+    def test_decoder_abstain_ends_the_ladder(self):
+        """BER 0.028, seed 4: strict and calibrated recover nothing and
+        the decoder abstains, so the default ladder returns no key after
+        three rungs, in about a second."""
+        dump, _, _ = synthetic_dump(bit_error_rate=0.028, seed=4)
+        estimate = estimate_decay_rate(candidates=mine_scrambler_keys(dump), image=dump)
+        assert estimate.rate == pytest.approx(0.0256, abs=5e-4)
+        planned = [s.name for s in AdaptiveBudget(estimate).stages()]
+        assert planned == ["strict", "calibrated", "decoded"]
+        result = AdaptiveRecoveryEngine().recover(dump)
+        assert result.stages_run == planned
+        assert result.masters == []
+
 
 def _recovered_at(base: int) -> RecoveredAesKey:
     """A recovered key whose one hit pins its schedule at ``base``."""
@@ -431,7 +444,7 @@ class TestCompletePairs:
     def _complete(self, bases):
         search = self._RecordingSearch()
         engine = AdaptiveRecoveryEngine()
-        stage = stage_for_rate("calibrated", 0.01, cost=2)
+        stage = stage_for_rate(0.01)
         image = MemoryImage(bytes(64 * BLOCK_SIZE))
         kept = engine._complete_pairs(image, search, [_recovered_at(b) for b in bases], stage)
         return search.bases, [r.hits[0].table_base for r in kept]

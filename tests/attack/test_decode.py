@@ -7,6 +7,7 @@ all three AES variants and asymmetric channels.
 """
 
 import base64
+import dataclasses
 import sys
 import threading
 from pathlib import Path
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
@@ -29,6 +30,7 @@ from repro.attack.decode import (  # noqa: E402
     RATE_CEIL,
     RATE_FLOOR,
     ChannelModel,
+    DecodeResult,
     DecodeState,
     block_key_plausibility,
     build_constraint_graph,
@@ -70,6 +72,65 @@ class CountdownDeadline(Deadline):
         left = self.checks_left
         object.__setattr__(self, "checks_left", left - 1)
         return left <= 0
+
+
+def decode_batch(
+    seed: int,
+    key_bits: int,
+    n_tables: int,
+    junk_share: float,
+    rate: float,
+    to_ground: float,
+    erase_share: float | None,
+    erase_frac: float,
+) -> tuple[np.ndarray, ChannelModel, np.ndarray | None]:
+    """``(observed, channel, known)``: planted schedules decayed through
+    an asymmetric channel (ground state zero) mixed with junk tables,
+    with an erased span of up to half the table in a share of them,
+    handed over through ``known`` (``erase_share=None`` hands over no
+    mask at all)."""
+    rng = np.random.default_rng(seed)
+    channel = ChannelModel(
+        rate_to_ground=max(rate, 1e-4) * to_ground,
+        rate_from_ground=max(rate, 1e-4),
+    )
+    tables = []
+    for _ in range(n_tables):
+        if rng.random() < junk_share:
+            tables.append(rng.integers(0, 256, 16 * (rounds_for(key_bits) + 1), dtype=np.uint8))
+            continue
+        bits = np.unpackbits(np.frombuffer(expand_key(rng.bytes(key_bits // 8)), np.uint8))
+        flip = np.where(bits == 1, channel.rate_to_ground, channel.rate_from_ground)
+        tables.append(np.packbits(bits ^ (rng.random(bits.size) < flip)))
+    observed = np.stack(tables)
+    known = None
+    if erase_share is not None:
+        n_bytes = observed.shape[1]
+        known = np.ones(observed.shape, dtype=bool)
+        for row in np.flatnonzero(rng.random(n_tables) < erase_share):
+            span = int(erase_frac * n_bytes)
+            lo = int(rng.integers(0, n_bytes - span + 1))
+            known[row, lo : lo + span] = False
+        observed[~known] = 0
+    return observed, channel, known
+
+
+#: The :class:`DecodeResult` fields that count the work of one call
+#: rather than describe the decode.
+WORK_COUNTERS = ("checks_updated", "checks_dense")
+
+
+def assert_same_decode(got: DecodeResult, want: DecodeResult, skip=()) -> None:
+    """Every field but ``skip`` bit for bit, dtypes included."""
+    for field in dataclasses.fields(DecodeResult):
+        if field.name in skip:
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            assert a.shape == b.shape, field.name
+        else:
+            assert a == b, field.name
 
 
 def _same_result(a, b) -> bool:
@@ -422,6 +483,51 @@ def _mixed_batch(seed: int, n_true: int, n_junk: int, rate: float) -> np.ndarray
         [_corrupt(expand_key(_master(256, seed + i)), rate, seed + i) for i in range(n_true)]
         + [rng.integers(0, 256, 240, np.uint8) for _ in range(n_junk)]
     )
+
+
+class TestResumeProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        key_bits=st.sampled_from((128, 192, 256)),
+        n_tables=st.integers(1, 12),
+        junk_share=st.floats(0.0, 1.0),
+        rate=st.floats(0.0, 0.06),
+        to_ground=st.floats(0.5, 2.0),
+        erase_share=st.sampled_from((None, 0.0, 0.3, 1.0)),
+        erase_frac=st.floats(0.0, 0.5),
+        cut=st.integers(0, 2**16),
+    )
+    # A junk table with a quarter erased, cut after 2 polls: the float32
+    # log of the checkpoint's rounded probabilities changed 6 messages.
+    @example(0, 128, 1, 1.0, 0.03125, 1.0, 1.0, 0.25, 2)
+    # Four junk tables with half of each erased, cut after 6 polls: the
+    # junk stalls through the stagnation counter, and counting the cut
+    # sweep twice froze it one sweep early.
+    @example(0, 128, 4, 1.0, 0.0, 1.0, 1.0, 0.5, 6)
+    def test_resume_matches_the_straight_run(
+        self, seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share,
+        erase_frac, cut,
+    ):
+        """A decode cut by a deadline at any poll and resumed from its
+        checkpoint returns the straight run's result, every field bit
+        for bit but the work counters."""
+        observed, channel, known = decode_batch(
+            seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share, erase_frac
+        )
+        straight = decode_schedule(observed, key_bits, channel, known=known)
+        if straight.iterations == 0:
+            return
+        # One poll per sweep the straight run made.
+        checks = cut % straight.iterations
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(
+                observed, key_bits, channel, known=known, deadline=CountdownDeadline(checks)
+            )
+        state = err.value.decode_state
+        assert state.iteration == checks
+        resumed = decode_schedule(observed, key_bits, channel, known=known, state=state)
+        assert_same_decode(resumed, straight, skip=WORK_COUNTERS)
 
 
 class TestDecodeStateShape:
