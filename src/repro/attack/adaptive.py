@@ -615,7 +615,11 @@ class AdaptiveRecovery:
     #: converged/abstained counts, bases the span pre-gate rejected
     #: (``gated``) or skipped inside a decoded key's region
     #: (``claimed``), mean posterior entropy, and whether a deadline
-    #: interrupted a decode mid-sweep.
+    #: interrupted a decode mid-sweep.  A list decode ends at its first
+    #: combo that converges and passes the region check; the combos it
+    #: cuts short count in ``tables`` and ``iterations`` but as neither
+    #: converged nor abstained, and the mean posterior entropy is over
+    #: the converged and abstained tables only.
     decode: dict | None = None
     #: Structured evidence for every table the decoder declined to
     #: turn into a key (:class:`~repro.resilience.errors.DecodeAbstainError`).
@@ -967,6 +971,7 @@ class AdaptiveRecoveryEngine:
         decode_block = None
         if decode_totals["tables"] or decode_totals["gated"] or decode_totals["interrupted"]:
             tables = decode_totals["tables"]
+            settled = decode_totals["converged"] + decode_totals["abstained"]
             decode_block = {
                 "tables": tables,
                 "iterations": decode_totals["iterations"],
@@ -977,7 +982,7 @@ class AdaptiveRecoveryEngine:
                 "gated": decode_totals["gated"],
                 "claimed": decode_totals["claimed"],
                 "mean_posterior_entropy": (
-                    decode_totals["posterior_entropy_sum"] / tables if tables else 0.0
+                    decode_totals["posterior_entropy_sum"] / settled if settled else 0.0
                 ),
                 "interrupted": decode_totals["interrupted"],
             }

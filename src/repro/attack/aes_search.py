@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -1589,6 +1590,7 @@ class AesKeySearch:
         knowns: np.ndarray,
         state_key: str,
         rate_hint: float,
+        accept: Callable[[int, np.ndarray], bool] | None = None,
     ) -> DecodeResult:
         """Belief-propagation pass over one observed table or a batch.
 
@@ -1603,6 +1605,10 @@ class AesKeySearch:
         the one in flight, and each bootstrap re-decode as one table
         (``{base:#x}:boot0``, ``:boot1``).  The caller applies the
         plausibility gate first and records abstain evidence itself.
+        ``accept`` goes to the decoder, which returns at the first
+        converged table it takes; the tables that return cuts short
+        (``DecodeResult.cut``) count as neither converged nor abstained
+        and add no posterior entropy.
         """
         if self.decay_rate is not None:
             # A single-sighting pool key carries the dump's flip rate
@@ -1624,6 +1630,7 @@ class AesKeySearch:
                 on_progress=self.on_progress,
                 deadline=self.deadline,
                 state=None if payload is None else DecodeState.from_dict(payload),
+                accept=accept,
             )
         except DeadlineExceededError as error:
             partial = getattr(error, "decode_state", None)
@@ -1634,12 +1641,13 @@ class AesKeySearch:
             store.discard(state_key)
         stats = self.decode_stats
         batch = result.converged.size
+        settled = np.ones(batch, dtype=bool) if result.cut is None else ~result.cut
         converged = int(result.converged.sum())
         stats["tables"] += batch
         stats["iterations"] += int(result.table_iterations.sum())
-        stats["posterior_entropy_sum"] += float(result.posterior_entropy.sum())
+        stats["posterior_entropy_sum"] += float(result.posterior_entropy[settled].sum())
         stats["converged"] += converged
-        stats["abstained"] += batch - converged
+        stats["abstained"] += int(settled.sum()) - converged
         stats["checks_updated"] += result.checks_updated
         stats["checks_dense"] += result.checks_dense
         return result
@@ -1745,11 +1753,15 @@ class AesKeySearch:
         so the true assignment lands early.  A combo carrying a junk
         slice frustrates the syndrome and abstains; the true one
         converges — a valid schedule by construction (zero syndrome).
-        When no combo converges outright, the bootstrap loop feeds the
-        least-frustrated posterior back as the :meth:`_observed_table`
-        guess — a partial decode is usually enough to unlock keys the
-        candidate bar missed, and the re-decode with that coverage
-        converges.  The region residual check then confirms any
+        The trials decode as one batch that ends at the first combo
+        that converges and passes the region check
+        (:meth:`_region_confirms`), once every combo before it has
+        settled.  When no combo converges outright, the bootstrap loop
+        feeds the least-frustrated posterior back as the
+        :meth:`_observed_table` guess — a partial decode is usually
+        enough to unlock keys the candidate bar missed, and the
+        re-decode with that coverage converges.  The region residual
+        check then confirms any
         decoded schedule against the dump like a classical ballot.
         Returns the confirmed key, or ``None`` when the base abstains:
         the pre-gate rejected it (counted as ``gated``), or neither the
@@ -1814,15 +1826,20 @@ class AesKeySearch:
             combo_knowns.append(known)
         best: tuple[int, DecodeResult, np.ndarray, np.ndarray] | None = None
         if combo_tables:
+            # Combos keep their coverage-priority order, so the first
+            # converged combo that validates is the same one the old
+            # sequential trial loop would have returned.  The decode
+            # ends there: the combos after it cannot change the answer.
+            def confirms(_index: int, table: np.ndarray) -> bool:
+                return self._region_confirms(table, blocks, base) is not None
+
             batched = self._decode(
                 np.stack(combo_tables),
                 np.stack(combo_knowns),
                 f"{base:#x}:combos",
                 rate_hint,
+                accept=confirms,
             )
-            # Combos keep their coverage-priority order, so the first
-            # converged combo that validates is the same one the old
-            # sequential trial loop would have returned.
             for idx in range(len(combo_tables)):
                 if not batched.abstained(idx):
                     key = self._decoded_key(batched.table(idx), blocks, base, group)
@@ -1880,6 +1897,23 @@ class AesKeySearch:
             )
         return None
 
+    def _region_confirms(
+        self, decoded: np.ndarray, blocks: np.ndarray, base: int
+    ) -> tuple[bytes, np.ndarray, int, int] | None:
+        """The region check of a decoded table.
+
+        Expands the table's master key and scores the expansion against
+        the dump's region at ``base``.  Returns ``(master, expansion,
+        mismatch bits, counted bits)``, or ``None`` when the mismatch
+        fraction exceeds ``accept_mismatch_fraction``.
+        """
+        master = decoded[: self.variant.key_bits // 8].tobytes()
+        expansion = np.frombuffer(expand_key(master), dtype=np.uint8)
+        mismatch, counted_bits = self._region_mismatch(blocks, base, expansion[None, :])[0]
+        if mismatch / counted_bits > self.accept_mismatch_fraction:
+            return None
+        return master, expansion, mismatch, counted_bits
+
     def _decoded_key(
         self,
         result: DecodeResult,
@@ -1888,14 +1922,12 @@ class AesKeySearch:
         group: list[ScheduleHit],
     ) -> RecoveredAesKey | None:
         """Confirm a converged decode against the dump and package it."""
-        variant = self.variant
-        decoded = result.tables[0]
-        master = decoded[: variant.key_bits // 8].tobytes()
-        expansion = np.frombuffer(expand_key(master), dtype=np.uint8)
-        mismatch, counted_bits = self._region_mismatch(blocks, base, expansion[None, :])[0]
-        fraction = mismatch / counted_bits
-        if fraction > self.accept_mismatch_fraction:
+        confirmed = self._region_confirms(result.tables[0], blocks, base)
+        if confirmed is None:
             return None
+        master, expansion, mismatch, counted_bits = confirmed
+        fraction = mismatch / counted_bits
+        variant = self.variant
         votes = 0
         for hit in group:
             lo = 16 * hit.round_index

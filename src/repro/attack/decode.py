@@ -60,6 +60,7 @@ import base64
 import hashlib
 import threading
 import zlib
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -532,6 +533,11 @@ class DecodeResult:
     #: schedule would have computed — the active-set/residual savings.
     checks_updated: int = 0
     checks_dense: int = 0
+    #: Per-table: still in play when an accepted table ended the decode
+    #: (``decode_schedule``'s ``accept``), so neither converged nor
+    #: abstained.  ``None`` when no table was accepted.  Like the work
+    #: counters it describes the call, so one-table views leave it out.
+    cut: np.ndarray | None = None
 
     def abstained(self, index: int = 0) -> bool:
         """Whether table ``index`` failed to converge (abstain path)."""
@@ -651,6 +657,8 @@ def decode_schedule(
     state: DecodeState | None = None,
     beat_every: int = 4,
     stall_sweeps: int = 8,
+    *,
+    accept: Callable[[int, np.ndarray], bool] | None = None,
 ) -> DecodeResult:
     """Sum-product decode of one observed schedule table or a batch.
 
@@ -694,6 +702,19 @@ def decode_schedule(
     A resumed decode therefore returns every field of the straight
     run's :class:`DecodeResult` bit for bit, except ``checks_updated``
     and ``checks_dense``, which count the work of this call alone.
+
+    ``accept(index, table)`` ends a list decode once it is decided.
+    Batch order is priority order: after each sweep's convergence and
+    stall bookkeeping (the restored sweep of a resume included), the
+    decode asks it about each converged table, lowest index first and
+    once all of that table's predecessors have frozen, passing the
+    table's hard-decided bytes; the first ``True`` returns at once,
+    with the tables still in play marked in ``cut``.  Nothing couples
+    tables, so the accepted row, and every row before it, is the one
+    a full decode returns, and the accepted index is the full decode's
+    first converged table that ``accept`` takes, unless a table before
+    it runs to ``max_iters`` without freezing.  When nothing is
+    accepted the decode is the full decode, bit for bit.
     """
     graph = build_constraint_graph(key_bits)
     observed = np.asarray(observed, dtype=np.uint8)
@@ -792,6 +813,20 @@ def decode_schedule(
         p = tables[:, graph.p_idx]
         residue = t ^ s ^ graph.fwd_lut[rows[None, :], p]
         return (residue != 0).sum(axis=1)
+
+    asked = 0
+    cut = None
+
+    def offer_frozen_prefix() -> bool:
+        # The tables before ``asked`` have frozen and, where converged,
+        # been refused.  Grow that decided prefix, offering each newly
+        # frozen converged table to ``accept`` in batch order.
+        nonlocal asked
+        while asked < batch and sched.frozen[asked]:
+            if sched.converged[asked] and accept(asked, hard[asked].copy()):
+                return True
+            asked += 1
+        return False
 
     def snapshot_state(iteration: int) -> DecodeState:
         # Re-exponentiate the log-domain messages.  The exp/log
@@ -902,6 +937,9 @@ def decode_schedule(
                         sched.frozen[halt] = True
                         sched.dirty[halt] = False
                         sched.table_iterations[halt] = iteration
+            if accept is not None and offer_frozen_prefix():
+                cut = ~sched.frozen
+                break
             if sched.frozen.all():
                 break
             if deadline is not None and deadline.expired:
@@ -1016,4 +1054,5 @@ def decode_schedule(
         table_iterations=sched.table_iterations.copy(),
         checks_updated=checks_updated,
         checks_dense=checks_dense,
+        cut=cut,
     )

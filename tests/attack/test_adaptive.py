@@ -417,6 +417,50 @@ class TestOneDecodedPath:
         assert result.masters == []
 
 
+class TestListDecodeExit:
+    """The decoded rung ends each list decode at its first combo that
+    converges and passes the region check.  A wrapper that drops the
+    hook decodes every combo to its own freeze, as the rung used to:
+    the keys and the report must not tell the two apart."""
+
+    #: The decode counters the early exit may change: it cuts combos
+    #: short and so runs fewer sweeps and settles fewer tables.
+    EXIT_COUNTERS = (
+        "iterations", "converged", "abstained", "checks_updated", "checks_dense",
+        "mean_posterior_entropy",
+    )
+
+    @pytest.mark.parametrize("ber", [0.024, 0.040])
+    def test_keys_and_report_match_full_batch_decodes(self, monkeypatch, ber):
+        from repro.attack import aes_search
+
+        dump, master, _ = synthetic_dump(bit_error_rate=ber, seed=5)
+        hooked = AdaptiveRecoveryEngine(total_work=10).recover(dump)
+        decode_schedule = aes_search.decode_schedule
+
+        def full_batch(*args, accept=None, **kwargs):
+            return decode_schedule(*args, **kwargs)
+
+        monkeypatch.setattr(aes_search, "decode_schedule", full_batch)
+        full = AdaptiveRecoveryEngine(total_work=10).recover(dump)
+
+        assert hooked.recovered == full.recovered
+        assert set(hooked.masters) == {master[:32], master[32:]}
+        got, want = hooked.summary(), full.summary()
+        for digest in (got, want):
+            del digest["stage_seconds"]
+            for name in self.EXIT_COUNTERS:
+                del digest["decode"][name]
+        assert got == want
+        assert hooked.decode["iterations"] <= full.decode["iterations"]
+        assert full.decode["converged"] + full.decode["abstained"] == full.decode["tables"]
+        if ber == 0.024:
+            assert hooked.decode["iterations"] < full.decode["iterations"]
+            # The combos the exit cut count as neither converged nor abstained.
+            settled = hooked.decode["converged"] + hooked.decode["abstained"]
+            assert settled < hooked.decode["tables"]
+
+
 def _recovered_at(base: int) -> RecoveredAesKey:
     """A recovered key whose one hit pins its schedule at ``base``."""
     block, offset = divmod(base, BLOCK_SIZE)

@@ -27,6 +27,7 @@ from benchmarks.legacy_decode import (  # noqa: E402
 
 from repro.attack.decode import (  # noqa: E402
     DEFAULT_DAMPING,
+    DEFAULT_DECODE_ITERS,
     RATE_CEIL,
     RATE_FLOOR,
     ChannelModel,
@@ -528,6 +529,131 @@ class TestResumeProperty:
         assert state.iteration == checks
         resumed = decode_schedule(observed, key_bits, channel, known=known, state=state)
         assert_same_decode(resumed, straight, skip=WORK_COUNTERS)
+
+
+def _recording_hook(full: DecodeResult, rejected, start: int = 0):
+    """``(accept, beat, asked)`` for a decode of ``full``'s batch.
+
+    ``accept`` takes every converged table not in ``rejected``.  Each
+    call checks what it is shown against the full decode: the table is
+    one that converged, with its final row, and every table before it
+    has already frozen there.  ``beat``, the decode's ``on_progress``
+    with ``beat_every=1``, counts its sweeps from ``start``, and
+    ``asked`` records the indices offered, in order."""
+    sweep = [start]
+    asked: list[int] = []
+
+    def accept(index: int, table: np.ndarray) -> bool:
+        assert full.converged[index], index
+        assert table.tobytes() == full.tables[index].tobytes(), index
+        # A table frozen at sweep t has table_iterations t; one still
+        # live at the cap has the cap, which no sweep index reaches.
+        assert (full.table_iterations[:index] <= sweep[0]).all(), (index, sweep[0])
+        asked.append(index)
+        return index not in rejected
+
+    def beat() -> None:
+        sweep[0] += 1
+
+    return accept, beat, asked
+
+
+def _first_accepted(full: DecodeResult, rejected, max_iters: int) -> int | None:
+    """The full decode's first converged table not in ``rejected``, if
+    every table before it froze; a table still live at the sweep cap
+    holds back every table after it."""
+    for index in range(full.converged.size):
+        if full.converged[index] and index not in rejected:
+            return index
+        if full.table_iterations[index] == max_iters:
+            return None
+    return None
+
+
+class TestAcceptExit:
+    """``accept`` ends a list decode at the first converged table it
+    takes, with that table's row exactly as the full decode has it.
+    When a table before that one runs to the sweep cap without
+    freezing, nothing is accepted and the decode is the full decode."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        key_bits=st.sampled_from((128, 192, 256)),
+        n_tables=st.integers(2, 25),
+        junk_share=st.floats(0.0, 1.0),
+        rate=st.floats(0.0, 0.06),
+        to_ground=st.floats(0.5, 2.0),
+        erase_share=st.sampled_from((None, 0.0, 0.3, 1.0)),
+        erase_frac=st.floats(0.0, 0.5),
+        rejected=st.sets(st.integers(0, 24)),
+        max_iters=st.sampled_from((6, DEFAULT_DECODE_ITERS)),
+        cut=st.integers(0, 2**16),
+        cut_hooked=st.booleans(),
+    )
+    # Tables 0, 1, 3 and 5 converge at sweep 3, table 2 at sweep 6: with
+    # 0 and 1 refused, table 3 may not be offered before table 2 freezes.
+    # The unhooked cut at sweep 7 resumes past the accepting sweep.
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 4, True)
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 7, False)
+    # The same batch capped at 6 sweeps: table 2 never freezes, so the
+    # decode accepts nothing and runs to the cap.
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, 6, 2, True)
+    def test_accepts_the_full_decodes_first_accepted_table(
+        self, seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share,
+        erase_frac, rejected, max_iters, cut, cut_hooked,
+    ):
+        observed, channel, known = decode_batch(
+            seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share, erase_frac
+        )
+        args = (observed, key_bits, channel)
+        kwargs = {"known": known, "max_iters": max_iters}
+        full = decode_schedule(*args, **kwargs)
+        want = _first_accepted(full, rejected, max_iters)
+
+        accept, beat, asked = _recording_hook(full, rejected)
+        hooked = decode_schedule(
+            *args, **kwargs, accept=accept, on_progress=beat, beat_every=1
+        )
+        assert asked == sorted(set(asked))
+        assert (asked[-1] if asked and asked[-1] not in rejected else None) == want
+        if want is None:
+            assert_same_decode(hooked, full)
+        else:
+            serial = serial_decode_schedule(*args, **kwargs)
+            for index in range(want + 1):
+                assert_same_decode(hooked.table(index), full.table(index))
+            assert_same_decode(hooked.table(want), serial.table(want))
+            still_live = full.table_iterations > hooked.iterations
+            assert hooked.cut.tolist() == still_live.tolist()
+
+        # Cut by a deadline at any poll, with or without the hook, and
+        # resumed with it: the same table, the same row.  The restored
+        # sweep is offered too, so a resume past the accepting sweep of
+        # a decode cut without the hook accepts at once.
+        polls = hooked.iterations if cut_hooked else full.iterations
+        if polls == 0:
+            return
+        checks = cut % polls
+        accept, beat, asked = _recording_hook(full, rejected)
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(
+                *args, **kwargs, accept=accept if cut_hooked else None,
+                on_progress=beat, beat_every=1, deadline=CountdownDeadline(checks),
+            )
+        state = err.value.decode_state
+        assert state.iteration == checks
+        assert all(index in rejected for index in asked)
+        accept, beat, asked = _recording_hook(full, rejected, start=checks)
+        resumed = decode_schedule(
+            *args, **kwargs, state=state, accept=accept, on_progress=beat, beat_every=1
+        )
+        assert (asked[-1] if asked and asked[-1] not in rejected else None) == want
+        if want is None:
+            assert_same_decode(resumed, full, skip=WORK_COUNTERS)
+        else:
+            assert_same_decode(resumed.table(want), full.table(want))
+            assert resumed.iterations == max(checks, hooked.iterations)
 
 
 class TestDecodeStateShape:
