@@ -50,7 +50,6 @@ from repro.attack.keymine import (
 )
 from repro.attack.litmus import key_litmus_mismatch_bits, litmus_parity_matrix
 from repro.attack.parallel import merge_recovered
-from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import (
@@ -667,21 +666,17 @@ class AdaptiveRecoveryEngine:
         self,
         key_bits: int = 256,
         total_work: int = 10,
-        max_candidate_keys: int | None = None,
         scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
         max_stage: str | None = None,
         decode_iters: int = DEFAULT_DECODE_ITERS,
         decode_state_store=None,
     ) -> None:
-        if max_candidate_keys is not None and max_candidate_keys < 1:
-            raise ValueError("max_candidate_keys must be positive")
         if max_stage is not None and max_stage not in STAGE_ORDER:
             raise ValueError(f"max_stage must be one of {STAGE_ORDER}, got {max_stage!r}")
         if decode_iters < 1:
             raise ValueError("decode_iters must be at least 1")
         self.key_bits = key_bits
         self.total_work = total_work
-        self.max_candidate_keys = max_candidate_keys
         self.scan_limit_bytes = scan_limit_bytes
         #: Ceiling on the escalation ladder (see :data:`STAGE_ORDER`).
         self.max_stage = max_stage
@@ -713,39 +708,6 @@ class AdaptiveRecoveryEngine:
             parts.append(bytes(image.data[offset : offset + take]))
             total += take
         return MemoryImage(b"".join(parts))
-
-    def _complete_pairs(
-        self,
-        image: MemoryImage,
-        search: AesKeySearch,
-        recovered: list[RecoveredAesKey],
-        stage: BudgetStage,
-    ) -> list[RecoveredAesKey]:
-        """Second chance for XTS siblings one schedule-length away.
-
-        Mirrors the pipeline's targeted rescue: with the base pinned by
-        a recovered partner, verification affords a loose budget, so a
-        tweak schedule too decayed for the open scan still surfaces.
-        Only unpaired schedules are rescued: a base whose partner was
-        already recovered is a complete pair, and its outer neighbours
-        can only hold junk.
-        """
-        stride = schedule_bytes(self.key_bits)
-        by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
-        unpaired = [
-            base
-            for base in sorted(by_base)
-            if base - stride not in by_base and base + stride not in by_base
-        ]
-        loose = max(40, stage.verify_tolerance_bits + 8)
-        for base in unpaired:
-            for sibling in (base - stride, base + stride):
-                if sibling < 0 or sibling in by_base:
-                    continue
-                extra = search.recover_at_base(image, sibling, loose_tolerance_bits=loose)
-                if extra is not None and extra.hits:
-                    by_base[sibling] = extra
-        return [by_base[base] for base in sorted(by_base)]
 
     # ------------------------------------------------------------------- scan
 
@@ -897,8 +859,6 @@ class AdaptiveRecoveryEngine:
                     scan_limit_bytes=self.scan_limit_bytes,
                     state=mining,
                 )
-                if self.max_candidate_keys is not None:
-                    candidates = candidates[: self.max_candidate_keys]
                 if not candidates:
                     diagnostics.append(f"stage {stage.name!r}: no candidate keys mined")
                     continue
@@ -935,7 +895,9 @@ class AdaptiveRecoveryEngine:
                         for offset, length in extents
                     ]
                     recovered = merge_recovered(per_extent)
-                    recovered = self._complete_pairs(image, search, recovered, stage)
+                    recovered = search.complete_pairs(
+                        image, recovered, max(40, stage.verify_tolerance_bits + 8)
+                    )
                 except DeadlineExceededError as error:
                     # Mid-decode expiry: the partial posteriors are already
                     # in the state store (the search saved them before

@@ -2147,6 +2147,41 @@ class AesKeySearch:
         span_gate = self._span_table_from_hits(blocks, base, hits)
         return self._recover_from_group(blocks, base, hits, span_gate, pinned=True)[0]
 
+    def complete_pairs(
+        self,
+        image: MemoryImage,
+        recovered: list[RecoveredAesKey],
+        loose_tolerance_bits: int = 40,
+    ) -> list[RecoveredAesKey]:
+        """Second chance for XTS siblings one schedule-length away.
+
+        An XTS volume keeps its primary and tweak schedules side by
+        side.  With the base pinned by a recovered partner,
+        :meth:`recover_at_base` affords a loose budget, so a sibling too
+        decayed for the open scan still surfaces.  Only unpaired
+        schedules are rescued: a base whose partner was already
+        recovered is a complete pair, and its outer neighbours can only
+        hold junk.  ``recovered`` is in ``image`` coordinates; the
+        result is in table-base order.
+        """
+        stride = 4 * self.variant.total_words
+        by_base = {r.hits[0].table_base: r for r in recovered if r.hits}
+        unpaired = [
+            base
+            for base in sorted(by_base)
+            if base - stride not in by_base and base + stride not in by_base
+        ]
+        for base in unpaired:
+            for sibling in (base - stride, base + stride):
+                if sibling < 0 or sibling in by_base:
+                    continue
+                extra = self.recover_at_base(
+                    image, sibling, loose_tolerance_bits=loose_tolerance_bits
+                )
+                if extra is not None and extra.hits:
+                    by_base[sibling] = extra
+        return [by_base[base] for base in sorted(by_base)]
+
     def _competitive_overlap_filter(
         self, recovered: list[RecoveredAesKey]
     ) -> list[RecoveredAesKey]:

@@ -466,9 +466,10 @@ class DecodeState:
     ``sched`` carries the scheduling/abstain bookkeeping of the
     residual-scheduled engine — frozen masks, dirty checks, accumulated
     drift, per-table stall counters — so a resumed run continues the
-    exact trajectory an uninterrupted run would have taken.  States
-    written before the scheduler existed load with ``sched=None`` and
-    restart conservatively with every check dirty.
+    exact trajectory an uninterrupted run would have taken.  A state
+    without one (``sched=None``, as written before the scheduler
+    existed) cannot continue that trajectory, so
+    :func:`decode_schedule` decodes from sweep 0 instead.
     """
 
     iteration: int
@@ -680,7 +681,9 @@ def decode_schedule(
     :class:`~repro.resilience.errors.DeadlineExceededError` with the
     partial messages (and scheduling state) attached as
     ``error.decode_state`` for checkpointing; passing that state back
-    in resumes bit-exactly.
+    in resumes bit-exactly.  A state whose digest, message shape or
+    scheduling record does not fit this call is ignored, and the
+    decode starts from sweep 0.
 
     ``stall_sweeps`` is the stagnation abstain: a decodable table's
     syndrome weight falls steadily sweep over sweep, while an
@@ -746,30 +749,31 @@ def decode_schedule(
     # zero dummy row, so a variable's posterior is prior + a 3-way
     # padded gather-sum.
     cv_log_pad = np.zeros((batch, n_edges + 1, 256), dtype=np.float32)
+    # A resume is exact or does not happen: without a scheduling record
+    # that fits this batch, the messages alone cannot continue the
+    # straight run's trajectory, so the decode starts from sweep 0.
+    sched = None
     if (
         state is not None
         and state.digest == digest
         and state.messages.shape == (batch, n_checks, 3, 256)
+        and state.sched is not None
     ):
+        try:
+            sched = _SweepSchedule.from_dict(state.sched, batch, n_checks)
+        except (KeyError, ValueError, TypeError):
+            sched = None
+    restored = sched is not None
+    if restored:
         # The float64 log of the snapshot's float64 exponentials rounds
         # once, back to exactly the float32 logs it was taken from.
         logs = np.log(np.asarray(state.messages, dtype=np.float64))
         cv_log_pad[:, :n_edges, :] = logs.reshape(batch, n_edges, 256)
         start_iteration = int(state.iteration)
-        sched = None
-        if state.sched is not None:
-            try:
-                sched = _SweepSchedule.from_dict(state.sched, batch, n_checks)
-            except (KeyError, ValueError, TypeError):
-                sched = None
-        restored = sched is not None
-        if sched is None:
-            sched = _SweepSchedule(batch, n_checks)
     else:
         cv_log_pad[:, :n_edges, :] = np.log(np.float64(1.0) / 256.0)
         start_iteration = 0
         sched = _SweepSchedule(batch, n_checks)
-        restored = False
     clp_flat = cv_log_pad.reshape(batch * (n_edges + 1), 256)
     posterior_log = np.empty((batch, n_vars, 256), dtype=np.float32)
     post_flat = posterior_log.reshape(batch * n_vars, 256)

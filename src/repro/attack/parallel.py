@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attack.aes_search import AesKeySearch, KeyFingerprintCache, RecoveredAesKey
-from repro.attack.keymine import keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import DEFAULT_SCAN_LIMIT_BYTES, keys_matrix, mine_scrambler_keys
 from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 from repro.resilience.checkpoint import CheckpointJournal, JournalHeader, dump_fingerprint
@@ -413,11 +413,16 @@ def resilient_recover_keys(
     watchdog: WatchdogConfig | None = None,
     resource_policy: ResourcePolicy | None = None,
     checkpoint_fallback_dir: str | Path | None = None,
+    scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
 ) -> ScanReport:
     """Mine once, search in shards fault-tolerantly, merge, report.
 
-    Failures are retried per ``retry_policy``, completed shards are
-    journalled to ``checkpoint`` (and skipped on ``resume``), and
+    Keys are mined from the first ``scan_limit_bytes`` of the dump (all
+    of it when None); the search covers the whole dump.  This is a pure
+    scan: XTS siblings it misses are rescued by
+    :meth:`~repro.attack.pipeline.Ddr4ColdBootAttack.run_sharded`, not
+    here.  Failures are retried per ``retry_policy``, completed shards
+    are journalled to ``checkpoint`` (and skipped on ``resume``), and
     ``fault_plan`` lets the test harness sabotage workers
     deterministically.
 
@@ -446,7 +451,7 @@ def resilient_recover_keys(
     deadline = Deadline.coerce(deadline)
     deadline_seconds = deadline.total_seconds if deadline is not None else None
     start = time.perf_counter()
-    candidates = mine_scrambler_keys(dump)
+    candidates = mine_scrambler_keys(dump, scan_limit_bytes=scan_limit_bytes)
     mine_seconds = time.perf_counter() - start
     if not candidates:
         return ScanReport(

@@ -1,4 +1,4 @@
-"""The end-to-end DDR4 cold boot attack (§III-C, steps 1–4).
+"""The end-to-end DDR4 cold boot attack (§III-C, steps 1–4, plus the XTS pair).
 
 Given nothing but a scrambled memory dump, the pipeline:
 
@@ -11,7 +11,10 @@ Given nothing but a scrambled memory dump, the pipeline:
    of a schedule yields an independent reconstruction — the
    majority-vote generalisation of the paper's neighbour walk);
 4. recovers the secret AES master key from the head of each voted
-   schedule.
+   schedule;
+5. gives an XTS schedule whose sibling did not surface a second chance
+   at the sibling's known base, one schedule length away
+   (:meth:`~repro.attack.aes_search.AesKeySearch.complete_pairs`).
 
 The attack model matches the paper's: no knowledge of which blocks
 share a key, no knowledge of plaintext contents, dump possibly taken
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.attack.aes_search import AesKeySearch, RecoveredAesKey, ScheduleHit
-from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import CandidateKey, keys_matrix
 from repro.crypto.aes import schedule_bytes
 from repro.dram.image import MemoryImage
 
@@ -34,11 +37,9 @@ class AttackConfig:
     """Tunables for the §III-C attack pipeline."""
 
     key_bits: int = 256
-    #: Only the first this-many bytes are mined for keys (≤16 MB per §III-B).
+    #: Only the first this-many bytes are mined for keys (≤16 MB per
+    #: §III-B); None mines the whole dump.
     key_scan_limit_bytes: int | None = 16 * 1024 * 1024
-    #: Cap on candidate keys fed to the search (highest frequency first);
-    #: None means use all mined candidates.
-    max_candidate_keys: int | None = None
     #: Run the decay-adaptive engine instead of the fixed budgets: the
     #: dump's decay rate is estimated, damaged regions are quarantined,
     #: and the Hamming budgets escalate stage by stage until schedules
@@ -60,9 +61,10 @@ class AttackConfig:
     decode_checkpoint: str | None = None
     #: Wall-clock budget for a whole run in seconds (None = unbounded).
     #: Charge decay makes the attack window physical: when the budget
-    #: expires, sharded runs stop resumable (completed shards
-    #: journalled, the rest reported unscanned) and the adaptive ladder
-    #: stops escalating.
+    #: expires, a fixed-budget run stops resumable (completed shards
+    #: journalled, the rest reported unscanned, no XTS sibling rescue),
+    #: whatever its worker count, and the adaptive ladder stops
+    #: escalating.
     deadline_s: float | None = None
     #: Heartbeat stall timeout for sharded runs in seconds (None
     #: disables the watchdog).  A worker that publishes no progress
@@ -82,12 +84,13 @@ class AttackReport:
     dump_bytes: int = 0
     mine_seconds: float = 0.0
     search_seconds: float = 0.0
-    #: Sharded-run bookkeeping (zero / empty for monolithic runs).
+    #: Shard bookkeeping: a fixed-budget run scans at least one shard
+    #: (zero / empty for adaptive runs and for dumps that mine no key).
     n_shards: int = 0
     quarantined_shards: list[int] = field(default_factory=list)
     resumed_shards: int = 0
     degraded_to_serial: bool = False
-    #: Deadline/watchdog bookkeeping (defaults for monolithic runs).
+    #: Deadline/watchdog bookkeeping.
     deadline_s: float | None = None
     deadline_expired: bool = False
     interrupted: bool = False
@@ -104,7 +107,7 @@ class AttackReport:
     checkpoint_path: str | None = None
     checkpoint_error: str | None = None
     #: How shard jobs ran ("serial", "thread", or "process"; "" for
-    #: non-sharded runs).
+    #: adaptive runs).
     executor: str = ""
     #: Adaptive-run bookkeeping (``None`` for fixed-budget runs): the
     #: :meth:`repro.attack.adaptive.AdaptiveRecovery.summary` digest —
@@ -140,7 +143,7 @@ class AttackReport:
 
     @property
     def master_keys(self) -> list[bytes]:
-        """Recovered AES master keys, strongest evidence first."""
+        """Recovered AES master keys, in table-base order."""
         return [r.master_key for r in self.recovered_keys]
 
     @property
@@ -192,34 +195,18 @@ class Ddr4ColdBootAttack:
         self.config = config or AttackConfig()
 
     def run(self, dump: MemoryImage, reference: MemoryImage | None = None) -> AttackReport:
-        """Execute steps 1–4 on a scrambled memory image.
+        """Execute steps 1–5 on a scrambled memory image.
 
+        The fixed-budget attack is :meth:`run_sharded` on one shard, run
+        in-process on one worker, so it returns the keys a sharded run
+        returns and honours ``config.deadline_s`` the same way.
         ``reference`` (a pre-decay image, when the experiment has one)
         is only consulted by the adaptive engine, where it upgrades the
         decay estimate to a direct measurement.
         """
-        config = self.config
-        if config.adaptive:
+        if self.config.adaptive:
             return self._run_adaptive(dump, reference)
-        report = AttackReport(dump_bytes=len(dump), deadline_s=config.deadline_s)
-
-        start = time.perf_counter()
-        report.candidate_keys = mine_scrambler_keys(
-            dump, scan_limit_bytes=config.key_scan_limit_bytes
-        )
-        report.mine_seconds = time.perf_counter() - start
-        if not report.candidate_keys:
-            return report
-
-        candidates = report.candidate_keys
-        if config.max_candidate_keys is not None:
-            candidates = candidates[: config.max_candidate_keys]
-        search = AesKeySearch(keys_matrix(candidates), key_bits=config.key_bits)
-        start = time.perf_counter()
-        report.recovered_keys = search.recover_keys(dump)
-        report.hits = [hit for rec in report.recovered_keys for hit in rec.hits]
-        report.search_seconds = time.perf_counter() - start
-        return report
+        return self.run_sharded(dump)
 
     def _run_adaptive(self, dump: MemoryImage, reference: MemoryImage | None) -> AttackReport:
         """The decay-adaptive path of :meth:`run`."""
@@ -233,7 +220,6 @@ class Ddr4ColdBootAttack:
             store = DecodeStateStore(config.decode_checkpoint)
         engine = AdaptiveRecoveryEngine(
             key_bits=config.key_bits,
-            max_candidate_keys=config.max_candidate_keys,
             scan_limit_bytes=config.key_scan_limit_bytes,
             max_stage=config.adaptive_max_stage,
             decode_iters=config.decode_iters,
@@ -276,15 +262,19 @@ class Ddr4ColdBootAttack:
         resource_policy=None,
         checkpoint_fallback_dir=None,
     ) -> AttackReport:
-        """Execute the attack as a fault-tolerant sharded scan.
+        """Execute the fixed-budget attack as a fault-tolerant sharded scan.
 
-        The resilient sibling of :meth:`run`: the search is split into
-        overlapping shards driven by
-        :func:`repro.attack.parallel.resilient_recover_keys`, so worker
-        crashes and hangs are retried, exhausted shards are quarantined
-        (listed in ``report.quarantined_shards``), and — when
-        ``checkpoint`` names a journal file — an interrupted scan
-        resumes without re-searching completed shards.
+        Keys are mined from the first ``config.key_scan_limit_bytes`` of
+        the dump, and the search is split into overlapping shards driven
+        by :func:`repro.attack.parallel.resilient_recover_keys`, so
+        worker crashes and hangs are retried, exhausted shards are
+        quarantined (listed in ``report.quarantined_shards``), and —
+        when ``checkpoint`` names a journal file — an interrupted scan
+        resumes without re-searching completed shards.  After the merge,
+        :meth:`~repro.attack.aes_search.AesKeySearch.complete_pairs`
+        gives unpaired XTS schedules' siblings a pinned second chance
+        over the mined pool, as the adaptive engine does, unless a
+        deadline or signal stopped the scan: the resumed run rescues.
 
         ``deadline`` (seconds or a
         :class:`~repro.resilience.deadline.Deadline`; defaults to
@@ -318,13 +308,19 @@ class Ddr4ColdBootAttack:
             watchdog=watchdog,
             resource_policy=resource_policy,
             checkpoint_fallback_dir=checkpoint_fallback_dir,
+            scan_limit_bytes=config.key_scan_limit_bytes,
         )
         report = AttackReport(dump_bytes=len(dump))
         report.candidate_keys = scan.candidates
         report.recovered_keys = scan.recovered
-        report.hits = [hit for rec in scan.recovered for hit in rec.hits]
-        report.mine_seconds = scan.mine_seconds
         report.search_seconds = scan.search_seconds
+        if scan.recovered and not (scan.deadline_expired or scan.interrupted):
+            start = time.perf_counter()
+            search = AesKeySearch(keys_matrix(scan.candidates), key_bits=config.key_bits)
+            report.recovered_keys = search.complete_pairs(dump, scan.recovered)
+            report.search_seconds += time.perf_counter() - start
+        report.hits = [hit for rec in report.recovered_keys for hit in rec.hits]
+        report.mine_seconds = scan.mine_seconds
         report.n_shards = scan.n_shards
         report.quarantined_shards = scan.quarantined_offsets
         report.resumed_shards = scan.resumed_shards
@@ -348,35 +344,15 @@ class Ddr4ColdBootAttack:
 
         A mounted XTS volume keeps two adjacent AES-256 schedules in RAM
         — the primary schedule immediately followed (240 bytes later) by
-        the tweak schedule.  Both are recovered independently and joined
-        by :func:`pair_xts_keys`.  ``report`` is a fixed-budget
-        :meth:`run` report of ``dump`` when the caller already has one;
-        without it the attack runs here.
+        the tweak schedule.  Every attack path recovers both, rescuing a
+        decayed sibling at its pinned base, and :func:`pair_xts_keys`
+        joins them.  ``report`` is a :meth:`run` or :meth:`run_sharded`
+        report of ``dump`` when the caller already has one; without it
+        the attack runs here.
         """
         if report is None:
             report = self.run(dump)
-        master = pair_xts_keys(report.recovered_keys, self.config.key_bits)
-        by_base = {r.hits[0].table_base: r for r in report.recovered_keys if r.hits}
-        if master is not None or not by_base or not report.candidate_keys:
-            return master
-
-        # Second chance: one schedule of the XTS pair was recovered but
-        # its sibling's windows were too decayed for the general scan.
-        # The sibling's base is *known* (adjacent schedules), so retry
-        # with the targeted, loose-tolerance recovery.
-        candidates = report.candidate_keys
-        if self.config.max_candidate_keys is not None:
-            candidates = candidates[: self.config.max_candidate_keys]
-        search = AesKeySearch(keys_matrix(candidates), key_bits=self.config.key_bits)
-        stride = schedule_bytes(self.config.key_bits)
-        for base in sorted(by_base):
-            after = search.recover_at_base(dump, base + stride)
-            if after is not None:
-                return by_base[base].master_key + after.master_key
-            before = search.recover_at_base(dump, base - stride)
-            if before is not None:
-                return before.master_key + by_base[base].master_key
-        return None
+        return pair_xts_keys(report.recovered_keys, self.config.key_bits)
 
 
 def pair_xts_keys(recovered: list[RecoveredAesKey], key_bits: int) -> bytes | None:

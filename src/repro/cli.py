@@ -161,11 +161,12 @@ def _run_attack(args: argparse.Namespace) -> int:
             stall_timeout_s=args.stall_timeout,
         )
     )
-    if not args.adaptive and (args.workers > 1 or args.shards or checkpoint):
-        # Fault-tolerant sharded scan: crashed/hung shards retry, the
-        # journal lets a killed run resume with --resume.  A resumed run
-        # adopts the journal's shard count unless --shards overrides it
-        # (the journal's geometry is authoritative anyway).
+    if not args.adaptive:
+        # Fault-tolerant sharded scan, one shard per worker by default:
+        # crashed/hung shards retry, the journal lets a killed run resume
+        # with --resume.  A resumed run adopts the journal's shard count
+        # unless --shards overrides it (the journal's geometry is
+        # authoritative anyway).
         n_shards = args.shards or _journal_shard_count(checkpoint)
         # SIGINT/SIGTERM drain in-flight shards to the journal and exit
         # resumable; a second signal abandons them (still resumable).
@@ -186,10 +187,7 @@ def _run_attack(args: argparse.Namespace) -> int:
         for offset in report.quarantined_shards:
             print(f"warning: shard at {offset:#x} quarantined (unscanned)",
                   file=sys.stderr)
-        # The sharded report already holds every schedule at its global
-        # offset; pair adjacent ones rather than re-running the attack.
-        master = pair_xts_keys(report.recovered_keys, attack.config.key_bits)
-    elif args.adaptive:
+    else:
         reference = _load_dump(args.reference) if args.reference else None
         report = attack.run(dump, reference=reference)
         for note in (report.adaptive or {}).get("diagnostics", ()):
@@ -198,11 +196,8 @@ def _run_attack(args: argparse.Namespace) -> int:
             print(f"warning: region {region['offset']:#x}+{region['length']:#x} "
                   f"quarantined ({region['reason']}): {region['detail']}",
                   file=sys.stderr)
-        # The adaptive engine already rescued XTS siblings; pair here.
-        master = pair_xts_keys(report.recovered_keys, attack.config.key_bits)
-    else:
-        report = attack.run(dump)
-        master = attack.recover_xts_master_key(dump, report)
+    # Both paths already rescued XTS siblings; pair adjacent schedules.
+    master = pair_xts_keys(report.recovered_keys, attack.config.key_bits)
     if args.json:
         save_report_json(report, args.json, include_keys=not args.redact)
         print(f"wrote {args.json}")
@@ -547,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "and exits resumable (exit code 4)")
     attack.add_argument("--stall-timeout", type=float, metavar="SECONDS",
                         help="kill and resubmit a worker whose heartbeat "
-                             "goes silent this long (sharded scans only; runs "
-                             "the workers as processes, which can be killed)")
+                             "goes silent this long (with --workers above 1; "
+                             "runs the workers as processes, which can be "
+                             "killed)")
     attack.add_argument("--checkpoint-fallback-dir", metavar="DIR",
                         help="rotate the checkpoint journal here if its "
                              "primary path stops accepting writes (ENOSPC)")

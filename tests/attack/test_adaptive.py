@@ -18,7 +18,12 @@ from repro.attack.adaptive import (
     stage_for_rate,
     triage_regions,
 )
-from repro.attack.aes_search import RecoveredAesKey, ScheduleHit, confidence_score
+from repro.attack.aes_search import (
+    AesKeySearch,
+    RecoveredAesKey,
+    ScheduleHit,
+    confidence_score,
+)
 from repro.attack.keymine import CandidateKey, keys_matrix, mine_scrambler_keys
 from repro.attack.sweep import synthetic_dump
 from repro.crypto.aes import schedule_bytes
@@ -475,32 +480,31 @@ def _recovered_at(base: int) -> RecoveredAesKey:
 
 
 class TestCompletePairs:
-    """The pinned XTS rescue runs only for unpaired schedules."""
+    """The pinned XTS rescue (:meth:`AesKeySearch.complete_pairs`, which
+    the engine and the sharded runner share) runs only for unpaired
+    schedules."""
 
-    class _RecordingSearch:
-        def __init__(self):
-            self.bases: list[int] = []
+    def _complete(self, bases, **kwargs):
+        search = AesKeySearch(np.zeros((1, BLOCK_SIZE), dtype=np.uint8))
+        tried = []
 
-        def recover_at_base(self, image, base, loose_tolerance_bits=40):
-            self.bases.append(base)
+        def recover_at_base(image, base, loose_tolerance_bits=40):
+            tried.append((base, loose_tolerance_bits))
             return None
 
-    def _complete(self, bases):
-        search = self._RecordingSearch()
-        engine = AdaptiveRecoveryEngine()
-        stage = stage_for_rate(0.01)
+        search.recover_at_base = recover_at_base
         image = MemoryImage(bytes(64 * BLOCK_SIZE))
-        kept = engine._complete_pairs(image, search, [_recovered_at(b) for b in bases], stage)
-        return search.bases, [r.hits[0].table_base for r in kept]
+        kept = search.complete_pairs(image, [_recovered_at(b) for b in bases], **kwargs)
+        return tried, [r.hits[0].table_base for r in kept]
 
     def test_complete_pair_is_not_rescued(self):
         stride = schedule_bytes(256)
-        tried, kept = self._complete([1000, 1000 + stride])
+        tried, kept = self._complete([1000 + stride, 1000])
         assert tried == []
         assert kept == [1000, 1000 + stride]
 
     def test_unpaired_schedule_tries_both_siblings(self):
         stride = schedule_bytes(256)
-        tried, kept = self._complete([1000])
-        assert tried == [1000 - stride, 1000 + stride]
+        tried, kept = self._complete([1000], loose_tolerance_bits=48)
+        assert tried == [(1000 - stride, 48), (1000 + stride, 48)]
         assert kept == [1000]

@@ -658,8 +658,9 @@ class TestAcceptExit:
 
 class TestDecodeStateShape:
     """A decode state whose CRC holds but whose scheduling record is
-    shaped for another batch is rejected as a whole: the resume takes
-    the every-check-dirty fallback instead of running on short masks."""
+    missing or shaped for another batch is rejected as a whole: the
+    decode starts from sweep 0 and returns the straight run, work
+    counters included, instead of resuming off its trajectory."""
 
     N_CHECKS = build_constraint_graph(256).n_checks
 
@@ -681,13 +682,16 @@ class TestDecodeStateShape:
         with pytest.raises(ValueError):
             _SweepSchedule.from_dict(record, 16, self.N_CHECKS)
 
-    def test_short_masks_take_the_every_check_dirty_fallback(self, tmp_path):
+    def test_short_masks_restart_from_sweep_zero(self, tmp_path):
         """Regression: a 16-table state with its frozen and converged
-        masks cut to 8 bits used to resume into 8 ``converged`` flags."""
+        masks cut to 8 bits used to resume into 8 ``converged`` flags,
+        and then with every check dirty, which froze tables at other
+        sweeps than the straight run."""
         # Cut at sweep 3: the junk froze at sweep 2, the true tables
         # decode until sweeps 4 and 5.
         observed = _mixed_batch(73, 4, 12, 0.06)
         channel = ChannelModel.symmetric(0.06)
+        straight = decode_schedule(observed, 256, channel)
         with pytest.raises(DeadlineExceededError) as err:
             decode_schedule(observed, 256, channel, deadline=CountdownDeadline(3))
         state = err.value.decode_state
@@ -702,13 +706,21 @@ class TestDecodeStateShape:
         cut = DecodeState.from_dict(DecodeStateStore(tmp_path / "decode").load("cut"))
         assert cut is not None and cut.sched == record["sched"]
 
-        resumed = decode_schedule(observed, 256, channel, state=cut)
-        fallback = decode_schedule(
-            observed, 256, channel,
-            state=DecodeState(state.iteration, state.messages, state.digest),
-        )
-        assert resumed.converged.shape == (16,)
-        assert _same_result(resumed, fallback)
+        assert_same_decode(decode_schedule(observed, 256, channel, state=cut), straight)
+
+    @pytest.mark.parametrize("seed, polls", [(29, 4), (11, 9)])
+    def test_a_state_without_a_scheduling_record_restarts(self, seed, polls):
+        """Messages alone cannot continue the straight run: resuming
+        them with every check dirty froze tables at other sweeps, and
+        after 9 polls at seed 11 moved the posteriors too."""
+        observed = _mixed_batch(seed, 4, 12, 0.06)
+        channel = ChannelModel.symmetric(0.06)
+        straight = decode_schedule(observed, 256, channel)
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(observed, 256, channel, deadline=CountdownDeadline(polls))
+        state = err.value.decode_state
+        bare = DecodeState(state.iteration, state.messages, state.digest)
+        assert_same_decode(decode_schedule(observed, 256, channel, state=bare), straight)
 
 
 class TestDecodeThreads:

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.attack.pipeline import AttackConfig, AttackReport, Ddr4ColdBootAttack
+from repro.attack.keymine import mine_scrambler_keys
+from repro.attack.pipeline import (
+    AttackConfig,
+    AttackReport,
+    Ddr4ColdBootAttack,
+    pair_xts_keys,
+)
+from repro.attack.sweep import synthetic_dump
 from repro.crypto.aes import expand_key
 from repro.dram.image import MemoryImage
+from repro.resilience.deadline import Deadline
 from repro.scrambler.ddr4 import Ddr4Scrambler
 from repro.util.rng import SplitMix64
 
@@ -50,13 +58,6 @@ class TestPipeline:
         assert report.scan_rate_mb_per_hour > 0
         assert "recovered" in report.summary()
 
-    def test_candidate_cap(self):
-        dump, _ = scrambled_dump_with_volume(boot_seed=8)
-        config = AttackConfig(max_candidate_keys=10)
-        report = Ddr4ColdBootAttack(config).run(dump)
-        # The cap only limits the search stage, not mining.
-        assert len(report.candidate_keys) > 10
-
     def test_empty_dump(self):
         report = Ddr4ColdBootAttack().run(MemoryImage(SplitMix64(1).next_bytes(64 * 64)))
         assert report.recovered_keys == []
@@ -73,3 +74,62 @@ class TestPipeline:
     def test_fresh_report_defaults(self):
         report = AttackReport()
         assert report.scan_rate_mb_per_hour == float("inf")
+
+
+@pytest.fixture(scope="module")
+def decayed_xts():
+    """BER 0.008, seed 1: the open scan finds the tweak schedule, and
+    only the pinned rescue its primary."""
+    dump, master, _ = synthetic_dump(0.008, seed=1)
+    attack = Ddr4ColdBootAttack()
+    return dump, master, attack.run(dump), attack.run_sharded(dump, workers=2, n_shards=2)
+
+
+class PollCountDeadline(Deadline):
+    """Expires once ``expired`` has been polled ``checks`` times."""
+
+    def __init__(self, checks: int) -> None:
+        object.__setattr__(self, "expires_at", float("inf"))
+        object.__setattr__(self, "total_seconds", 3600.0)
+        object.__setattr__(self, "polls", 0)
+        object.__setattr__(self, "checks", checks)
+
+    @property
+    def expired(self) -> bool:
+        object.__setattr__(self, "polls", self.polls + 1)
+        return self.polls > self.checks
+
+
+class TestOneFixedBudgetPath:
+    def test_run_is_the_sharded_run(self, decayed_xts):
+        _, master, single, sharded = decayed_xts
+        assert single.recovered_keys == sharded.recovered_keys
+        assert single.master_keys == [master[:32], master[32:]]
+        assert (single.n_shards, single.executor, single.resource_backend) == (
+            1, "serial", "buffer"
+        )
+
+    def test_xts_key_is_the_pair_of_either_report(self, decayed_xts):
+        dump, master, single, sharded = decayed_xts
+        assert Ddr4ColdBootAttack().recover_xts_master_key(dump) == master
+        assert pair_xts_keys(single.recovered_keys, 256) == master
+        assert pair_xts_keys(sharded.recovered_keys, 256) == master
+
+    def test_scan_limit_reaches_the_miner(self, decayed_xts):
+        dump = decayed_xts[0]
+        limit = 64 * 1024
+        report = Ddr4ColdBootAttack(AttackConfig(key_scan_limit_bytes=limit)).run_sharded(dump)
+        assert report.candidate_keys == mine_scrambler_keys(dump, scan_limit_bytes=limit)
+
+    def test_a_cut_scan_leaves_the_rescue_to_its_resume(self, decayed_xts, tmp_path):
+        dump, master, _, _ = decayed_xts
+        attack = Ddr4ColdBootAttack()
+        journal = tmp_path / "scan.jsonl"
+        # The deadline lets the first of four shards run: the scan finds
+        # the tweak schedule there, and only the rescue its primary.
+        cut = attack.run_sharded(dump, n_shards=4, checkpoint=journal, deadline=PollCountDeadline(2))
+        assert len(cut.unscanned_shards) == 3 and cut.resumable
+        assert cut.master_keys == [master[32:]]
+        resumed = attack.run_sharded(dump, n_shards=4, checkpoint=journal)
+        assert resumed.recovered_keys == attack.run_sharded(dump, n_shards=4).recovered_keys
+        assert resumed.master_keys == [master[:32], master[32:]]

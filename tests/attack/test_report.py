@@ -98,9 +98,11 @@ class TestResilienceFields:
         assert resilience["complete_scan"] is False
 
     def test_monolithic_report_is_marked_complete(self, successful_report):
+        """A fixed-budget run is one complete shard, scanned in-process."""
         report, _ = successful_report
         parsed = report_to_dict(report)
-        assert parsed["resilience"]["n_shards"] == 0
+        assert parsed["resilience"]["n_shards"] == 1
+        assert parsed["resilience"]["unscanned_shards"] == []
         assert parsed["resilience"]["complete_scan"] is True
 
     def test_markdown_warns_about_quarantine(self):

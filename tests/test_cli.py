@@ -122,6 +122,41 @@ class TestCommands:
         assert list(tmp_path.glob("*.svg"))
 
 
+class TestOneFixedBudgetPathCli:
+    """`attack` gives the same answer, and honours the same deadline,
+    on one worker as on two."""
+
+    @pytest.fixture(scope="class")
+    def decayed_xts_file(self, tmp_path_factory):
+        from repro.attack.sweep import synthetic_dump
+
+        # BER 0.008, seed 1: the tweak schedule surfaces only through
+        # the pinned sibling rescue.
+        dump, master, _ = synthetic_dump(0.008, seed=1)
+        path = tmp_path_factory.mktemp("xts") / "dump.bin"
+        dump.save(path)
+        return str(path), master
+
+    def test_workers_do_not_change_the_xts_key(self, decayed_xts_file, capsys):
+        path, master = decayed_xts_file
+        keys = []
+        for extra in ([], ["--workers", "2", "--shards", "2"]):
+            assert main(["attack", path, *extra]) == 0
+            out = capsys.readouterr().out
+            assert f"XTS master key (primary||tweak): {master.hex()}" in out
+            keys.append([line for line in out.splitlines() if line.startswith("  offset")])
+        assert keys[0] == keys[1]
+
+    def test_one_worker_honours_the_deadline(self, decayed_xts_file, capsys):
+        from repro.resilience.shutdown import EXIT_DEADLINE_EXPIRED
+
+        path, _ = decayed_xts_file
+        assert main(["attack", path, "--deadline", "1e-6"]) == EXIT_DEADLINE_EXPIRED
+        captured = capsys.readouterr()
+        assert "shards=1 UNSCANNED=1 (deadline, resumable)" in captured.out
+        assert "run stopped early (deadline)" in captured.err
+
+
 class TestResilientAttackCli:
     def test_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args(
