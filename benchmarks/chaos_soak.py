@@ -33,6 +33,7 @@ from pathlib import Path
 
 from repro.attack.parallel import resilient_recover_keys
 from repro.attack.sweep import synthetic_dump
+from repro.resilience.checkpoint import count_shard_records
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.resources import ResourcePolicy
 from repro.resilience.retry import RetryPolicy
@@ -111,20 +112,6 @@ def _shm_entries() -> set[str]:
         return set()
 
 
-def _journaled_shards(path: Path) -> int:
-    if not path.exists():
-        return 0
-    count = 0
-    for line in path.read_text().splitlines():
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # a scripted journal fault may leave a rotten line
-        if record.get("type") == "shard":
-            count += 1
-    return count
-
-
 class _JournalWatcher:
     """Fires a graceful stop once the first shard lands in the journal.
 
@@ -142,7 +129,7 @@ class _JournalWatcher:
 
     def _watch(self) -> None:
         while not self.done.is_set():
-            if _journaled_shards(self.journal) >= 1:
+            if count_shard_records(self.journal) >= 1:
                 self.stop.request("chaos-signal")
                 return
             self.done.wait(0.02)
@@ -261,7 +248,7 @@ def soak_iteration(
             "stall_kills": 0,
             "pool_rebuilds": 0,
             "degraded_to_serial": False,
-            "journaled_shards": _journaled_shards(journal),
+            "journaled_shards": count_shard_records(journal),
             "resumed_shards": 0,
             "resume_ran": False,
             "keys_byte_identical": False,
@@ -315,7 +302,7 @@ def soak_iteration(
         "stall_kills": report.ledger.stall_kills,
         "pool_rebuilds": report.ledger.pool_rebuilds,
         "degraded_to_serial": report.ledger.degraded_to_serial,
-        "journaled_shards": _journaled_shards(journal),
+        "journaled_shards": count_shard_records(journal),
         "resumed_shards": resumed_shards,
         "resume_ran": resume_ran,
         "keys_byte_identical": keys_identical,

@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro.attack.report import canonical_report_bytes, load_report_json
 from repro.attack.sweep import synthetic_dump
+from repro.resilience.checkpoint import count_shard_records
 from repro.resilience.errors import AdmissionRejectedError
 from repro.resilience.faults import PERMANENT
 from repro.resilience.shutdown import EXIT_INTERRUPTED
@@ -128,19 +129,6 @@ def _start_server(service_dir: Path, **kwargs) -> subprocess.Popen:
                             stderr=subprocess.DEVNULL)
 
 
-def _journaled_shards(journal: Path) -> int:
-    if not journal.exists():
-        return 0
-    count = 0
-    for line in journal.read_text(encoding="utf-8").splitlines():
-        try:
-            if json.loads(line).get("type") == "shard":
-                count += 1
-        except ValueError:
-            continue  # torn tail mid-kill — exactly what we're soaking
-    return count
-
-
 def _await(predicate, timeout_s: float, interval_s: float = 0.02) -> bool:
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -223,11 +211,11 @@ class _Iteration:
 
     def await_shards(self, job_id: str, n: int = 1,
                      timeout_s: float = 60.0) -> None:
-        if not _await(lambda: _journaled_shards(self.journal(job_id)) >= n,
+        if not _await(lambda: count_shard_records(self.journal(job_id)) >= n,
                       timeout_s):
             self.violations.append(
                 f"{job_id}: never journaled {n} shard(s) "
-                f"(saw {_journaled_shards(self.journal(job_id))})")
+                f"(saw {count_shard_records(self.journal(job_id))})")
 
     def check_identity(self, job_id: str) -> None:
         """A DONE job's report must match the undisturbed baseline."""

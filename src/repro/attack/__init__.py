@@ -54,7 +54,6 @@ from repro.attack.litmus import (
     INVARIANT_WORD_OFFSETS,
     SUB_WORD_OFFSETS,
     key_litmus_mismatch_bits,
-    litmus_decode_keys,
     litmus_parity_matrix,
     litmus_pass_mask,
     passes_key_litmus,
@@ -123,7 +122,6 @@ __all__ = [
     "find_aes_keys",
     "key_litmus_mismatch_bits",
     "keys_matrix",
-    "litmus_decode_keys",
     "litmus_parity_matrix",
     "litmus_pass_mask",
     "merge_recovered",

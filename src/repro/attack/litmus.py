@@ -86,8 +86,7 @@ def litmus_parity_matrix() -> np.ndarray:
     independent parity checks of weight 4 (one key bit from each of the
     four bytes at the same bit position).  4 sub-words × 4 invariants
     × 16 bit positions = 256 checks over the key's 512 bits, with every
-    key bit appearing in 1–3 checks — a sparse code, which is what
-    makes :func:`litmus_decode_keys`'s bit-flipping decoder effective.
+    key bit appearing in 1–3 checks — a sparse code.
 
     Bit numbering matches ``np.unpackbits``: bit ``8·byte + j`` is the
     ``j``-th most significant bit of ``byte``.
@@ -106,51 +105,6 @@ def litmus_parity_matrix() -> np.ndarray:
         matrix.setflags(write=False)
         _PARITY_MATRIX = matrix
     return _PARITY_MATRIX
-
-
-def litmus_decode_keys(matrix: np.ndarray, max_flips: int = 24) -> np.ndarray:
-    """Project mined keys onto the scrambler-keystream code.
-
-    A decayed key sighting is a noisy codeword of the sparse litmus
-    parity code, and greedy syndrome decoding (flip the bit that
-    clears the most unsatisfied checks; Gallager-style) walks it back
-    to *a* nearby codeword with zero litmus residual.
-
-    Caveat — this is canonicalisation, not exact repair: the code has
-    weight-2 codewords (any two bits confined to a single weight-4
-    check can flip together unseen), so the projection may differ from
-    the true key by a few bits.  Two decayed sightings of the *same*
-    key usually project to the same codeword, which makes the
-    projection useful for detecting keystream reuse and merging
-    support sets; descrambling with projected keys is **not** more
-    accurate than descrambling with the raw sightings.
-
-    Vectorised over all keys at once: per round, each key flips its
-    single best bit (strictly reducing its syndrome weight) until no
-    key can improve or ``max_flips`` rounds pass.  Keys are returned
-    as a new ``(k, 64)`` uint8 matrix; clean keys are untouched.
-    """
-    if matrix.ndim != 2 or matrix.shape[1] != BLOCK_SIZE:
-        raise ValueError(f"expected (k, {BLOCK_SIZE}) keys, got {matrix.shape}")
-    if matrix.shape[0] == 0:
-        return matrix.copy()
-    parity = litmus_parity_matrix()
-    parity_f = parity.astype(np.float32)
-    column_weight = parity.sum(axis=0).astype(np.int32)
-    bits = np.unpackbits(np.ascontiguousarray(matrix), axis=1)
-    syndrome = (bits.astype(np.float32) @ parity_f.T).astype(np.int32) & 1
-    rows = np.arange(bits.shape[0])
-    for _ in range(max_flips):
-        involvement = (syndrome.astype(np.float32) @ parity_f).astype(np.int32)
-        delta = column_weight[None, :] - 2 * involvement
-        best = delta.argmin(axis=1)
-        improving = delta[rows, best] < 0
-        if not improving.any():
-            break
-        which = rows[improving]
-        bits[which, best[improving]] ^= 1
-        syndrome[which] ^= parity[:, best[improving]].T
-    return np.packbits(bits, axis=1)
 
 
 def passes_key_litmus(block: bytes, tolerance_bits: int = 0) -> bool:

@@ -220,16 +220,14 @@ def _run_attack(args: argparse.Namespace) -> int:
 def _journal_shard_count(checkpoint) -> int | None:
     if not checkpoint or not Path(checkpoint).exists():
         return None
-    import json
+    from repro.resilience.checkpoint import JournalHeader, read_records
+    from repro.resilience.errors import ReproError
 
     try:
-        with open(checkpoint, encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-    except (OSError, ValueError):
+        records, _ = read_records(Path(checkpoint))
+        return JournalHeader.from_json(records[0]).n_shards
+    except (OSError, IndexError, ReproError):
         return None  # CheckpointJournal.open will diagnose it properly
-    if header.get("type") == "header":
-        return header.get("n_shards")
-    return None
 
 
 def _cmd_keyfind(args: argparse.Namespace) -> int:

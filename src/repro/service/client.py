@@ -10,14 +10,14 @@ post-mortem a SIGKILL'd service.
 from __future__ import annotations
 
 import json
-import os
 import time
 import uuid
 from pathlib import Path
 
+from repro.resilience.checkpoint import read_json_object, rewrite_file
 from repro.resilience.errors import AdmissionRejectedError, UnknownJobError
 from repro.service.jobstore import TERMINAL_STATES, JobSpec, replay_jobs
-from repro.service.server import ServiceDirs, atomic_write_json
+from repro.service.server import ServiceDirs
 
 
 def new_job_id() -> str:
@@ -34,10 +34,7 @@ def submit_job(service_dir: str | Path, spec: JobSpec) -> str:
     next start.
     """
     dirs = ServiceDirs.at(service_dir).ensure()
-    target = dirs.submission(spec.job_id)
-    tmp = target.with_name(target.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(spec.to_json(), indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, target)
+    rewrite_file(dirs.submission(spec.job_id), json.dumps(spec.to_json(), indent=2) + "\n")
     return spec.job_id
 
 
@@ -55,12 +52,8 @@ def wait_for_admission(service_dir: str | Path, job_id: str,
     dirs = ServiceDirs.at(service_dir)
     deadline = time.monotonic() + timeout_s
     while True:
-        rejection = dirs.rejection(job_id)
-        if rejection.exists():
-            try:
-                receipt = json.loads(rejection.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                receipt = {}
+        receipt = _rejection_receipt(dirs, job_id)
+        if receipt is not None:
             raise AdmissionRejectedError(
                 job_id,
                 int(receipt.get("pending", -1)),
@@ -77,6 +70,15 @@ def wait_for_admission(service_dir: str | Path, job_id: str,
         time.sleep(0.05)
 
 
+def _rejection_receipt(dirs: ServiceDirs, job_id: str) -> dict | None:
+    """The server's rejection receipt for a job: ``None`` when there is
+    none, ``{}`` when it exists but does not read back."""
+    path = dirs.rejection(job_id)
+    if not path.exists():
+        return None
+    return read_json_object(path) or {}
+
+
 def job_status(service_dir: str | Path, job_id: str) -> dict:
     """One job's status digest from a read-only WAL replay."""
     dirs = ServiceDirs.at(service_dir)
@@ -85,8 +87,8 @@ def job_status(service_dir: str | Path, job_id: str) -> dict:
         if dirs.submission(job_id).exists():
             return {"job_id": job_id, "state": "SPOOLED",
                     "detail": "waiting for a server to pick it up"}
-        if dirs.rejection(job_id).exists():
-            receipt = json.loads(dirs.rejection(job_id).read_text(encoding="utf-8"))
+        receipt = _rejection_receipt(dirs, job_id)
+        if receipt is not None:
             return {"job_id": job_id, "state": "REJECTED",
                     "detail": receipt.get("detail", "admission rejected")}
         raise UnknownJobError(job_id)
@@ -114,20 +116,12 @@ def service_status(service_dir: str | Path) -> dict:
 
 def read_board(service_dir: str | Path) -> dict | None:
     """The server's last heartbeat board, or None when never written."""
-    board = ServiceDirs.at(service_dir).board
-    try:
-        return json.loads(board.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
+    return read_json_object(ServiceDirs.at(service_dir).board)
 
 
 def request_cancel(service_dir: str | Path, job_id: str) -> None:
     """Spool a cancel marker for the server to apply on its next tick."""
-    dirs = ServiceDirs.at(service_dir).ensure()
-    marker = dirs.cancel_marker(job_id)
-    tmp = marker.with_name(marker.name + f".tmp{os.getpid()}")
-    tmp.write_text("", encoding="utf-8")
-    os.replace(tmp, marker)
+    rewrite_file(ServiceDirs.at(service_dir).ensure().cancel_marker(job_id), "")
 
 
 def wait_terminal(service_dir: str | Path, job_id: str,

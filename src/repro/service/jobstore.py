@@ -4,18 +4,19 @@
 thing it must never do is *lose* or *corrupt* a job when the server
 itself dies.  So every job transition is appended — fsynced, CRC32'd,
 one JSON line — to ``jobs.wal`` before its side effects are considered
-to have happened, following the same crash-safety conventions as the
-shard checkpoint journal (:mod:`repro.resilience.checkpoint`):
+to have happened.  The WAL is read and written by the shard checkpoint
+journal's own code (:mod:`repro.resilience.checkpoint`), so it fails
+on damage exactly as the journal does:
 
-* a torn trailing line is expected crash damage: dropped and truncated
-  on the next writable open, skipped by read-only replayers;
-* every record carries a CRC32 of its canonical JSON form, so content
-  rot is rejected (:class:`~repro.resilience.errors.JobStoreCorruptError`)
-  instead of silently replaying a wrong state;
-* interior garbage means the log cannot be trusted and raises, naming
-  the offending line;
-* the log is rewritten *atomically* (tmp + fsync + ``os.replace``)
-  when it rotates, so a crash mid-rotation leaves the old log intact.
+* a torn trailing line is expected crash damage: truncated on the next
+  writable open, skipped by read-only replayers;
+* a line that is not a JSON object or fails its CRC32 — and a CRC-valid
+  record whose fields have the wrong type, or that describes an
+  impossible transition — raises
+  :class:`~repro.resilience.errors.JobStoreCorruptError` naming the
+  line, instead of silently replaying a wrong state;
+* rotation rewrites the log atomically (temp file, fsync, rename), so a
+  crash mid-rotation leaves the old log intact.
 
 Replaying the log folds the per-job event stream into the explicit
 state machine below; a SIGKILL'd server reloads the WAL and finds every
@@ -26,18 +27,25 @@ run's report byte-for-byte (canonical form).
 
 from __future__ import annotations
 
-import json
+import copy
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.resilience.checkpoint import line_crc
+from repro.resilience.checkpoint import (
+    append_record,
+    read_records,
+    record_line,
+    rewrite_file,
+)
 from repro.resilience.errors import JobStoreCorruptError, UnknownJobError
 
 #: WAL schema version; bump on incompatible format changes.
 JOBSTORE_VERSION = 1
+#: First record of every WAL, and of every rotated one.
+_HEADER = {"type": "header", "version": JOBSTORE_VERSION, "service": "repro.service"}
 
 # ----------------------------------------------------------------- job states
 
@@ -129,7 +137,7 @@ class JobSpec:
                             else str(record["checkpoint"])),
                 faults=record.get("faults"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise JobStoreCorruptError(f"malformed job spec: {exc}") from exc
 
 
@@ -198,34 +206,51 @@ class Job:
         }
 
 
-def _fold_event(jobs: dict[str, Job], record: dict, path: Path, line: int) -> None:
-    """Apply one WAL record to the folded job map, validating the move."""
+def _field(record: dict, key: str, kind, default=None):
+    """``record[key]`` converted by ``kind``; ``default`` when absent or null."""
+    value = record.get(key)
+    return default if value is None else kind(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _fold_event(jobs: dict[str, Job], record: dict) -> None:
+    """Apply one WAL record to the folded job map, validating the move.
+
+    Damage raises ``ValueError`` or ``TypeError``; every field is
+    converted before the job changes, so a bad record changes nothing.
+    """
     event = record.get("event")
     job_id = record.get("job_id")
     if not isinstance(job_id, str) or not job_id:
-        raise JobStoreCorruptError(f"{path}: record on line {line} names no job_id")
+        raise JobStoreCorruptError("the record names no job_id")
     if event == "snapshot":
         # A rotation snapshot replaces the job's folded state wholesale.
-        jobs[job_id] = _job_from_snapshot(record, path, line)
+        jobs[job_id] = _job_from_snapshot(record, job_id)
         return
     if event not in ALL_STATES:
-        raise JobStoreCorruptError(
-            f"{path}: unknown event {event!r} on line {line}"
-        )
+        raise JobStoreCorruptError(f"unknown event {event!r}")
     current = jobs.get(job_id)
     allowed = VALID_TRANSITIONS[None if current is None else current.state]
     if event not in allowed:
         held = "no prior state" if current is None else current.state
         raise JobStoreCorruptError(
-            f"{path}: impossible transition {held} → {event} for job "
-            f"{job_id} on line {line}"
+            f"impossible transition {held} → {event} for job {job_id}"
         )
-    t = float(record.get("t", 0.0))
+    t = _field(record, "t", float, 0.0)
     if current is None:
-        spec = JobSpec.from_json(record.get("spec") or {})
-        current = Job(spec=spec, state=QUEUED, submitted_at=t)
-        jobs[job_id] = current
+        jobs[job_id] = Job(spec=_spec_of(record.get("spec"), job_id),
+                           state=QUEUED, submitted_at=t)
         return
+    checkpoint = _field(record, "checkpoint", _text, current.checkpoint_path)
+    error = _field(record, "error", _text, current.error)
+    report = _field(record, "report", _text, current.report_path)
+    cause = _field(record, "cause", _text)
+    not_before = _field(record, "not_before", float, t)
     current.state = event
     if event == ADMITTED:
         # First admission pins the latency metric; re-admissions after
@@ -233,57 +258,55 @@ def _fold_event(jobs: dict[str, Job], record: dict, path: Path, line: int) -> No
         # retry ladder).
         if current.admitted_at is None:
             current.admitted_at = t
-    elif event == RUNNING:
+        return
+    current.checkpoint_path = checkpoint
+    if event == RUNNING:
         current.attempts += 1
         current.started_at = t
-        current.checkpoint_path = record.get("checkpoint", current.checkpoint_path)
     elif event == RETRYING:
-        current.retry_cause = record.get("cause")
-        current.not_before = float(record.get("not_before", t))
+        current.retry_cause = cause
+        current.not_before = not_before
         if record.get("failure"):
             current.failures += 1
-        current.error = record.get("error", current.error)
-        current.checkpoint_path = record.get("checkpoint", current.checkpoint_path)
-    if event in TERMINAL_STATES:
+        current.error = error
+    else:  # terminal
         current.finished_at = t
         current.terminal_events += 1
-        current.error = record.get("error", current.error)
-        current.report_path = record.get("report", current.report_path)
-        current.checkpoint_path = record.get("checkpoint", current.checkpoint_path)
+        current.error = error
+        current.report_path = report
 
 
-def _job_from_snapshot(record: dict, path: Path, line: int) -> Job:
-    try:
-        spec = JobSpec.from_json(record["spec"])
-        job = Job(
-            spec=spec,
-            state=str(record["state"]),
-            attempts=int(record.get("attempts", 0)),
-            failures=int(record.get("failures", 0)),
-            submitted_at=float(record.get("submitted_at", 0.0)),
-            admitted_at=record.get("admitted_at"),
-            started_at=record.get("started_at"),
-            finished_at=record.get("finished_at"),
-            not_before=float(record.get("not_before", 0.0)),
-            error=record.get("error"),
-            report_path=record.get("report"),
-            checkpoint_path=record.get("checkpoint"),
-            retry_cause=record.get("retry_cause"),
-            terminal_events=int(record.get("terminal_events", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JobStoreCorruptError(
-            f"{path}: malformed snapshot on line {line}: {exc}"
-        ) from exc
+def _spec_of(record: dict, job_id: str) -> JobSpec:
+    spec = JobSpec.from_json(record)
+    if spec.job_id != job_id:
+        raise JobStoreCorruptError(f"the spec of job {job_id} names job {spec.job_id}")
+    return spec
+
+
+def _job_from_snapshot(record: dict, job_id: str) -> Job:
+    job = Job(
+        spec=_spec_of(record.get("spec"), job_id),
+        state=_text(record.get("state")),
+        attempts=_field(record, "attempts", int, 0),
+        failures=_field(record, "failures", int, 0),
+        submitted_at=_field(record, "submitted_at", float, 0.0),
+        admitted_at=_field(record, "admitted_at", float),
+        started_at=_field(record, "started_at", float),
+        finished_at=_field(record, "finished_at", float),
+        not_before=_field(record, "not_before", float, 0.0),
+        error=_field(record, "error", _text),
+        report_path=_field(record, "report", _text),
+        checkpoint_path=_field(record, "checkpoint", _text),
+        retry_cause=_field(record, "retry_cause", _text),
+        terminal_events=_field(record, "terminal_events", int, 0),
+    )
     if job.state not in ALL_STATES:
-        raise JobStoreCorruptError(
-            f"{path}: snapshot on line {line} holds unknown state {job.state!r}"
-        )
+        raise JobStoreCorruptError(f"snapshot holds unknown state {job.state!r}")
     return job
 
 
 def _snapshot_record(job: Job) -> dict:
-    record = {
+    return {
         "type": "job",
         "event": "snapshot",
         "job_id": job.job_id,
@@ -302,45 +325,6 @@ def _snapshot_record(job: Job) -> dict:
         "retry_cause": job.retry_cause,
         "terminal_events": job.terminal_events,
     }
-    record["crc"] = line_crc(record)
-    return record
-
-
-def _parse_lines(raw: bytes, path: Path) -> tuple[list[dict], int]:
-    """Split a WAL into records, tolerating only a torn trailing line.
-
-    Returns ``(records, good_bytes)`` where ``good_bytes`` is how much
-    of the file parses cleanly — less than ``len(raw)`` exactly when a
-    torn tail should be truncated by a writable opener.
-    """
-    lines = raw.split(b"\n")
-    torn_tail = lines[-1] != b""
-    body = lines[:-1]
-    good_bytes = len(raw) - (len(lines[-1]) if torn_tail else 0)
-    records: list[dict] = []
-    for index, line in enumerate(body, start=1):
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            if index == len(body) and not torn_tail:
-                # Torn final line that happened to contain a newline.
-                good_bytes -= len(line) + 1
-                break
-            raise JobStoreCorruptError(
-                f"{path}: unreadable record on line {index}: {exc}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise JobStoreCorruptError(
-                f"{path}: record on line {index} is not a JSON object"
-            )
-        stored = record.get("crc")
-        if stored is not None and stored != line_crc(record):
-            raise JobStoreCorruptError(
-                f"{path}: CRC mismatch on line {index} — the record was "
-                "altered after it was written and cannot be replayed"
-            )
-        records.append(record)
-    return records, good_bytes
 
 
 def _fold_records(records: list[dict], path: Path) -> dict[str, Job]:
@@ -355,13 +339,14 @@ def _fold_records(records: list[dict], path: Path) -> dict[str, Job]:
             f"(want {JOBSTORE_VERSION})"
         )
     jobs: dict[str, Job] = {}
-    for index, record in enumerate(records[1:], start=2):
-        if record.get("type") != "job":
-            raise JobStoreCorruptError(
-                f"{path}: unexpected record type {record.get('type')!r} "
-                f"on line {index}"
-            )
-        _fold_event(jobs, record, path, index)
+    for number, record in enumerate(records[1:], start=2):
+        try:
+            if record.get("type") != "job":
+                raise JobStoreCorruptError(
+                    f"unexpected record type {record.get('type')!r}")
+            _fold_event(jobs, record)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise JobStoreCorruptError(f"{path}: line {number}: {exc}") from exc
     return jobs
 
 
@@ -374,13 +359,9 @@ def replay_jobs(path: str | Path) -> dict[str, Job]:
     or empty log is an empty service, not an error.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.exists() or path.stat().st_size == 0:
         return {}
-    raw = path.read_bytes()
-    if not raw:
-        return {}
-    records, _ = _parse_lines(raw, path)
-    return _fold_records(records, path)
+    return _fold_records(read_records(path, JobStoreCorruptError)[0], path)
 
 
 class JobStore:
@@ -392,8 +373,8 @@ class JobStore:
     is already durable when the next SIGKILL lands.
 
     The log grows one line per transition; :meth:`rotate` compacts it to
-    one snapshot per job, written to a temp file, fsynced, and
-    ``os.replace``'d over the log so a crash mid-rotation loses nothing.
+    one snapshot per job and replaces the log atomically, so a crash
+    mid-rotation loses nothing.
     Rotation fires automatically once the event count since the last
     compaction passes ``rotate_after`` records.
     """
@@ -409,29 +390,18 @@ class JobStore:
 
     @classmethod
     def open(cls, path: str | Path, rotate_after: int = 512) -> "JobStore":
-        """Create or recover the WAL, repairing a torn tail in place."""
+        """Create or recover the WAL, truncating a torn tail in place."""
         store = cls(path, rotate_after=rotate_after)
         if store.path.exists() and store.path.stat().st_size > 0:
-            raw = store.path.read_bytes()
-            records, good_bytes = _parse_lines(raw, store.path)
+            records, good_bytes = read_records(store.path, JobStoreCorruptError)
             store.jobs = _fold_records(records, store.path)
-            if good_bytes < len(raw):
-                with open(store.path, "r+b") as handle:
-                    handle.truncate(good_bytes)
+            if good_bytes < store.path.stat().st_size:
+                os.truncate(store.path, good_bytes)
             store._events_since_rotate = max(0, len(records) - 1)
         else:
-            store._write_header()
+            store.path.parent.mkdir(parents=True, exist_ok=True)
+            rewrite_file(store.path, record_line(_HEADER) + "\n")
         return store
-
-    def _write_header(self) -> None:
-        record = {"type": "header", "version": JOBSTORE_VERSION,
-                  "service": "repro.service"}
-        record["crc"] = line_crc(record)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------- appending
 
@@ -440,8 +410,12 @@ class JobStore:
                      **fields) -> Job:
         """Validate, durably append, and fold one transition.
 
-        The in-memory fold happens *after* the fsync succeeds, so the
-        scheduler never acts on a transition that is not yet durable.
+        The record is first folded into a copy of the job, so one that
+        replay would refuse (an impossible transition, a first record
+        without its spec, a field of the wrong type) raises
+        ``ValueError`` before it touches the disk.  The real fold
+        happens *after* the fsync succeeds, so the scheduler never acts
+        on a transition that is not yet durable.
         """
         with self._lock:
             record: dict = {"type": "job", "job_id": job_id, "event": event,
@@ -449,26 +423,10 @@ class JobStore:
             if spec is not None:
                 record["spec"] = spec.to_json()
             record.update({k: v for k, v in fields.items() if v is not None})
-            # Validate against the folded state before touching the disk.
             current = self.jobs.get(job_id)
-            if event != "snapshot":
-                if event not in ALL_STATES:
-                    raise ValueError(f"unknown job event {event!r}")
-                allowed = VALID_TRANSITIONS[None if current is None else current.state]
-                if event not in allowed:
-                    held = "no prior state" if current is None else current.state
-                    raise JobStoreCorruptError(
-                        f"refusing impossible transition {held} → {event} "
-                        f"for job {job_id}"
-                    )
-                if current is None and spec is None:
-                    raise ValueError("a job's first record must carry its spec")
-            record["crc"] = line_crc(record)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            _fold_event(self.jobs, record, self.path, -1)
+            _fold_event({} if current is None else {job_id: copy.copy(current)}, record)
+            append_record(self.path, record)
+            _fold_event(self.jobs, record)
             self._events_since_rotate += 1
             job = self.jobs[job_id]
         if self._events_since_rotate > self.rotate_after:
@@ -480,23 +438,14 @@ class JobStore:
     def rotate(self) -> None:
         """Compact the log to one snapshot per job, atomically.
 
-        The replacement is complete and fsynced before ``os.replace``
-        swings the name over, so any crash leaves either the old log or
-        the new one — never a half-written hybrid.
+        :func:`~repro.resilience.checkpoint.rewrite_file` fsyncs the
+        replacement before it swings the name over, so any crash leaves
+        either the old log or the new one — never a half-written hybrid.
         """
         with self._lock:
-            header = {"type": "header", "version": JOBSTORE_VERSION,
-                      "service": "repro.service"}
-            header["crc"] = line_crc(header)
-            lines = [json.dumps(header)]
-            for job_id in sorted(self.jobs):
-                lines.append(json.dumps(_snapshot_record(self.jobs[job_id])))
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            records = [_HEADER] + [_snapshot_record(self.jobs[job_id])
+                                   for job_id in sorted(self.jobs)]
+            rewrite_file(self.path, "".join(record_line(r) + "\n" for r in records))
             self._events_since_rotate = 0
 
     # --------------------------------------------------------------- queries

@@ -30,8 +30,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.resilience.checkpoint import count_shard_records, read_json_object, rewrite_file
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import AdmissionRejectedError, ReproError
+from repro.resilience.errors import AdmissionRejectedError, JobStoreCorruptError, ReproError
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import (
     EXIT_INTERRUPTED,
@@ -94,10 +95,8 @@ class ServiceDirs:
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON so readers never see a torn file (tmp + rename)."""
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    """Write JSON so readers never see a torn file (:func:`rewrite_file`)."""
+    rewrite_file(path, json.dumps(payload, indent=2) + "\n")
 
 
 # ------------------------------------------------------------- job execution
@@ -255,8 +254,13 @@ class JobEngine:
         picked = 0
         for path in sorted(self.dirs.spool.glob("*.submit.json")):
             try:
-                spec = JobSpec.from_json(json.loads(path.read_text(encoding="utf-8")))
-            except (OSError, ValueError, ReproError) as exc:
+                spec = JobSpec.from_json(read_json_object(path) or {})
+                # The id names the job's spool files and directory.
+                if spec.job_id in ("", "..") or "\0" in spec.job_id \
+                        or Path(spec.job_id).name != spec.job_id:
+                    raise JobStoreCorruptError(
+                        f"malformed job spec: job_id {spec.job_id!r} cannot name a file")
+            except ReproError as exc:
                 self.on_event(f"dropping unreadable submission {path.name}: {exc}")
                 path.unlink(missing_ok=True)
                 continue
@@ -310,22 +314,11 @@ class JobEngine:
 
     def _journal_progress(self, job: Job) -> dict | None:
         """Completed-shard count straight from the job's checkpoint."""
-        path = job.checkpoint_path or str(
-            self.dirs.job_dir(job.job_id) / "checkpoint.jsonl")
-        journal = Path(path)
+        journal = Path(job.checkpoint_path
+                       or self.dirs.job_dir(job.job_id) / "checkpoint.jsonl")
         if not journal.exists():
             return None
-        shards = 0
-        try:
-            for line in journal.read_text(encoding="utf-8").splitlines():
-                try:
-                    if json.loads(line).get("type") == "shard":
-                        shards += 1
-                except ValueError:
-                    continue  # torn tail mid-write — next tick catches up
-        except OSError:
-            return None
-        return {"journaled_shards": shards}
+        return {"journaled_shards": count_shard_records(journal)}
 
     # ----------------------------------------------------------------- loop
 

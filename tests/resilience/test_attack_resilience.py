@@ -16,7 +16,6 @@ more scan.
 """
 
 import contextlib
-import json
 import os
 import signal
 import subprocess
@@ -29,6 +28,7 @@ import pytest
 from repro.attack.parallel import resilient_recover_keys, shard_image
 from repro.attack.sweep import synthetic_dump
 from repro.crypto.aes import schedule_bytes
+from repro.resilience.checkpoint import count_shard_records, read_records
 from repro.resilience.executor import STATUS_FROM_CHECKPOINT, STATUS_OK
 from repro.resilience.faults import PERMANENT, FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -170,15 +170,6 @@ def _shm_segments(pid: int) -> set[Path]:
     return segments
 
 
-def _journaled_offsets(path: Path) -> list[int]:
-    offsets = []
-    for line in path.read_text().splitlines():
-        record = json.loads(line)
-        if record.get("type") == "shard":
-            offsets.append(record["offset"])
-    return offsets
-
-
 def test_killed_scan_resumes_from_checkpoint(tmp_path, dump_and_master, clean_baseline):
     """SIGKILL a scan mid-run; the resumed run skips the finished shards.
 
@@ -210,7 +201,7 @@ def test_killed_scan_resumes_from_checkpoint(tmp_path, dump_and_master, clean_ba
         while time.monotonic() < deadline:
             if child.poll() is not None:
                 pytest.fail("scan finished before it could be killed")
-            if checkpoint.exists() and 1 <= len(_journaled_offsets(checkpoint)) < N_SHARDS:
+            if 1 <= count_shard_records(checkpoint) < N_SHARDS:
                 break
             time.sleep(0.2)
         else:
@@ -240,7 +231,8 @@ def test_killed_scan_resumes_from_checkpoint(tmp_path, dump_and_master, clean_ba
     assert not alive, f"processes the scan started outlived it: {sorted(alive)}"
     assert not left, f"shared-memory segments outlived the scan: {sorted(map(str, left))}"
 
-    survivors = _journaled_offsets(checkpoint)
+    survivors = [record["offset"] for record in read_records(checkpoint)[0]
+                 if record.get("type") == "shard"]
     assert 1 <= len(survivors) < N_SHARDS
 
     scan = resilient_recover_keys(

@@ -166,6 +166,23 @@ class TestLineCrc:
         assert set(done) == {0, 1024}
         assert done[0][0].master_key == bytes(range(32))
 
+    def test_crc_valid_shard_of_the_wrong_shape_names_the_line(self, tmp_path):
+        """A record whose CRC holds but whose offset is not a number is
+        corruption, reported as such — not a bare ValueError."""
+        from repro.resilience.checkpoint import line_crc
+
+        path = tmp_path / "scan.jsonl"
+        header = make_header()
+        journal, _ = CheckpointJournal.open(path, header)
+        journal.record(0, [])
+        journal.close()
+        record = {"type": "shard", "offset": "abc", "results": []}
+        record["crc"] = line_crc(record)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(CheckpointCorruptError, match="line 3"):
+            CheckpointJournal.open(path, header, resume=True)
+
     def test_crc_ignores_field_order(self):
         from repro.resilience.checkpoint import line_crc
 
@@ -225,6 +242,13 @@ class TestDecodeStateStore:
         path.write_text("not json at all {")
         assert DecodeStateStore(path).load("x") is None
         path.write_text('{"version": 99, "entries": {}}')
+        assert DecodeStateStore(path).load("x") is None
+
+    def test_non_utf8_sidecar_starts_empty(self, tmp_path):
+        from repro.resilience.checkpoint import DecodeStateStore
+
+        path = tmp_path / "scan.jsonl.decode"
+        path.write_bytes(b'{"version": 1, "entries": {"\xff": {}}}')
         assert DecodeStateStore(path).load("x") is None
 
     def test_discard_removes_consumed_state(self, tmp_path):

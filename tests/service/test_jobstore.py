@@ -90,6 +90,20 @@ class TestTransitionValidation:
             store.append_event("job-1", RUNNING)
         assert wal.read_text().count("\n") == lines_before  # nothing appended
 
+    def test_a_field_replay_would_refuse_is_never_written(self, tmp_path):
+        """A wrong-typed field is refused before the append, not folded
+        after it: the log stays readable."""
+        wal = tmp_path / "jobs.wal"
+        store = JobStore.open(wal)
+        store.append_event("job-1", QUEUED, spec=spec())
+        store.append_event("job-1", ADMITTED)
+        store.append_event("job-1", RUNNING)
+        lines_before = wal.read_text().count("\n")
+        with pytest.raises(ValueError):
+            store.append_event("job-1", RETRYING, not_before="soon")
+        assert wal.read_text().count("\n") == lines_before
+        assert JobStore.open(wal).jobs["job-1"].state == RUNNING
+
     def test_terminal_jobs_accept_no_further_events(self, tmp_path):
         store = JobStore.open(tmp_path / "jobs.wal")
         store.append_event("job-1", QUEUED, spec=spec())
@@ -149,6 +163,28 @@ class TestCrashSafety:
         wal.write_text("".join(lines))
         with pytest.raises(JobStoreCorruptError, match="line 2"):
             replay_jobs(wal)
+
+    @pytest.mark.parametrize("field", ["t", "not_before"])
+    def test_crc_valid_record_with_a_non_numeric_time_names_the_line(
+            self, tmp_path, field):
+        """Both the server's open and ``repro status``'s replay report a
+        CRC-valid record of the wrong shape as corruption of its line."""
+        from repro.resilience.checkpoint import line_crc
+
+        wal = tmp_path / "jobs.wal"
+        store = JobStore.open(wal)
+        store.append_event("job-1", QUEUED, spec=spec())
+        store.append_event("job-1", ADMITTED)
+        store.append_event("job-1", RUNNING)
+        record = {"type": "job", "job_id": "job-1", "event": RETRYING,
+                  "t": 5.0, "not_before": 6.0, field: "abc"}
+        record["crc"] = line_crc(record)
+        with open(wal, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(JobStoreCorruptError, match="line 5"):
+            replay_jobs(wal)
+        with pytest.raises(JobStoreCorruptError, match="line 5"):
+            JobStore.open(wal)
 
     def test_crc_catches_silent_bit_flips(self, tmp_path):
         wal = tmp_path / "jobs.wal"

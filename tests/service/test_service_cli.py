@@ -6,7 +6,6 @@ journal-watcher-chosen instant, restart it, and require the resumed
 report to be canonically byte-identical to an uninterrupted run's.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -20,6 +19,7 @@ from repro.attack.report import canonical_report_bytes, load_report_json
 from repro.cli import main
 from repro.crypto.aes import expand_key
 from repro.dram.image import MemoryImage
+from repro.resilience.checkpoint import count_shard_records
 from repro.scrambler.ddr4 import Ddr4Scrambler
 from repro.service import JobSpec, replay_jobs, submit_job, wait_terminal
 from repro.util.rng import SplitMix64
@@ -49,19 +49,6 @@ def start_server(service_dir, idle_exit="3"):
         [sys.executable, "-m", "repro", "serve", str(service_dir),
          "--workers", "1", "--poll-interval", "0.05", "--idle-exit", idle_exit],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def journaled_shards(journal: Path) -> int:
-    if not journal.exists():
-        return 0
-    count = 0
-    for line in journal.read_text(encoding="utf-8").splitlines():
-        try:
-            if json.loads(line).get("type") == "shard":
-                count += 1
-        except ValueError:
-            continue
-    return count
 
 
 class TestServeRoundTrip:
@@ -96,7 +83,7 @@ class TestServeRoundTrip:
                                     scan_workers=1, n_shards=64))
             journal = svc / "jobs" / "job-cancel" / "checkpoint.jsonl"
             deadline = time.monotonic() + 60
-            while journaled_shards(journal) < 1:
+            while count_shard_records(journal) < 1:
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.02)
             assert main(["cancel", str(svc), "job-cancel"]) == 0
@@ -130,7 +117,7 @@ class TestKillResume:
                                 scan_workers=2, n_shards=8))
         journal = svc / "jobs" / "job-kill" / "checkpoint.jsonl"
         deadline = time.monotonic() + 60
-        while journaled_shards(journal) < 1:
+        while count_shard_records(journal) < 1:
             assert time.monotonic() < deadline, "no shard journaled before kill"
             time.sleep(0.02)
         os.kill(server.pid, signal.SIGKILL)
@@ -139,7 +126,7 @@ class TestKillResume:
         # The WAL still says RUNNING — the kill left no terminal record.
         stranded = replay_jobs(svc / "jobs.wal")["job-kill"]
         assert stranded.state == "RUNNING"
-        resumed_from = journaled_shards(journal)
+        resumed_from = count_shard_records(journal)
         assert resumed_from >= 1
 
         # Restart: recovery folds RUNNING → RETRYING and the rerun is a
