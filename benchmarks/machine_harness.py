@@ -158,7 +158,7 @@ def _run_fast(
     scrambled = _scrambled_contents(machine.modules)
     raw = np.frombuffer(scrambled, dtype=np.uint8).copy()
     ground = np.concatenate(
-        [machine.modules[ch].ground_state for ch in sorted(machine.modules)]
+        [machine.modules[ch].ground_state[:] for ch in sorted(machine.modules)]
     )
     rng = np.random.Generator(np.random.PCG64(derive_seed("bench-machine-decay", seed)))
     start = time.perf_counter()
@@ -212,7 +212,7 @@ def _run_legacy(
 
     scrambled = _scrambled_contents(modules)
     raw = np.frombuffer(scrambled, dtype=np.uint8).copy()
-    ground = np.concatenate([modules[ch].ground_state for ch in sorted(modules)])
+    ground = np.concatenate([modules[ch].ground_state[:] for ch in sorted(modules)])
     rng = np.random.Generator(np.random.PCG64(derive_seed("bench-machine-decay", seed)))
     start = time.perf_counter()
     flips = legacy_apply_decay(raw, ground, decay_p, rng)

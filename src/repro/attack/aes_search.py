@@ -1113,6 +1113,9 @@ class AesKeySearch:
                             )
                         )
                     stage["verify"] += time.perf_counter() - tick
+                # Free these tables before the next ones are built, so a
+                # scan holds one chunk's tables at a time, not two.
+                del streams, band_tables, probe_memo
             if self.on_progress is not None:
                 self.on_progress()
         return hits

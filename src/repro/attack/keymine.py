@@ -441,10 +441,11 @@ class MiningState:
     ) -> None:
         self.image = image
         self.scan_limit_bytes = scan_limit_bytes
-        data = image.data
+        # A view, not a slice of ``image.data``: slicing a ``bytes`` or
+        # ``bytearray`` dump would copy up to the whole scan limit.
+        self._matrix = image.blocks_matrix()
         if scan_limit_bytes is not None:
-            data = data[: scan_limit_bytes - scan_limit_bytes % BLOCK_SIZE]
-        self._matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+            self._matrix = self._matrix[: scan_limit_bytes // BLOCK_SIZE]
         self._mismatch = key_litmus_mismatch_bits(self._matrix)
         self._mined: dict[tuple[int, int], list[CandidateKey]] = {}
 

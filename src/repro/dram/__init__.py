@@ -19,7 +19,7 @@ from repro.dram.bus import (
     DdrTimingParameters,
     ReadRequest,
 )
-from repro.dram.cells import DecayModel, apply_decay, ground_state_pattern
+from repro.dram.cells import DecayModel, GroundState, apply_decay, ground_state_pattern
 from repro.dram.image import MemoryImage
 from repro.dram.module import DramModule, random_fill
 from repro.dram.nvdimm import (
@@ -71,6 +71,7 @@ __all__ = [
     "NvdimmModule",
     "NvdimmThreatComparison",
     "DramTiming",
+    "GroundState",
     "MemoryImage",
     "ModuleProfile",
     "ThermalTransfer",

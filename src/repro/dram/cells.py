@@ -154,9 +154,7 @@ class DecayModel:
         return min(1.0, max(0.0, 1.0 - s1 / s0))
 
 
-def ground_state_pattern(
-    n_bytes: int, serial: int | str, stripe_bytes: int = 4096
-) -> np.ndarray:
+class GroundState:
     """Per-module ground state: alternating true-cell/anti-cell stripes.
 
     True-cell stripes decay to 0x00, anti-cell stripes to 0xFF.  The
@@ -164,15 +162,47 @@ def ground_state_pattern(
     have different (but individually stable) ground-state layouts —
     this is what the "profiling" variant of the reverse cold boot
     attack measures (§III-A).
+
+    The state is held as one value per stripe.  A contiguous slice,
+    ``ground[start:stop]``, expands just that byte range, so decay and
+    discharge touch the ground state a block at a time and a module
+    never holds a second full-size copy of itself.
     """
-    if n_bytes <= 0:
-        raise ValueError("n_bytes must be positive")
-    if stripe_bytes <= 0:
-        raise ValueError("stripe_bytes must be positive")
-    rng = np.random.Generator(np.random.PCG64(derive_seed("ground-state", str(serial))))
-    n_stripes = (n_bytes + stripe_bytes - 1) // stripe_bytes
-    stripe_values = np.where(rng.random(n_stripes) < 0.5, 0x00, 0xFF).astype(np.uint8)
-    return np.repeat(stripe_values, stripe_bytes)[:n_bytes]
+
+    def __init__(self, n_bytes: int, serial: int | str, stripe_bytes: int = 4096) -> None:
+        if n_bytes <= 0:
+            raise ValueError("n_bytes must be positive")
+        if stripe_bytes <= 0:
+            raise ValueError("stripe_bytes must be positive")
+        rng = np.random.Generator(np.random.PCG64(derive_seed("ground-state", str(serial))))
+        n_stripes = (n_bytes + stripe_bytes - 1) // stripe_bytes
+        self.stripe_values = np.where(rng.random(n_stripes) < 0.5, 0x00, 0xFF).astype(np.uint8)
+        self.stripe_bytes = stripe_bytes
+        self.shape = (n_bytes,)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        """The bytes of a contiguous range, as a fresh uint8 array."""
+        if not isinstance(index, slice):
+            raise TypeError("a ground state is read by contiguous slices")
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("a ground state is read by contiguous slices")
+        stop = max(start, stop)
+        first = start // self.stripe_bytes
+        last = -(-stop // self.stripe_bytes)
+        expanded = np.repeat(self.stripe_values[first:last], self.stripe_bytes)
+        skip = first * self.stripe_bytes
+        return expanded[start - skip : stop - skip]
+
+
+def ground_state_pattern(
+    n_bytes: int, serial: int | str, stripe_bytes: int = 4096
+) -> np.ndarray:
+    """The whole :class:`GroundState` of ``n_bytes`` as one byte array."""
+    return GroundState(n_bytes, serial, stripe_bytes)[:]
 
 
 def _draw_threshold(flip_probability: float) -> int:
@@ -194,7 +224,10 @@ def _draw_threshold(flip_probability: float) -> int:
 
 
 def _dense_decay(
-    data: np.ndarray, ground: np.ndarray, flip_probability: float, rng: np.random.Generator
+    data: np.ndarray,
+    ground: np.ndarray | GroundState,
+    flip_probability: float,
+    rng: np.random.Generator,
 ) -> int:
     """The per-bit draw of :func:`apply_decay`, from raw PCG64 words.
 
@@ -253,7 +286,7 @@ def _dense_decay(
 
 def apply_decay(
     data: np.ndarray,
-    ground: np.ndarray,
+    ground: np.ndarray | GroundState,
     flip_probability: float,
     rng: np.random.Generator,
 ) -> int:
@@ -261,7 +294,9 @@ def apply_decay(
 
     Operates in place on ``data`` (uint8).  Only bits that differ from
     the ground state can flip (a discharged cell cannot spontaneously
-    recharge).  Returns the number of bits flipped.
+    recharge).  Returns the number of bits flipped.  ``ground`` is a
+    byte array or a :class:`GroundState`; either is sliced one block
+    or chunk at a time.
 
     At and above :data:`SPARSE_DECAY_THRESHOLD` the flips are exactly
     those of one float32 draw per bit, read as raw PCG64 words in

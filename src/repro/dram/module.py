@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dram.cells import apply_decay, ground_state_pattern
+from repro.dram.cells import DECAY_BLOCK_BYTES, GroundState, apply_decay
 from repro.dram.retention import MODULE_PROFILES, ModuleProfile
 from repro.util.rng import SplitMix64, derive_seed
 
@@ -44,9 +44,9 @@ class DramModule:
         self.capacity_bytes = capacity_bytes
         self.profile = profile
         self.serial = serial
-        self.ground_state = ground_state_pattern(capacity_bytes, serial)
+        self.ground_state = GroundState(capacity_bytes, serial)
         #: Cell contents; a fresh module sits at its ground state.
-        self.data = self.ground_state.copy()
+        self.data = self.ground_state[:]
         self.powered = True
         self.temperature_c = 20.0
         self._decay_age = 0.0
@@ -179,7 +179,9 @@ class DramModule:
 
     def decay_to_ground(self) -> None:
         """Let the module fully discharge (the 'profiling' variant, §III-A)."""
-        self.data[:] = self.ground_state
+        for start in range(0, self.capacity_bytes, DECAY_BLOCK_BYTES):
+            stop = start + DECAY_BLOCK_BYTES
+            self.data[start:stop] = self.ground_state[start:stop]
 
     def fraction_correct(self, reference: bytes) -> float:
         """Fraction of bits matching ``reference`` — the retention metric."""

@@ -31,6 +31,7 @@ from repro.resilience.errors import (
     CheckpointStorageError,
     DeadlineExceededError,
     DumpFormatError,
+    InvalidJobIdError,
     JobStoreCorruptError,
     ReproError,
     ShardLayoutError,
@@ -106,6 +107,7 @@ __all__ = [
     "HeartbeatBoard",
     "HeartbeatMonitor",
     "InjectedFault",
+    "InvalidJobIdError",
     "JobStoreCorruptError",
     "JournalHeader",
     "PublishedBuffer",

@@ -143,6 +143,14 @@ class JobStoreCorruptError(CheckpointCorruptError):
     is repaired, not an error."""
 
 
+class InvalidJobIdError(ReproError, ValueError):
+    """A job id that cannot name the job's spool files and directory."""
+
+    def __init__(self, job_id: str) -> None:
+        self.job_id = job_id
+        super().__init__(f"job id {job_id!r} cannot name a file")
+
+
 class UnknownJobError(ReproError, KeyError):
     """A job id names no job in the service's write-ahead log."""
 

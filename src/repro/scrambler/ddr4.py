@@ -33,7 +33,7 @@ from repro.dram.address import DramAddressMap, address_map_for
 from repro.scrambler.base import ScramblerModel
 from repro.scrambler.lfsr import GaloisLfsr, batch_lfsr_bits
 from repro.util.bits import words16_to_bytes
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, derive_seeds
 
 
 class Ddr4Scrambler(ScramblerModel):
@@ -86,14 +86,9 @@ class Ddr4Scrambler(ScramblerModel):
         # Every key consumes 4 sub-blocks × 5 LFSR words of 16 bits; all
         # 4096 registers produce those 320 bits in one leap-functional
         # product, then the word/byte assembly mirrors _generate_key.
-        seeds = np.array(
-            [
-                derive_seed(
-                    "ddr4-key", self.cpu_generation, self.boot_seed, channel, index
-                )
-                for index in range(self.keys_per_channel)
-            ],
-            dtype=np.uint64,
+        seeds = derive_seeds(
+            "ddr4-key", self.cpu_generation, self.boot_seed, channel,
+            count=self.keys_per_channel,
         )
         n_words = self.SUB_BLOCKS * 5  # 4 fresh words + 1 reuse constant each
         bits = batch_lfsr_bits(seeds, n_words * 16)

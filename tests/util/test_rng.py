@@ -1,10 +1,11 @@
 """Tests for the deterministic seed/PRNG machinery."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.rng import SplitMix64, derive_seed
+from repro.util.rng import SplitMix64, derive_seed, derive_seeds
 
 
 class TestSplitMix64:
@@ -66,3 +67,25 @@ class TestDeriveSeed:
     def test_no_trivial_collisions(self, parts):
         shifted = [p + 1 for p in parts]
         assert derive_seed(*parts) != derive_seed(*shifted)
+
+
+class TestDeriveSeeds:
+    @pytest.mark.parametrize("generation", ["skylake", "kabylake"])
+    @pytest.mark.parametrize("boot_seed", [0, 0x2545F4914F6CDD1D, (1 << 63) - 3, (1 << 64) - 1])
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_matches_derive_seed_at_every_index(self, generation, boot_seed, channel):
+        """The DDR4 key pool's seeds: 4096 indices after a shared prefix."""
+        prefix = ("ddr4-key", generation, boot_seed, channel)
+        seeds = derive_seeds(*prefix, count=4096)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(*prefix, index) for index in range(4096)]
+
+    def test_indices_past_two_bytes_and_no_prefix(self):
+        assert derive_seeds(count=70000)[[0, 255, 256, 65535, 65536, 69999]].tolist() == [
+            derive_seed(i) for i in (0, 255, 256, 65535, 65536, 69999)
+        ]
+
+    def test_empty_and_negative_counts(self):
+        assert derive_seeds("x", count=0).shape == (0,)
+        with pytest.raises(ValueError):
+            derive_seeds("x", count=-1)
