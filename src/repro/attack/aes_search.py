@@ -58,6 +58,7 @@ from repro.attack.decode import (
     schedule_plausibility,
 )
 from repro.crypto.aes import (
+    _SUB_PAIRS,
     INV_SBOX,
     SBOX,
     Rcon,
@@ -247,13 +248,6 @@ def _all_pairs(blocks: np.ndarray, n_keys: int) -> np.ndarray:
     pairs[:, 0] = np.repeat(blocks, n_keys)
     pairs[:, 1] = np.tile(np.arange(n_keys, dtype=np.int64), blocks.size)
     return pairs
-
-
-#: SubWord over a little-endian byte pair: entry ``v`` holds the S-box
-#: images of ``v``'s low and high bytes in the same byte positions.
-_SUB_PAIRS = SBOX[np.arange(1 << 16) & 0xFF].astype(np.uint32) | (
-    SBOX[np.arange(1 << 16) >> 8].astype(np.uint32) << 8
-)
 
 
 def _words(matrix: np.ndarray, column: int) -> np.ndarray:
@@ -544,6 +538,11 @@ def _t_forward(word: int, index: int, nk: int) -> int:
     return word
 
 
+#: Row ``bit`` flips bit ``bit`` of a word (bit 0 the lowest), the
+#: order the scalar repair tried.
+_WORD_BIT_FLIPS = np.left_shift(1, np.arange(32, dtype=np.uint32), dtype=np.uint32)
+
+
 def repair_observed_table(
     table: np.ndarray,
     key_bits: int,
@@ -571,12 +570,12 @@ def repair_observed_table(
     n_words = len(table) // 4
     if n_words < nk + 1:
         return table
-    # Words as (n_words, 4) big-endian byte rows: every transform in the
-    # recurrence (XOR, RotWord, per-byte SubWord, Rcon on the MSB) is
-    # byte-aligned, so the whole repair runs on uint8 matrices and every
-    # candidate repair of a greedy step is scored in ONE batched pass.
-    words = np.ascontiguousarray(table[: 4 * n_words], dtype=np.uint8).reshape(
-        n_words, 4
+    # Words as big-endian uint32: RotWord is a rotate, SubWord two
+    # lookups in a 16-bit table and Rcon an XOR on the top byte, so
+    # every candidate repair of a greedy step is scored in ONE batched
+    # pass over whole words.
+    words = np.ascontiguousarray(table[: 4 * n_words], dtype=np.uint8).view(">u4").astype(
+        np.uint32
     )
     if known_bytes is None:
         word_known = np.ones(n_words, dtype=bool)
@@ -588,21 +587,26 @@ def repair_observed_table(
     eq_index = np.arange(nk, n_words)
     rot_mask = eq_index % nk == 0
     sub_mask = (eq_index % nk == 4) if nk > 6 else np.zeros_like(rot_mask)
-    rcon_vals = np.array([Rcon(int(i) // nk) for i in eq_index[rot_mask]], dtype=np.uint8)
+    rcon_vals = np.array(
+        [Rcon(int(i) // nk) << 24 for i in eq_index[rot_mask]], dtype=np.uint32
+    )
     # Equations touching guess-filled (unknown) words carry no
     # information about the observed bytes; mask them out.
     known_eq = word_known[nk:] & word_known[: n_words - nk] & word_known[nk - 1 : -1]
 
+    def sub_word(ws: np.ndarray) -> np.ndarray:
+        return (_SUB_PAIRS.take(ws >> 16) << 16) | _SUB_PAIRS.take(ws & 0xFFFF)
+
     def residues(ws: np.ndarray) -> np.ndarray:
-        """Equation residues for a ``(..., n_words, 4)`` batch of tables."""
-        prev = ws[..., nk - 1 : -1, :]
+        """Equation residues for a ``(..., n_words)`` batch of tables."""
+        prev = ws[..., nk - 1 : -1]
         t = prev.copy()
-        t[..., rot_mask, :] = SBOX[prev[..., rot_mask, :][..., (1, 2, 3, 0)]]
-        t[..., rot_mask, 0] ^= rcon_vals
+        rotated = prev[..., rot_mask]
+        t[..., rot_mask] = sub_word((rotated << 8) | (rotated >> 24)) ^ rcon_vals
         if nk > 6:
-            t[..., sub_mask, :] = SBOX[prev[..., sub_mask, :]]
-        out = ws[..., nk:, :] ^ ws[..., : n_words - nk, :] ^ t
-        out[..., ~known_eq, :] = 0
+            t[..., sub_mask] = sub_word(prev[..., sub_mask])
+        out = ws[..., nk:] ^ ws[..., : n_words - nk] ^ t
+        out[..., ~known_eq] = 0
         return out
 
     def weights_of(ws: np.ndarray) -> np.ndarray:
@@ -612,41 +616,38 @@ def repair_observed_table(
         simultaneously clears every equation the flipped bits touch,
         while a wrong credit merely shuffles residue bits around.
         """
-        return np.bitwise_count(residues(ws)).sum(axis=(-1, -2), dtype=np.int64)
+        return np.bitwise_count(residues(ws)).sum(axis=-1, dtype=np.int64)
 
     for _ in range(max_steps):
         residue = residues(words)
-        violated = np.nonzero(residue.any(axis=1))[0]
+        violated = np.nonzero(residue)[0]
         if violated.size == 0:
             break
-        base_weight = int(weights_of(words))
-        # Enumerate candidate repairs in the scalar order (per violated
-        # equation: credit w[i], credit w[i-Nk], then — for S-box
-        # equations — each single-bit flip of w[i-1]).
-        targets: list[int] = []
-        payloads: list[np.ndarray] = []
-        for row in violated:
-            i = int(eq_index[row])
-            # Hypothesis A/B: the error lives in a linear operand, so the
-            # residue itself is the correction.
-            targets.extend((i, i - nk))
-            payloads.extend((residue[row], residue[row]))
-            # Hypothesis C: the error feeds the S-box input w[i-1]; a
-            # single-bit flip there can zero the residue nonlinearly.
-            if rot_mask[row] or sub_mask[row]:
-                for bit in range(32):
-                    targets.append(i - 1)
-                    payload = np.zeros(4, dtype=np.uint8)
-                    payload[3 - bit // 8] = 1 << (bit % 8)
-                    payloads.append(payload)
-        trials = np.broadcast_to(words, (len(targets), n_words, 4)).copy()
-        trials[np.arange(len(targets)), targets] ^= np.asarray(payloads, dtype=np.uint8)
+        base_weight = int(np.bitwise_count(residue).sum(dtype=np.int64))
+        # Candidate repairs in the scalar order: per violated equation,
+        # slot 0 credits the residue to w[i] and slot 1 to w[i-Nk]
+        # (hypotheses A/B: the error lives in a linear operand), then —
+        # for S-box equations only — slots 2..33 flip each bit of the
+        # S-box input w[i-1] (hypothesis C: a single-bit flip there can
+        # zero the residue nonlinearly).
+        i = eq_index[violated]
+        slot_targets = np.repeat((i - 1)[:, None], 2 + 32, axis=1)
+        slot_targets[:, 0] = i
+        slot_targets[:, 1] = i - nk
+        slot_payloads = np.empty(slot_targets.shape, dtype=np.uint32)
+        slot_payloads[:, :2] = residue[violated, None]
+        slot_payloads[:, 2:] = _WORD_BIT_FLIPS
+        used = np.ones(slot_targets.shape, dtype=bool)
+        used[:, 2:] = (rot_mask | sub_mask)[violated, None]
+        targets = slot_targets[used]
+        trials = np.broadcast_to(words, (targets.size, n_words)).copy()
+        trials[np.arange(targets.size), targets] ^= slot_payloads[used]
         weights = weights_of(trials)
         best = int(np.argmin(weights))  # ties → first trial, as scalar did
         if int(weights[best]) >= base_weight:
             break
         words = trials[best]
-    return words.reshape(-1).copy()
+    return words.astype(">u4").view(np.uint8)
 
 
 def vote_correct_table(
@@ -776,6 +777,25 @@ def reconstruct_schedule(window: list[int], first_index: int, key_bits: int) -> 
     head = list(words)
     tail = extend_schedule_words(head, 0, variant.total_words - nk, nk)
     return b"".join(w.to_bytes(4, "big") for w in head + tail)
+
+
+def _ranked_ballots(
+    masters: np.ndarray, scores: np.ndarray, limit: int = 8
+) -> list[tuple[bytes, int]]:
+    """The ``limit`` best-scoring distinct masters, as ``(master, row)``.
+
+    Lower scores rank first and ties go to the earlier row; a master
+    recurring in later rows keeps its first.  A row's score depends on
+    its master alone (every row is its master's expansion), so walking
+    the rows in stable score order meets each master first at its
+    first row.
+    """
+    ranked: dict[bytes, int] = {}
+    for row in np.argsort(scores, kind="stable").tolist():
+        ranked.setdefault(masters[row].tobytes(), row)
+        if len(ranked) == limit:
+            break
+    return list(ranked.items())
 
 
 class AesKeySearch:
@@ -1461,19 +1481,17 @@ class AesKeySearch:
 
     def _window_ballots(
         self, span: np.ndarray, round_index: int, repair_bits: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """All ballots from one window, expanded in a single batch.
 
-        Returns ``(masters, schedules)``: the ``(n, key_bytes)`` master
-        keys and the ``(n, schedule_bytes)`` full expansions, one row
-        per ballot.  Row order matches the seed's scalar path
+        Returns the ``(n, schedule_bytes)`` full expansions, one row per
+        ballot; a row's first ``key_bits // 8`` bytes are its master key.
+        Row order matches the seed's scalar path
         (``SeedAesKeySearch._window_candidates`` in
         ``benchmarks/legacy_scan.py``): the unrepaired window first, then
-        one row per flipped bit.  Since the backward recurrence ends at
-        word 0 and the forward pass re-derives everything from there,
-        each schedule row *is* ``expand_key`` of its master — recovery
-        scores rows directly instead of re-expanding every ballot in
-        Python.
+        one row per flipped bit.  The recurrence is bijective, so each
+        row *is* ``expand_key`` of its master — recovery scores rows
+        directly instead of re-expanding every ballot in Python.
         """
         window = np.asarray(span[: self.variant.window_bytes], dtype=np.uint8)
         if repair_bits == 0:
@@ -1482,8 +1500,7 @@ class AesKeySearch:
             windows = np.vstack(
                 [window[None, :], window[None, :] ^ self._flip_matrix(len(window))]
             )
-        schedules = batch_expand_from_window(windows, 4 * round_index, self.variant.nk)
-        return schedules[:, : self.variant.key_bits // 8], schedules
+        return batch_expand_from_window(windows, 4 * round_index, self.variant.nk)
 
     def _region_fit(
         self, blocks: np.ndarray, base: int, expansions: np.ndarray
@@ -1536,22 +1553,18 @@ class AesKeySearch:
             best[:, r] = per_key.argmin(axis=1)
         return mismatch, best, mismatch <= 0.35 * 8 * (hi - lo), bounds
 
-    def _region_mismatch(
-        self, blocks: np.ndarray, base: int, expansions: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """(mismatch bits, counted bits) of the full schedule region, per
-        row of ``expansions``.
+    @staticmethod
+    def _fit_totals(fit, n: int, length: int) -> list[tuple[int, int]]:
+        """(mismatch bits, counted bits) per row of a :meth:`_region_fit`.
 
-        Unscoreable blocks (:meth:`_region_fit`) are left out of the
-        score rather than counted against it; with less than half the
-        region scoreable, or the region off the image, the row is
-        rejected outright.
+        Unscoreable blocks are left out of the score rather than counted
+        against it; with less than half the region scoreable, or the
+        region off the image (``fit`` is ``None``), the row is rejected
+        outright.
         """
-        length = expansions.shape[1]
         reject = (8 * length, 8 * length)
-        fit = self._region_fit(blocks, base, expansions)
         if fit is None:
-            return [reject] * expansions.shape[0]
+            return [reject] * n
         mismatch, _, scoreable, bounds = fit
         counted = scoreable @ (8 * (bounds[:, 1] - bounds[:, 0]))
         totals = (mismatch * scoreable).sum(axis=1)
@@ -1559,6 +1572,13 @@ class AesKeySearch:
             (int(total), int(bits)) if bits >= 4 * length else reject
             for total, bits in zip(totals, counted)
         ]
+
+    def _region_mismatch(
+        self, blocks: np.ndarray, base: int, expansions: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """(mismatch bits, counted bits) of the full schedule region, per
+        row of ``expansions`` (:meth:`_fit_totals`)."""
+        return self._fit_totals(self._region_fit(blocks, base, expansions), *expansions.shape)
 
     def _observed_table(
         self, blocks: np.ndarray, base: int, guess: np.ndarray
@@ -1569,20 +1589,36 @@ class AesKeySearch:
         each overlapping block's scrambler key (:meth:`_region_fit`); the
         descrambled slices are the schedule as it actually survived in
         the dump — true schedule bytes plus decay.  Returns ``(table,
-        known)``: unscoreable blocks (e.g. the key table overwrote the
-        only zero page of their index) keep the guess's bytes and are
-        marked unknown, so the ballot and repair stages never trust them.
+        known)``, or ``None`` off the image (see :meth:`_descramble`).
         """
         fit = self._region_fit(blocks, base, guess[None, :])
         if fit is None:
             return None
         _, best, scoreable, bounds = fit
+        return self._descramble(blocks, base, guess, best[0], scoreable[0], bounds)
+
+    def _descramble(
+        self,
+        blocks: np.ndarray,
+        base: int,
+        guess: np.ndarray,
+        best: np.ndarray,
+        scoreable: np.ndarray,
+        bounds: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The observed table from one row of the guess's region fit.
+
+        Returns ``(table, known)``: unscoreable blocks (e.g. the key
+        table overwrote the only zero page of their index) keep the
+        guess's bytes and are marked unknown, so the ballot and repair
+        stages never trust them.
+        """
         table = np.array(guess, dtype=np.uint8)
         known = np.zeros(len(table), dtype=bool)
         for r, (lo, hi) in enumerate(bounds):
-            if scoreable[0, r]:
+            if scoreable[r]:
                 block, at = divmod(base + lo, BLOCK_SIZE)
-                key = self.keys[best[0, r]]
+                key = self.keys[best[r]]
                 table[lo:hi] = blocks[block, at : at + hi - lo] ^ key[at : at + hi - lo]
                 known[lo:hi] = True
         return table, known
@@ -1990,33 +2026,42 @@ class AesKeySearch:
         # Ballots from pristine windows first; bit-repaired ballots only
         # when no pristine window survives the full-region confirmation.
         group_sorted = sorted(zip(group, spans), key=lambda item: item[0].mismatch_bits)
+        key_bytes = variant.key_bits // 8
         best_master: bytes | None = None
         best_fraction = 1.0
-
         best_agreement = 0.0
         best_counted_bits = 0
+        #: The best master's expansion and its row of the region fit:
+        #: the per-block keys that descramble the rescue's observed table.
+        best_fit: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         schedule_bits = 8 * 4 * variant.total_words
-        #: Region confirmation per master: every expansion is its
-        #: master's, so a ballot ranked again by a later pass is not
-        #: rescored.
-        region_fits: dict[bytes, tuple[int, int]] = {}
+        #: Region confirmation per master, with that fit: every expansion
+        #: is its master's, so a ballot ranked again by a later pass is
+        #: not rescored.
+        region_fits: dict[bytes, tuple[int, int, tuple | None]] = {}
 
-        def consider(scored: dict[bytes, int], expansions: dict[bytes, np.ndarray]) -> None:
-            """Region-confirm the span-score-ranked ballots, in one batch."""
-            nonlocal best_master, best_fraction, best_agreement, best_counted_bits
-            ranked = [m for m, _score in sorted(scored.items(), key=lambda item: item[1])[:8]]
-            fresh = [m for m in ranked if m not in region_fits]
+        def consider(schedules: np.ndarray, scores: np.ndarray) -> None:
+            """Region-confirm one pass's eight best-scoring ballots, in one batch."""
+            nonlocal best_master, best_fraction, best_agreement, best_counted_bits, best_fit
+            ranked = _ranked_ballots(schedules[:, :key_bytes], scores)
+            fresh = [(master, row) for master, row in ranked if master not in region_fits]
             if fresh:
-                batch = np.stack([expansions[m] for m in fresh])
-                region_fits.update(zip(fresh, self._region_mismatch(blocks, base, batch)))
-            for master in ranked:
-                mismatch, counted_bits = region_fits[master]
+                batch = schedules[[row for _master, row in fresh]]
+                fit = self._region_fit(blocks, base, batch)
+                for j, ((master, _row), totals) in enumerate(
+                    zip(fresh, self._fit_totals(fit, *batch.shape))
+                ):
+                    row_fit = None if fit is None else (batch[j], fit[1][j], fit[2][j], fit[3])
+                    region_fits[master] = (*totals, row_fit)
+            for master, _row in ranked:
+                mismatch, counted_bits, row_fit = region_fits[master]
                 fraction = mismatch / counted_bits
                 if fraction < best_fraction:
                     best_fraction = fraction
                     best_agreement = max(0.0, (counted_bits - mismatch) / schedule_bits)
                     best_counted_bits = counted_bits
                     best_master = master
+                    best_fit = row_fit
 
         # A ballot is "clearly clean" when its expansion disagrees with
         # the dump only at decay-plausible rates; anything worse keeps
@@ -2026,20 +2071,18 @@ class AesKeySearch:
         clearly_clean = min(0.02, self.accept_mismatch_fraction)
 
         for repair in range(self.repair_bits + 1):
-            scored: dict[bytes, int] = {}
-            expansions: dict[bytes, np.ndarray] = {}
-            for hit, (round_index, span) in group_sorted:
-                masters, schedules = self._window_ballots(span, round_index, repair)
-                scores = np.zeros(len(schedules), dtype=np.int64)
-                for span_round, span_data in spans:
-                    segment = schedules[:, 16 * span_round : 16 * span_round + len(span_data)]
-                    scores += np.bitwise_count(segment ^ span_data).sum(axis=1, dtype=np.int64)
-                for row, master_row in enumerate(masters):
-                    master = master_row.tobytes()
-                    if master not in scored:
-                        scored[master] = int(scores[row])
-                        expansions[master] = schedules[row]
-            consider(scored, expansions)
+            schedules = np.concatenate([
+                self._window_ballots(span, round_index, repair)
+                for _hit, (round_index, span) in group_sorted
+            ])
+            # Spans and round keys are whole uint64 words: popcount words.
+            scores = np.zeros(len(schedules), dtype=np.int64)
+            for span_round, span_data in spans:
+                segment = schedules[:, 16 * span_round : 16 * span_round + len(span_data)]
+                scores += np.bitwise_count((segment ^ span_data).view(np.uint64)).sum(
+                    axis=1, dtype=np.int64
+                )
+            consider(schedules, scores)
             if best_master is not None and best_fraction <= clearly_clean:
                 break
 
@@ -2052,16 +2095,13 @@ class AesKeySearch:
             # reconstructs the true key, whose region mismatch is
             # strictly lower than any near-miss's, so the running
             # minimum converges on it.  The guess is refreshed between
-            # iterations since a better guess picks better per-block keys.
+            # iterations since a better guess picks better per-block
+            # keys; they come from the fit that confirmed it.
             for _iteration in range(3):
                 if self.on_progress is not None:
                     self.on_progress()
                 before = best_fraction
-                guess = np.frombuffer(expand_key(best_master), dtype=np.uint8)
-                observed = self._observed_table(blocks, base, guess)
-                if observed is None:
-                    break
-                table, known = observed
+                table, known = self._descramble(blocks, base, *best_fit)
                 if self.schedule_vote:
                     # Consistency voting first: it corrects dense decay
                     # (multiple flips per equation) that the greedy
@@ -2069,26 +2109,23 @@ class AesKeySearch:
                     # greedy pass only the stragglers.
                     table = vote_correct_table(table, variant.key_bits, known_bytes=known)
                 table = repair_observed_table(table, variant.key_bits, known_bytes=known)
+                # Never ballot from guess-filled bytes.
+                rounds = [
+                    round_index
+                    for round_index in range(0, (variant.total_words - variant.nk) // 4 + 1)
+                    if known[16 * round_index : 16 * round_index + variant.window_bytes].all()
+                ]
+                known_bits = np.where(known, 0xFF, 0).astype(np.uint8)
                 for repair in range(self.repair_bits + 1):
-                    scored = {}
-                    expansions = {}
-                    for round_index in range(0, (variant.total_words - variant.nk) // 4 + 1):
-                        lo = 16 * round_index
-                        window = table[lo : lo + variant.window_bytes]
-                        if len(window) < variant.window_bytes:
-                            break
-                        if not known[lo : lo + variant.window_bytes].all():
-                            continue  # never ballot from guess-filled bytes
-                        masters, schedules = self._window_ballots(window, round_index, repair)
-                        scores = np.bitwise_count((schedules ^ table[None, :])[:, known]).sum(
+                    if rounds:
+                        schedules = np.concatenate([
+                            self._window_ballots(table[16 * r :], r, repair) for r in rounds
+                        ])
+                        residual = (schedules ^ table) & known_bits
+                        scores = np.bitwise_count(residual.view(np.uint64)).sum(
                             axis=1, dtype=np.int64
                         )
-                        for row, master_row in enumerate(masters):
-                            master = master_row.tobytes()
-                            if master not in scored:
-                                scored[master] = int(scores[row])
-                                expansions[master] = schedules[row]
-                    consider(scored, expansions)
+                        consider(schedules, scores)
                     if best_fraction <= clearly_clean:
                         break
                 if best_fraction <= clearly_clean or best_fraction >= before:
@@ -2096,7 +2133,7 @@ class AesKeySearch:
 
         if best_master is None or best_fraction > self.accept_mismatch_fraction:
             return None, False
-        expansion = np.frombuffer(expand_key(best_master), dtype=np.uint8)
+        expansion = best_fit[0]
         votes = sum(
             1
             for round_index, span in spans

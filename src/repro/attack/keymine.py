@@ -389,15 +389,28 @@ def _cluster_votes(
     return votes, totals, residuals
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_counts=True)`` for ``(n, 64)`` uint8.
+
+    Each row viewed as one 64-byte void sorts by byte comparison, which
+    is the same lexicographic order, in one sort instead of one pass per
+    byte column.
+    """
+    keys, counts = np.unique(
+        np.ascontiguousarray(rows).view(f"V{BLOCK_SIZE}").ravel(), return_counts=True
+    )
+    return keys.view(np.uint8).reshape(-1, BLOCK_SIZE), counts
+
+
 def _mine(passing: np.ndarray, merge_radius_bits: int) -> list[CandidateKey]:
     """Group, merge, vote and rank one budget's litmus-passing blocks."""
     if passing.shape[0] == 0:
         return []
     # Exact duplicates first, then near-duplicates.  Representatives
     # come in descending count order, so the best-supported version of
-    # a key absorbs its decayed variants; the stable sort keeps
-    # np.unique's lexicographic order as the tie-break.
-    unique_rows, unique_counts = np.unique(passing, axis=0, return_counts=True)
+    # a key absorbs its decayed variants; the stable sort keeps the
+    # rows' lexicographic order as the tie-break.
+    unique_rows, unique_counts = _unique_rows(passing)
     order = np.argsort(-unique_counts, kind="stable")
     rows = np.ascontiguousarray(unique_rows[order])
     counts = unique_counts[order].astype(np.int64)

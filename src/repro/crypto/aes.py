@@ -236,15 +236,41 @@ def batch_next_round_key(blocks: np.ndarray, nk: int, first_word_index: int) -> 
     return np.concatenate(out_words, axis=1)
 
 
-def _batch_transform(temp: np.ndarray, index: int, nk: int) -> np.ndarray:
-    """The expansion transform T at ``index`` applied to ``(N, 4)`` words."""
-    if index % nk == 0:
-        out = SBOX[np.roll(temp, -1, axis=1)]
-        out[:, 0] ^= Rcon(index // nk)
-        return out
-    if nk > 6 and index % nk == 4:
-        return SBOX[temp]
-    return temp
+#: SubWord of a 16-bit half word: entry ``v`` holds the S-box images of
+#: ``v``'s two bytes in the same byte positions, so a 32-bit word of
+#: either byte order takes two lookups.
+_SUB_PAIRS = np.empty(1 << 16, dtype=np.uint32)
+np.bitwise_or((SBOX.astype(np.uint32) << 8)[:, None], SBOX, out=_SUB_PAIRS.reshape(256, 256))
+#: ``Rcon(i)`` by step ``i``; every schedule stops before step 11.
+_RCON = (0, *(Rcon(i) for i in range(1, 11)))
+
+
+def _expand_words(window: list, first_index: int, nk: int, lookup) -> list:
+    """The whole schedule from ``nk`` words that start at ``first_index``.
+
+    A word is a Python int, or a uint32 array holding that word of every
+    row; ``lookup`` gathers ``_SUB_PAIRS`` entries for either.  The
+    recurrence ``w[i] = w[i-Nk] ^ T_i(w[i-1])`` is solved for
+    ``w[i-Nk]`` down to word 0, then run forwards from the window to the
+    end.
+    """
+
+    def transform(word, index: int):
+        if index % nk == 0:
+            word = ((word << 8) | (word >> 24)) & 0xFFFFFFFF
+            return ((lookup(word >> 16) << 16) | lookup(word & 0xFFFF)) ^ (
+                _RCON[index // nk] << 24
+            )
+        if nk > 6 and index % nk == 4:
+            return (lookup(word >> 16) << 16) | lookup(word & 0xFFFF)
+        return word
+
+    words = [None] * first_index + list(window)
+    for index in range(first_index + nk - 1, nk - 1, -1):
+        words[index - nk] = words[index] ^ transform(words[index - 1], index)
+    for index in range(first_index + nk, 4 * (_ROUNDS_FOR_NK[nk] + 1)):
+        words.append(words[index - nk] ^ transform(words[index - 1], index))
+    return words
 
 
 def batch_expand_from_window(
@@ -263,7 +289,10 @@ def batch_expand_from_window(
     ``reconstruct_schedule(row_words, first_index, key_bits)``; batching
     moves the attack's ballot stage (hundreds of single-bit repair
     variants per observed window) from per-candidate Python loops onto
-    numpy, which is what makes large-dump scans affordable.
+    numpy, which is what makes large-dump scans affordable.  Rows are
+    big-endian uint32 words, so SubWord is two gathers from a 16-bit
+    table; a single row runs the same recurrence on Python ints, which
+    beats a one-element array at every step.
     """
     if nk not in _ROUNDS_FOR_NK:
         raise ValueError(f"unsupported Nk: {nk}")
@@ -273,22 +302,14 @@ def batch_expand_from_window(
     total = 4 * (_ROUNDS_FOR_NK[nk] + 1)
     if first_index < 0 or first_index + nk > total:
         raise ValueError("window does not fit the schedule")
-    window = [windows[:, 4 * w : 4 * w + 4] for w in range(nk)]
-    # Backwards: invert w[i] = w[i-Nk] ^ T_i(w[i-1]) at the window head.
-    index = first_index
-    while index > 0:
-        i = index + nk - 1
-        temp = _batch_transform(window[-2], i, nk)
-        window = [window[-1] ^ temp] + window[:-1]
-        index -= 1
-    # Forwards from word nk to the end of the schedule.
-    words = list(window)
-    i = nk
-    while len(words) < total:
-        temp = _batch_transform(words[-1], i, nk)
-        words.append(words[-nk] ^ temp)
-        i += 1
-    return np.concatenate(words, axis=1)
+    words = np.ascontiguousarray(windows).view(">u4")
+    if words.shape[0] == 1:
+        lookup = memoryview(_SUB_PAIRS).__getitem__
+        schedule = _expand_words(words[0].tolist(), first_index, nk, lookup)
+        return np.array(schedule, dtype=">u4").view(np.uint8)[None, :]
+    columns = np.ascontiguousarray(words.T, dtype=np.uint32)
+    schedule = _expand_words(list(columns), first_index, nk, _SUB_PAIRS.take)
+    return np.stack(schedule, axis=1).astype(">u4").view(np.uint8)
 
 
 def _bytes_to_state(block: bytes) -> list[list[int]]:

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.attack.keymine import CandidateKey, MiningState, keys_matrix, mine_scrambler_keys
+from repro.attack.keymine import (
+    CandidateKey,
+    MiningState,
+    _unique_rows,
+    keys_matrix,
+    mine_scrambler_keys,
+)
 from repro.dram.image import MemoryImage
 from repro.scrambler.ddr4 import Ddr4Scrambler
 from repro.util.rng import SplitMix64
@@ -88,6 +96,42 @@ class TestMiningState:
         with pytest.raises(ValueError):
             mine_scrambler_keys(image, scan_limit_bytes=None, state=state)
         assert mine_scrambler_keys(image, state=state) == mine_scrambler_keys(image)
+
+
+class TestUniqueRows:
+    """The miner's one-sort dedupe is ``np.unique(axis=0)``: the same
+    rows, in the same order, with the same counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 600),
+        n_distinct=st.integers(1, 600),
+        shape=st.sampled_from(("random", "high", "last_byte", "two_bytes")),
+    )
+    def test_matches_axis0_unique(self, seed, n_rows, n_distinct, shape):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 256, size=(n_distinct, 64), dtype=np.uint8)
+        if shape == "high":
+            # Bytes >= 0x80 must sort above the low ones, as unsigned.
+            distinct |= np.uint8(0x80) * rng.integers(0, 2, size=distinct.shape, dtype=np.uint8)
+        elif shape == "last_byte":
+            distinct[:, :63] = distinct[0, :63]
+        elif shape == "two_bytes":
+            distinct[:, 1:63] = distinct[0, 1:63]
+        # Heavy duplication: fewer draws than distinct rows, or many more.
+        rows = distinct[rng.integers(0, n_distinct, size=n_rows)]
+        got_rows, got_counts = _unique_rows(rows)
+        want_rows, want_counts = np.unique(rows, axis=0, return_counts=True)
+        assert got_rows.dtype == want_rows.dtype and np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_counts, want_counts)
+
+    def test_strided_input(self):
+        rows = np.random.default_rng(1).integers(0, 256, size=(50, 128), dtype=np.uint8)
+        view = rows[::2, ::2]
+        got_rows, got_counts = _unique_rows(view)
+        want_rows, want_counts = np.unique(view, axis=0, return_counts=True)
+        assert np.array_equal(got_rows, want_rows) and np.array_equal(got_counts, want_counts)
 
 
 class TestCandidateKey:

@@ -49,13 +49,19 @@ from benchmarks.legacy_decode import (  # noqa: E402
 )
 from benchmarks.legacy_scan import (  # noqa: E402
     SeedAesKeySearch,
+    _seed_repair_observed_table,
     bytewise_prefilter_chunk_pairs,
     seed_mine_scrambler_keys,
     walk_mine_scrambler_keys,
 )
 
 from repro.attack.adaptive import decode_stage_for_rate, stage_for_rate  # noqa: E402
-from repro.attack.aes_search import AesKeySearch, _all_pairs  # noqa: E402
+from repro.attack.aes_search import (  # noqa: E402
+    AesKeySearch,
+    ScheduleHit,
+    _all_pairs,
+    repair_observed_table,
+)
 from repro.attack.decode import ChannelModel, decode_schedule  # noqa: E402
 from repro.attack.keymine import MiningState, mine_scrambler_keys  # noqa: E402
 from repro.crypto.aes import expand_key  # noqa: E402
@@ -190,6 +196,102 @@ def test_region_scorer_matches_seed(
         else:
             assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_bits=st.sampled_from((128, 192, 256)),
+    kind=st.sampled_from(("clean", "decayed", "random")),
+    decay_bits=st.integers(1, 24),
+    erased=st.one_of(st.none(), st.tuples(st.integers(0, 239), st.integers(1, 96))),
+)
+def test_repair_matches_seed_repair(seed, key_bits, kind, decay_bits, erased):
+    """The greedy equation repair builds its candidate repairs as arrays;
+    the seed's word-list repair tries the same ones in the same order."""
+    rng = np.random.default_rng(seed)
+    table = _schedule(rng, key_bits)
+    if kind == "random":
+        table = rng.integers(0, 256, table.size, dtype=np.uint8)
+    elif kind == "decayed":
+        _flip_bits(rng, table, decay_bits)
+    known = None
+    if erased is not None:
+        lo, width = erased
+        known = np.ones(table.size, dtype=bool)
+        known[lo % table.size : lo % table.size + width] = False
+    got = repair_observed_table(table.copy(), key_bits, known_bytes=known)
+    want = _seed_repair_observed_table(table.copy(), key_bits, known_bytes=known)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_bits=st.sampled_from((128, 192, 256)),
+    repair_bits=st.sampled_from((0, 1)),
+    decay_bits=st.integers(0, 60),
+    junk_hits=st.integers(0, 3),
+)
+# Aliases that reach the rescue with bit repairs, at AES-256 and at
+# AES-192 beside two junk groups.
+@example(5, 256, 1, 60, 0)
+@example(11, 192, 1, 40, 2)
+def test_group_recovery_matches_seed(seed, key_bits, repair_bits, decay_bits, junk_hits):
+    """The classical ballot → repair → rescue escalation, per base.
+
+    A decayed schedule is scrambled over a small image.  The joinless
+    walk finds its hits at the true round and at the wrong rounds of the
+    same phase, whose bases are the shifted aliases that dominate
+    recovery time on real dumps; junk groups hold hits on random
+    blocks.  The live array ballot books and the seed's ballot dicts
+    must return equal keys (``confidence``, which the seed never scores,
+    is left out of the equality).
+    """
+    rng = np.random.default_rng(seed)
+    n_blocks, n_keys = 12, 5
+    keys = rng.integers(0, 256, size=(n_keys, 64), dtype=np.uint8)
+    blocks = rng.integers(0, 256, size=(n_blocks, 64), dtype=np.uint8)
+    schedule = _schedule(rng, key_bits)
+    base = int(rng.integers(64, 64 * n_blocks - schedule.size - 64))
+    image = blocks.reshape(-1)
+    for block in range(n_blocks):
+        lo, hi = max(base, 64 * block), min(base + schedule.size, 64 * (block + 1))
+        if lo < hi:
+            key = keys[rng.integers(0, n_keys)]
+            image[lo:hi] = schedule[lo - base : hi - base] ^ key[lo - 64 * block : hi - 64 * block]
+    _flip_bits(rng, blocks, decay_bits)
+
+    fast = AesKeySearch(keys, key_bits=key_bits, repair_bits=repair_bits)
+    oracle = SeedAesKeySearch(keys, key_bits=key_bits, repair_bits=repair_bits)
+    groups: dict[int, list[ScheduleHit]] = {}
+    for hit in fast._extend_hits(blocks, np.arange(n_blocks), fast.verify_tolerance_bits):
+        groups.setdefault(hit.table_base, []).append(hit)
+    # The true base and its nearest wrong-round aliases (bases a whole
+    # number of round keys away).
+    chosen = sorted(
+        (b for b in groups if b >= 0 and (b - base) % 16 == 0), key=lambda b: abs(b - base)
+    )[:4]
+    # Junk: hits on random blocks, keys and rounds, each under its own
+    # base (or mixed into a real group that base already holds).
+    span = fast.variant.span_bytes
+    for _ in range(junk_hits):
+        hit = ScheduleHit(
+            block_index=int(rng.integers(0, n_blocks)),
+            key_index=int(rng.integers(0, n_keys)),
+            offset=int(rng.choice(fast.offsets)),
+            round_index=int(rng.integers(0, (schedule.size - span) // 16 + 1)),
+            mismatch_bits=int(rng.integers(0, 17)),
+            key_bits=key_bits,
+        )
+        if hit.table_base >= 0:
+            groups.setdefault(hit.table_base, []).append(hit)
+            chosen.append(hit.table_base)
+    for at in dict.fromkeys(chosen):
+        gate = fast._span_table_from_hits(blocks, at, groups[at])
+        assert fast._recover_from_group(blocks, at, groups[at], gate) == (
+            oracle._recover_from_group(blocks, at, groups[at], gate)
+        )
 
 
 @settings(max_examples=25, deadline=None)

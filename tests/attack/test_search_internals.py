@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attack.aes_search import (
     AesKeySearch,
     AesVariant,
+    _ranked_ballots,
     repair_observed_table,
 )
 from repro.attack.sweep import synthetic_dump
@@ -53,6 +56,37 @@ class TestRepairObservedTable:
     def test_short_table_passthrough(self):
         stub = np.zeros(16, dtype=np.uint8)
         assert np.array_equal(repair_observed_table(stub, 256), stub)
+
+
+class TestRankedBallots:
+    """A pass's ballot book is arrays: ``_ranked_ballots`` picks what the
+    dict book picked — each master at its first row, then a stable top-8
+    by span score."""
+
+    @staticmethod
+    def dict_book(masters: np.ndarray, scores: np.ndarray) -> list[tuple[bytes, int]]:
+        scored: dict[bytes, tuple[int, int]] = {}
+        for row, master in enumerate(masters):
+            scored.setdefault(master.tobytes(), (int(scores[row]), row))
+        ranked = sorted(scored.items(), key=lambda item: item[1][0])[:8]
+        return [(master, row) for master, (_score, row) in ranked]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 600),
+        n_masters=st.integers(1, 40),
+        score_range=st.sampled_from((1, 3, 50, 10_000)),
+    )
+    def test_matches_the_dict_book(self, seed, n_rows, n_masters, score_range):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 256, size=(n_masters, 32), dtype=np.uint8)
+        # Every row is its master's expansion, so a row's score is its
+        # master's; a narrow score range makes ties the rule.
+        master_scores = rng.integers(0, score_range, size=n_masters)
+        which = rng.integers(0, n_masters, size=n_rows)
+        masters, scores = distinct[which], master_scores[which]
+        assert _ranked_ballots(masters, scores) == self.dict_book(masters, scores)
 
 
 class TestRecoverAtBase:

@@ -10,6 +10,7 @@ from repro.crypto.aes import (
     INV_SBOX,
     SBOX,
     Rcon,
+    batch_expand_from_window,
     batch_next_round_key,
     expand_key,
     expand_key_words,
@@ -175,3 +176,64 @@ class TestBatchExpansion:
     def test_batch_validates_shape(self):
         with pytest.raises(ValueError):
             batch_next_round_key(np.zeros((2, 31), dtype=np.uint8), nk=8, first_word_index=0)
+
+
+class TestBatchExpandFromWindow:
+    """``batch_expand_from_window`` is the scalar ``reconstruct_schedule``
+    run on every row: on real schedule windows and on random bytes, at
+    every first word index, for one row, two rows and a repair batch."""
+
+    @pytest.mark.parametrize("key_bits", [128, 192, 256])
+    def test_every_row_matches_scalar_reconstruction(self, key_bits):
+        from repro.attack.aes_search import reconstruct_schedule
+
+        rng = np.random.default_rng(key_bits)
+        nk, total = key_bits // 32, schedule_bytes(key_bits) // 4
+        schedules = np.stack([
+            np.frombuffer(expand_key(rng.bytes(key_bits // 8)), dtype=np.uint8)
+            for _ in range(257)
+        ])
+        for first in range(total - nk + 1):
+            real = schedules[:, 4 * first : 4 * (first + nk)]
+            junk = rng.integers(0, 256, size=(257, 4 * nk), dtype=np.uint8)
+            for rows in (1, 2, 257):
+                assert np.array_equal(
+                    batch_expand_from_window(real[:rows], first, nk), schedules[:rows]
+                )
+                out = batch_expand_from_window(junk[:rows], first, nk)
+                assert out.shape == (rows, 4 * total) and out.dtype == np.uint8
+                # Each row of the one- and two-row batches; the ends and
+                # middle of the repair-sized one.
+                for row in sorted({0, rows // 2, rows - 1}):
+                    words = [
+                        int.from_bytes(junk[row, 4 * w : 4 * w + 4].tobytes(), "big")
+                        for w in range(nk)
+                    ]
+                    assert out[row].tobytes() == reconstruct_schedule(words, first, key_bits)
+
+    def test_rows_are_independent_and_writable(self):
+        rng = np.random.default_rng(7)
+        windows = rng.integers(0, 256, size=(257, 32), dtype=np.uint8)
+        batch = batch_expand_from_window(windows, 20, 8)
+        for row in (0, 100, 256):
+            single = batch_expand_from_window(windows[row : row + 1], 20, 8)
+            assert np.array_equal(single[0], batch[row])
+            single[0, 0] ^= 1  # one-row results are fresh arrays too
+        strided = batch_expand_from_window(windows[::2], 20, 8)
+        assert np.array_equal(strided, batch[::2])
+
+    def test_validates_shape_and_position(self):
+        with pytest.raises(ValueError):
+            batch_expand_from_window(np.zeros((2, 32), dtype=np.uint8), 0, nk=5)
+        with pytest.raises(ValueError):
+            batch_expand_from_window(np.zeros((2, 31), dtype=np.uint8), 0, nk=8)
+        with pytest.raises(ValueError):
+            batch_expand_from_window(np.zeros(32, dtype=np.uint8), 0, nk=8)
+        with pytest.raises(ValueError):
+            batch_expand_from_window(np.zeros((1, 32), dtype=np.uint8), -1, nk=8)
+        with pytest.raises(ValueError):
+            batch_expand_from_window(np.zeros((1, 32), dtype=np.uint8), 53, nk=8)
+        assert batch_expand_from_window(np.zeros((0, 16), dtype=np.uint8), 3, nk=4).shape == (
+            0,
+            176,
+        )
