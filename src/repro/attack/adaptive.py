@@ -611,14 +611,17 @@ class AdaptiveRecovery:
     diagnostics: list[str] = field(default_factory=list)
     #: Aggregated belief-propagation telemetry (``None`` when the
     #: decoded stage never saw a base): tables attempted, total sweeps,
-    #: converged/abstained counts, bases the span pre-gate rejected
+    #: converged/abstained/cut counts, bases the span pre-gate rejected
     #: (``gated``) or skipped inside a decoded key's region
     #: (``claimed``), mean posterior entropy, and whether a deadline
-    #: interrupted a decode mid-sweep.  A list decode ends at its first
-    #: combo that converges and passes the region check; the combos it
-    #: cuts short count in ``tables`` and ``iterations`` but as neither
-    #: converged nor abstained, and the mean posterior entropy is over
-    #: the converged and abstained tables only.
+    #: interrupted a decode mid-sweep.  A list decode starts its combos
+    #: a few at a time, in priority order, and ends at its first combo
+    #: that converges and passes the region check.  The combos it ends
+    #: before they settle, many of which never start, count in
+    #: ``tables`` and in ``cut``, so converged + abstained + cut ==
+    #: tables; their sweeps count in ``iterations``, and the mean
+    #: posterior entropy is over the converged and abstained tables
+    #: only.
     decode: dict | None = None
     #: Structured evidence for every table the decoder declined to
     #: turn into a key (:class:`~repro.resilience.errors.DecodeAbstainError`).
@@ -802,6 +805,7 @@ class AdaptiveRecoveryEngine:
             "iterations": 0,
             "converged": 0,
             "abstained": 0,
+            "cut": 0,
             "checks_updated": 0,
             "checks_dense": 0,
             "gated": 0,
@@ -818,6 +822,7 @@ class AdaptiveRecoveryEngine:
                 "iterations",
                 "converged",
                 "abstained",
+                "cut",
                 "checks_updated",
                 "checks_dense",
                 "gated",
@@ -939,6 +944,7 @@ class AdaptiveRecoveryEngine:
                 "iterations": decode_totals["iterations"],
                 "converged": decode_totals["converged"],
                 "abstained": decode_totals["abstained"],
+                "cut": decode_totals["cut"],
                 "checks_updated": decode_totals["checks_updated"],
                 "checks_dense": decode_totals["checks_dense"],
                 "gated": decode_totals["gated"],

@@ -900,6 +900,9 @@ class AesKeySearch:
             "iterations": 0,
             "converged": 0,
             "abstained": 0,
+            # Tables a list decode ended before they settled, started
+            # or not: converged + abstained + cut == tables.
+            "cut": 0,
             # Bases the span pre-gate rejected, and bases skipped
             # because a decoded key already claimed their region.
             "gated": 0,
@@ -1644,10 +1647,11 @@ class AesKeySearch:
         the one in flight, and each bootstrap re-decode as one table
         (``{base:#x}:boot0``, ``:boot1``).  The caller applies the
         plausibility gate first and records abstain evidence itself.
-        ``accept`` goes to the decoder, which returns at the first
-        converged table it takes; the tables that return cuts short
-        (``DecodeResult.cut``) count as neither converged nor abstained
-        and add no posterior entropy.
+        ``accept`` goes to the decoder, which starts the batch's tables
+        a window at a time and returns at the first converged table it
+        takes; the tables it ends before they settle, started or not
+        (``DecodeResult.cut``), count as ``cut``, neither converged nor
+        abstained, and add no posterior entropy.
         """
         if self.decay_rate is not None:
             # A single-sighting pool key carries the dump's flip rate
@@ -1687,6 +1691,7 @@ class AesKeySearch:
         stats["posterior_entropy_sum"] += float(result.posterior_entropy[settled].sum())
         stats["converged"] += converged
         stats["abstained"] += int(settled.sum()) - converged
+        stats["cut"] += batch - int(settled.sum())
         stats["checks_updated"] += result.checks_updated
         stats["checks_dense"] += result.checks_dense
         return result
@@ -1792,10 +1797,12 @@ class AesKeySearch:
         so the true assignment lands early.  A combo carrying a junk
         slice frustrates the syndrome and abstains; the true one
         converges — a valid schedule by construction (zero syndrome).
-        The trials decode as one batch that ends at the first combo
-        that converges and passes the region check
+        The trials form one list decode in that order: the decoder
+        starts them a few at a time, widening as they settle, and ends
+        at the first combo that converges and passes the region check
         (:meth:`_region_confirms`), once every combo before it has
-        settled.  When no combo converges outright, the bootstrap loop
+        settled, so the combos behind the answer never start.  When no
+        combo converges outright, the bootstrap loop
         feeds the least-frustrated posterior back as the
         :meth:`_observed_table` guess — a partial decode is usually
         enough to unlock keys the candidate bar missed, and the

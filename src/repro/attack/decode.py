@@ -27,7 +27,10 @@ posteriors accumulated drift above ``RESIDUAL_TOL`` since that check
 last ran.  Convergence is tracked per table — a table whose syndrome
 hits zero (or that trips the stagnation abstain) is frozen and dropped
 from the batched WHT kernels mid-run, so one call can carry a whole
-candidate list and pay only for the tables still undecided.  Messages
+candidate list and pay only for the tables still undecided.  A list
+decode, which stops at its first accepted table, also starts its
+tables in priority order a few at a time, so the tables behind its
+answer never run.  Messages
 are float32 (float64 remains the checkpoint format, which stores
 float32 values exactly); the dense float64 decoder they replaced is
 frozen in ``benchmarks/legacy_decode.py`` as the test oracle.
@@ -89,7 +92,7 @@ DEFAULT_DAMPING = 0.2
 #: accumulate past this probability-domain drift.
 RESIDUAL_TOL = 1e-3
 
-#: Hopeless-table triage: after this many total sweeps, a fully
+#: Hopeless-table triage: after this many of its own sweeps, a fully
 #: observed table whose best hard-decision syndrome still violates
 #: more than half the checks freezes as an abstain instead of dribbling
 #: toward the stagnation limit.  The populations are far apart: a
@@ -518,7 +521,9 @@ class DecodeResult:
     tables: np.ndarray
     #: Per-table convergence: the syndrome reached zero.
     converged: np.ndarray
-    #: Message-passing sweeps actually run.
+    #: Message-passing sweeps the batch ran.  A list decode starts its
+    #: tables at different sweeps, so each of them may have run fewer
+    #: (``table_iterations``).
     iterations: int
     #: Per-table residual syndrome weight (violated checks).
     syndrome_weight: np.ndarray
@@ -527,17 +532,19 @@ class DecodeResult:
     #: Per-table mean max-posterior probability — the certainty the
     #: confidence machinery is recalibrated from.
     certainty: np.ndarray
-    #: Per-table sweeps until that table froze (converged / stalled);
-    #: ``None`` only for results built by very old callers.
+    #: Per-table sweeps until that table froze (converged / stalled /
+    #: at the cap), or that it ran before it was cut; ``None`` only for
+    #: results built by very old callers.
     table_iterations: np.ndarray | None = None
     #: Check-message updates actually computed vs what a dense sweep
     #: schedule would have computed — the active-set/residual savings.
     checks_updated: int = 0
     checks_dense: int = 0
-    #: Per-table: still in play when an accepted table ended the decode
-    #: (``decode_schedule``'s ``accept``), so neither converged nor
-    #: abstained.  ``None`` when no table was accepted.  Like the work
-    #: counters it describes the call, so one-table views leave it out.
+    #: Per-table: still live, or never started, when an accepted table
+    #: ended the decode (``decode_schedule``'s ``accept``), so neither
+    #: converged nor abstained.  ``None`` when no table was accepted.
+    #: Like the work counters it describes the call, so one-table views
+    #: leave it out.
     cut: np.ndarray | None = None
 
     def abstained(self, index: int = 0) -> bool:
@@ -590,6 +597,12 @@ class _SweepSchedule:
     All state is per-table (nothing couples tables), which is what
     makes a batched decode byte-identical to running each table alone:
     batching is purely a kernel-shape optimisation.
+
+    ``sweeps`` holds the sweeps each started table has run, for the
+    tables ``0 .. len(sweeps) - 1`` a list decode has admitted.  It is
+    ``None`` when every table has started and each live one has run
+    the state's ``iteration`` sweeps, as in every lockstep decode;
+    records without the field read that way.
     """
 
     def __init__(self, batch: int, n_checks: int) -> None:
@@ -600,9 +613,10 @@ class _SweepSchedule:
         self.best_syndrome = np.full(batch, np.iinfo(np.int64).max, dtype=np.int64)
         self.stagnant = np.zeros(batch, dtype=np.int64)
         self.table_iterations = np.zeros(batch, dtype=np.int64)
+        self.sweeps: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "frozen_b64": _b64(np.packbits(self.frozen).tobytes()),
             "converged_b64": _b64(np.packbits(self.converged).tobytes()),
             "dirty_b64": _b64(np.packbits(self.dirty).tobytes()),
@@ -611,13 +625,19 @@ class _SweepSchedule:
             "stagnant": [int(v) for v in self.stagnant],
             "titers": [int(v) for v in self.table_iterations],
         }
+        if self.sweeps is not None:
+            data["sweeps"] = [int(v) for v in self.sweeps]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict, batch: int, n_checks: int) -> "_SweepSchedule":
         """Rebuild the bookkeeping of a ``batch``-table decode.
 
         A record whose CRC holds but whose masks, pending drift or
-        counters are not shaped for this batch raises ``ValueError``.
+        counters are not shaped for this batch raises ``ValueError``,
+        as does a ``sweeps`` list that is not one count (a non-negative
+        integer) per started table, or that leaves a frozen table
+        unstarted.
         """
 
         def bits(key: str, count: int) -> np.ndarray:
@@ -643,6 +663,16 @@ class _SweepSchedule:
             or sched.table_iterations.shape != (batch,)
         ):
             raise ValueError("scheduling state shape mismatch")
+        if "sweeps" in data:
+            sweeps = data["sweeps"]
+            if (
+                not isinstance(sweeps, list)
+                or len(sweeps) > batch
+                or not all(type(count) is int and count >= 0 for count in sweeps)
+                or sched.frozen[len(sweeps) :].any()
+            ):
+                raise ValueError("scheduling state sweeps do not fit the batch")
+            sched.sweeps = np.asarray(sweeps, dtype=np.int64)
         return sched
 
 
@@ -706,18 +736,29 @@ def decode_schedule(
     run's :class:`DecodeResult` bit for bit, except ``checks_updated``
     and ``checks_dense``, which count the work of this call alone.
 
-    ``accept(index, table)`` ends a list decode once it is decided.
-    Batch order is priority order: after each sweep's convergence and
-    stall bookkeeping (the restored sweep of a resume included), the
-    decode asks it about each converged table, lowest index first and
+    ``accept(index, table)`` makes the call a list decode, which ends
+    once it is decided.  Batch order is priority order, and the decode
+    starts its tables in that order a window at a time: first as many
+    as give every usable CPU a ``_SWEEP_CHUNK``-row chunk of a first
+    sweep (usable CPUs × ``_SWEEP_CHUNK`` over the check count), a
+    window that doubles each time that many tables settle unaccepted.
+    Each table counts its own sweeps for ``max_iters``, the
+    ``_HOPELESS_PROBE_SWEEPS`` probe and ``table_iterations``, and a
+    table at ``max_iters`` freezes unconverged, so the tables after it
+    can still be offered.  After each sweep's convergence and stall
+    bookkeeping (the restored sweep of a resume included), the decode
+    asks ``accept`` about each converged table, lowest index first and
     once all of that table's predecessors have frozen, passing the
     table's hard-decided bytes; the first ``True`` returns at once,
-    with the tables still in play marked in ``cut``.  Nothing couples
-    tables, so the accepted row, and every row before it, is the one
-    a full decode returns, and the accepted index is the full decode's
-    first converged table that ``accept`` takes, unless a table before
-    it runs to ``max_iters`` without freezing.  When nothing is
-    accepted the decode is the full decode, bit for bit.
+    with the tables still live or never started marked in ``cut``.
+    Nothing couples tables, so every row not cut is the row the
+    lockstep decode returns, bit for bit, and the accepted index is
+    that decode's first converged table that ``accept`` takes.  The
+    result's ``iterations`` counts the batch's sweeps, which exceeds
+    ``max_iters`` when a table started late runs to the cap.  When
+    nothing is accepted every row, and every field but
+    ``iterations``, is the lockstep decode's.  Without ``accept`` every
+    table starts at sweep 0 and all run in lockstep.
     """
     graph = build_constraint_graph(key_bits)
     observed = np.asarray(observed, dtype=np.uint8)
@@ -774,6 +815,28 @@ def decode_schedule(
         cv_log_pad[:, :n_edges, :] = np.log(np.float64(1.0) / 256.0)
         start_iteration = 0
         sched = _SweepSchedule(batch, n_checks)
+    # Tables ``0 .. started - 1`` have started, each with its own sweep
+    # count in ``age``.
+    age = np.zeros(batch, dtype=np.int64)
+    if sched.sweeps is None:
+        started = batch if restored else 0
+        age[:] = np.where(sched.frozen, sched.table_iterations, start_iteration)
+    else:
+        started = sched.sweeps.size
+        age[:started] = sched.sweeps
+    usable = cpus.usable_cpus()
+    # The first window gives every usable CPU a chunk of rows in a
+    # table's first sweep, where every check is dirty.
+    window = max(1, -(-usable * _SWEEP_CHUNK // n_checks))
+
+    def admit_to(settled: int) -> int:
+        # Tables started once ``settled`` of them froze: all of them in
+        # lockstep; for a list decode, ``window`` more, doubled each
+        # time that many have settled unaccepted.
+        if accept is None:
+            return batch
+        return min(batch, settled + (window << ((settled // window + 1).bit_length() - 1)))
+
     clp_flat = cv_log_pad.reshape(batch * (n_edges + 1), 256)
     posterior_log = np.empty((batch, n_vars, 256), dtype=np.float32)
     post_flat = posterior_log.reshape(batch * n_vars, 256)
@@ -802,7 +865,6 @@ def decode_schedule(
         if known is None
         else np.asarray(known, dtype=bool).all(axis=1)
     )
-    iterations = start_iteration
     checks_updated = 0
     checks_dense = 0
     slot = np.arange(3, dtype=np.intp)
@@ -817,6 +879,58 @@ def decode_schedule(
         p = tables[:, graph.p_idx]
         residue = t ^ s ^ graph.fwd_lut[rows[None, :], p]
         return (residue != 0).sum(axis=1)
+
+    def freeze(tables: np.ndarray) -> None:
+        sched.frozen[tables] = True
+        sched.dirty[tables] = False
+        sched.table_iterations[tables] = age[tables]
+
+    def settle(tables: np.ndarray) -> None:
+        # Convergence, stall and cap bookkeeping for live tables, each
+        # at its own sweep count.  A table at the cap freezes without
+        # another syndrome check, as the lockstep sweep loop ended there.
+        capped = age[tables] >= max_iters
+        freeze(tables[capped])
+        tables = tables[~capped]
+        if tables.size == 0:
+            return
+        syn = syndrome_of(hard[tables])
+        syndrome_weight[tables] = syn
+        now_converged = syn == 0
+        if now_converged.any():
+            done = tables[now_converged]
+            sched.converged[done] = True
+            freeze(done)
+        # Stagnation abstain, per table: that many sweeps without a new
+        # syndrome minimum and the table freezes rather than burning the
+        # full iteration budget to reach the same abstain.
+        live = tables[~now_converged]
+        if live.size == 0:
+            return
+        improved = syndrome_weight[live] < sched.best_syndrome[live]
+        sched.best_syndrome[live] = np.minimum(sched.best_syndrome[live], syndrome_weight[live])
+        sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
+        stalled = np.zeros(live.size, dtype=bool)
+        if stall_sweeps:
+            # Stagnation only abstains tables still far from a codeword:
+            # one oscillating within a handful of violated checks is
+            # circling a fixpoint it usually reaches, and its dirty set
+            # is tiny — let it spend the budget.
+            near = sched.best_syndrome[live] * 32 <= n_checks
+            stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
+            # Hopeless triage: still violating the majority of checks
+            # after the probe sweeps means junk, not a slow decode —
+            # abstain now rather than dribble toward the stagnation
+            # limit one syndrome point at a time.
+            stalled |= (
+                (age[live] >= _HOPELESS_PROBE_SWEEPS)
+                & fully_known[live]
+                & (sched.best_syndrome[live] * 2 > n_checks)
+            )
+        # A table with no dirty checks has reached a message fixpoint —
+        # nothing can change it, so freeze it now.
+        stalled |= ~sched.dirty[live].any(axis=1)
+        freeze(live[stalled])
 
     asked = 0
     cut = None
@@ -839,6 +953,11 @@ def decode_schedule(
         messages = np.exp(cv_log_pad[:, :n_edges, :].astype(np.float64)).reshape(
             batch, n_checks, 3, 256
         )
+        # The sweep counts go into the record unless it reads the same
+        # without them, which keeps lockstep records as they were.
+        live = ~sched.frozen[:started]
+        implied = started == batch and bool((age[:started][live] == iteration).all())
+        sched.sweeps = None if implied else age[:started].copy()
         return DecodeState(
             iteration=iteration,
             messages=messages,
@@ -853,7 +972,7 @@ def decode_schedule(
     # gathers that do the work.  The pool lives for this call only, so
     # it closes on a deadline too and no thread outlives the decode
     # (process shard workers fork).
-    workers = max(1, min(cpus.usable_cpus(), -(-batch * n_checks // _SWEEP_CHUNK)))
+    workers = max(1, min(usable, -(-batch * n_checks // _SWEEP_CHUNK)))
     pool_or_none = (
         ThreadPoolExecutor(workers - 1, thread_name_prefix="decode")
         if workers > 1
@@ -886,65 +1005,26 @@ def decode_schedule(
             return np.array_split(tables, max(1, min(workers, tables.size)))
 
         run(refresh, by_table(np.arange(batch)))
-        for iteration in range(start_iteration, max_iters):
-            active = np.flatnonzero(~sched.frozen)
-            if active.size == 0:
-                break
+        iteration = start_iteration
+        while True:
             # A restored schedule was snapshotted after its sweep's
             # convergence and stall bookkeeping; running that again
             # would count the sweep twice toward ``stall_sweeps``.
             if not (restored and iteration == start_iteration):
-                # Hard-decision syndrome for the tables still in play.
-                syn = syndrome_of(hard[active])
-                syndrome_weight[active] = syn
-                now_converged = syn == 0
-                if now_converged.any():
-                    done = active[now_converged]
-                    sched.converged[done] = True
-                    sched.frozen[done] = True
-                    sched.dirty[done] = False
-                    sched.table_iterations[done] = iteration
-                # Stagnation abstain, per table: that many sweeps without
-                # a new syndrome minimum and the table freezes rather than
-                # burning the full iteration budget to reach the same
-                # abstain.
-                live = active[~now_converged]
-                if live.size:
-                    improved = syndrome_weight[live] < sched.best_syndrome[live]
-                    sched.best_syndrome[live] = np.minimum(
-                        sched.best_syndrome[live], syndrome_weight[live]
-                    )
-                    sched.stagnant[live] = np.where(improved, 0, sched.stagnant[live] + 1)
-                    stalled = np.zeros(live.size, dtype=bool)
-                    if stall_sweeps:
-                        # Stagnation only abstains tables still far from
-                        # a codeword: one oscillating within a handful of
-                        # violated checks is circling a fixpoint it usually
-                        # reaches, and its dirty set is tiny — let it spend
-                        # the budget.
-                        near = sched.best_syndrome[live] * 32 <= n_checks
-                        stalled |= (sched.stagnant[live] >= stall_sweeps) & ~near
-                        # Hopeless triage: still violating the majority
-                        # of checks after the probe sweeps means junk, not
-                        # a slow decode — abstain now rather than dribble
-                        # toward the stagnation limit one syndrome point
-                        # at a time.
-                        if iteration >= _HOPELESS_PROBE_SWEEPS:
-                            stalled |= fully_known[live] & (
-                                sched.best_syndrome[live] * 2 > n_checks
-                            )
-                    # A table with no dirty checks has reached a message
-                    # fixpoint — nothing can change it, so freeze it now.
-                    stalled |= ~sched.dirty[live].any(axis=1)
-                    if stalled.any():
-                        halt = live[stalled]
-                        sched.frozen[halt] = True
-                        sched.dirty[halt] = False
-                        sched.table_iterations[halt] = iteration
-            if accept is not None and offer_frozen_prefix():
-                cut = ~sched.frozen
-                break
-            if sched.frozen.all():
+                settle(np.flatnonzero(~sched.frozen[:started]))
+            # Offer the decided prefix, then start the tables the window
+            # admits, each settled at its sweep 0, until neither moves.
+            while True:
+                if accept is not None and offer_frozen_prefix():
+                    cut = ~sched.frozen
+                    break
+                admitted = admit_to(int(sched.frozen.sum()))
+                if admitted <= started:
+                    break
+                joining = np.arange(started, admitted)
+                started = admitted
+                settle(joining)
+            if cut is not None or sched.frozen.all():
                 break
             if deadline is not None and deadline.expired:
                 error = DeadlineExceededError(
@@ -956,10 +1036,10 @@ def decode_schedule(
                 on_progress()
 
             # ---- one residual-scheduled message sweep -------------------
-            sel_t, sel_c = np.nonzero(sched.dirty)
+            sel_t, sel_c = np.nonzero(sched.dirty[:started])
             m = sel_t.size
             checks_updated += int(m)
-            checks_dense += int((~sched.frozen).sum()) * n_checks
+            checks_dense += int((~sched.frozen[:started]).sum()) * n_checks
             flat_v = sel_t[:, None] * n_vars + graph.check_vars[sel_c]  # (M, 3)
             flat_e = (
                 sel_t[:, None] * (n_edges + 1) + (3 * sel_c)[:, None] + slot[None, :]
@@ -1019,21 +1099,23 @@ def decode_schedule(
             # that reached its variables accumulates past the tolerance.
             # Each variable feeds at most one check per slot, so the
             # scatter-max decomposes into three unique-index maximums.
-            perturb = np.zeros(batch * n_vars, dtype=np.float32)
+            perturb = np.zeros(started * n_vars, dtype=np.float32)
             for k in range(3):
                 idx = flat_v[:, k]
                 perturb[idx] = np.maximum(perturb[idx], residual)
             sched.pending[sel_t, sel_c] = 0.0
-            act = np.flatnonzero(~sched.frozen)
-            sched.pending[act] += perturb.reshape(batch, n_vars)[act][
+            act = np.flatnonzero(~sched.frozen[:started])
+            sched.pending[act] += perturb.reshape(started, n_vars)[act][
                 :, graph.check_vars
             ].max(axis=2)
             sched.dirty[act] = sched.pending[act] > RESIDUAL_TOL
-            iterations = iteration + 1
+            age[act] += 1
+            iteration += 1
 
+    iterations = iteration
     never_frozen = ~sched.frozen
     if never_frozen.any():
-        sched.table_iterations[never_frozen] = iterations
+        sched.table_iterations[never_frozen] = age[never_frozen]
     # Tables frozen before a resume never re-enter the loop; recompute
     # everyone's syndrome from the returned hard decisions so the
     # weights are consistent with ``tables`` regardless of history.

@@ -273,9 +273,12 @@ def report_to_markdown(report: AttackReport, include_keys: bool = False) -> str:
             ]
             if decode.get("interrupted"):
                 notes.append("interrupted by deadline")
+            counts = [f"{decode['converged']} converged", f"{decode['abstained']} abstained"]
+            # Reports written before cut tables were counted lack ``cut``.
+            if "cut" in decode:
+                counts.append(f"{decode['cut']} cut")
             lines.append(
-                f"* decoded stage: {decode['converged']} converged / "
-                f"{decode['abstained']} abstained of {decode['tables']} tables "
+                f"* decoded stage: {' / '.join(counts)} of {decode['tables']} tables "
                 f"({', '.join(notes)})"
             )
         for region in report.quarantined_regions:

@@ -531,50 +531,58 @@ class TestResumeProperty:
         assert_same_decode(resumed, straight, skip=WORK_COUNTERS)
 
 
-def _recording_hook(full: DecodeResult, rejected, start: int = 0):
-    """``(accept, beat, asked)`` for a decode of ``full``'s batch.
+def _recording_hook(full: DecodeResult, rejected):
+    """``(accept, asked)`` for a list decode of ``full``'s batch.
 
     ``accept`` takes every converged table not in ``rejected``.  Each
-    call checks what it is shown against the full decode: the table is
-    one that converged, with its final row, and every table before it
-    has already frozen there.  ``beat``, the decode's ``on_progress``
-    with ``beat_every=1``, counts its sweeps from ``start``, and
-    ``asked`` records the indices offered, in order."""
-    sweep = [start]
+    call checks what it is shown against ``full``, the lockstep decode
+    of the batch: the table is one that converged there, with its final
+    row.  ``asked`` records the indices offered, in order."""
     asked: list[int] = []
 
     def accept(index: int, table: np.ndarray) -> bool:
         assert full.converged[index], index
         assert table.tobytes() == full.tables[index].tobytes(), index
-        # A table frozen at sweep t has table_iterations t; one still
-        # live at the cap has the cap, which no sweep index reaches.
-        assert (full.table_iterations[:index] <= sweep[0]).all(), (index, sweep[0])
         asked.append(index)
         return index not in rejected
 
-    def beat() -> None:
-        sweep[0] += 1
-
-    return accept, beat, asked
+    return accept, asked
 
 
-def _first_accepted(full: DecodeResult, rejected, max_iters: int) -> int | None:
-    """The full decode's first converged table not in ``rejected``, if
-    every table before it froze; a table still live at the sweep cap
-    holds back every table after it."""
-    for index in range(full.converged.size):
-        if full.converged[index] and index not in rejected:
-            return index
-        if full.table_iterations[index] == max_iters:
-            return None
-    return None
+def _first_accepted(full: DecodeResult, rejected) -> int | None:
+    """The lockstep decode's first converged table not in ``rejected``."""
+    taken = [index for index in np.flatnonzero(full.converged) if index not in rejected]
+    return int(taken[0]) if taken else None
+
+
+def assert_list_decode(hooked, full, first, want, skip=()) -> None:
+    """``hooked``, a list decode, against the lockstep decode ``full``.
+
+    Every row a list decode settles is the lockstep row, and a row it
+    cuts ran no sweep, or fewer than there; a row cut before its first
+    sweep still holds the sweep-0 hard decisions of ``first``.  When
+    nothing is accepted nothing is cut, and every field but the
+    batch's sweep count (and ``skip``) is the lockstep decode's."""
+    if want is None:
+        assert hooked.cut is None
+        assert_same_decode(hooked, full, skip=("iterations", *skip))
+        return
+    cut = hooked.cut
+    assert not cut[: want + 1].any()
+    for index in np.flatnonzero(~cut):
+        assert_same_decode(hooked.table(index), full.table(index))
+    ran = hooked.table_iterations[cut]
+    assert ((ran < full.table_iterations[cut]) | (ran == 0)).all()
+    unstarted = cut & (hooked.table_iterations == 0)
+    assert hooked.tables[unstarted].tobytes() == first.tables[unstarted].tobytes()
 
 
 class TestAcceptExit:
-    """``accept`` ends a list decode at the first converged table it
-    takes, with that table's row exactly as the full decode has it.
-    When a table before that one runs to the sweep cap without
-    freezing, nothing is accepted and the decode is the full decode."""
+    """``accept`` makes a list decode: tables start in batch order a
+    window at a time, each counting its own sweeps, and the decode ends
+    at the first converged table it takes, with that table's row, and
+    every row it settled, exactly as the lockstep decode has it.  A
+    table at the sweep cap freezes, so it holds back no later table."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -588,20 +596,21 @@ class TestAcceptExit:
         erase_frac=st.floats(0.0, 0.5),
         rejected=st.sets(st.integers(0, 24)),
         max_iters=st.sampled_from((6, DEFAULT_DECODE_ITERS)),
+        cpus=st.integers(1, 4),
         cut=st.integers(0, 2**16),
         cut_hooked=st.booleans(),
     )
     # Tables 0, 1, 3 and 5 converge at sweep 3, table 2 at sweep 6: with
     # 0 and 1 refused, table 3 may not be offered before table 2 freezes.
     # The unhooked cut at sweep 7 resumes past the accepting sweep.
-    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 4, True)
-    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 7, False)
-    # The same batch capped at 6 sweeps: table 2 never freezes, so the
-    # decode accepts nothing and runs to the cap.
-    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, 6, 2, True)
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 2, 4, True)
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, DEFAULT_DECODE_ITERS, 2, 7, False)
+    # The same batch capped at 6 sweeps: table 2 freezes at the cap
+    # unconverged, and table 3 is accepted after it.
+    @example(0, 128, 6, 0.3, 0.045, 1.0, 0.3, 0.3, {0, 1}, 6, 1, 2, True)
     def test_accepts_the_full_decodes_first_accepted_table(
         self, seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share,
-        erase_frac, rejected, max_iters, cut, cut_hooked,
+        erase_frac, rejected, max_iters, cpus, cut, cut_hooked,
     ):
         observed, channel, known = decode_batch(
             seed, key_bits, n_tables, junk_share, rate, to_ground, erase_share, erase_frac
@@ -609,51 +618,99 @@ class TestAcceptExit:
         args = (observed, key_bits, channel)
         kwargs = {"known": known, "max_iters": max_iters}
         full = decode_schedule(*args, **kwargs)
-        want = _first_accepted(full, rejected, max_iters)
+        first = decode_schedule(*args, known=known, max_iters=0)
+        want = _first_accepted(full, rejected)
 
-        accept, beat, asked = _recording_hook(full, rejected)
-        hooked = decode_schedule(
-            *args, **kwargs, accept=accept, on_progress=beat, beat_every=1
-        )
+        accept, asked = _recording_hook(full, rejected)
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: cpus):
+            hooked = decode_schedule(*args, **kwargs, accept=accept)
         assert asked == sorted(set(asked))
         assert (asked[-1] if asked and asked[-1] not in rejected else None) == want
-        if want is None:
-            assert_same_decode(hooked, full)
-        else:
+        assert_list_decode(hooked, full, first, want)
+        if want is not None:
             serial = serial_decode_schedule(*args, **kwargs)
-            for index in range(want + 1):
-                assert_same_decode(hooked.table(index), full.table(index))
             assert_same_decode(hooked.table(want), serial.table(want))
-            still_live = full.table_iterations > hooked.iterations
-            assert hooked.cut.tolist() == still_live.tolist()
 
         # Cut by a deadline at any poll, with or without the hook, and
-        # resumed with it: the same table, the same row.  The restored
-        # sweep is offered too, so a resume past the accepting sweep of
-        # a decode cut without the hook accepts at once.
+        # resumed with it on another CPU count: the same table, the same
+        # settled rows.  The restored sweep is offered too, so a resume
+        # past the accepting sweep of a decode cut without the hook
+        # accepts at once.
         polls = hooked.iterations if cut_hooked else full.iterations
         if polls == 0:
             return
         checks = cut % polls
-        accept, beat, asked = _recording_hook(full, rejected)
-        with pytest.raises(DeadlineExceededError) as err:
-            decode_schedule(
-                *args, **kwargs, accept=accept if cut_hooked else None,
-                on_progress=beat, beat_every=1, deadline=CountdownDeadline(checks),
-            )
+        accept, asked = _recording_hook(full, rejected)
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: cpus):
+            with pytest.raises(DeadlineExceededError) as err:
+                decode_schedule(
+                    *args, **kwargs, accept=accept if cut_hooked else None,
+                    deadline=CountdownDeadline(checks),
+                )
         state = err.value.decode_state
         assert state.iteration == checks
         assert all(index in rejected for index in asked)
-        accept, beat, asked = _recording_hook(full, rejected, start=checks)
-        resumed = decode_schedule(
-            *args, **kwargs, state=state, accept=accept, on_progress=beat, beat_every=1
-        )
+        accept, asked = _recording_hook(full, rejected)
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: cpus % 4 + 1):
+            resumed = decode_schedule(*args, **kwargs, state=state, accept=accept)
         assert (asked[-1] if asked and asked[-1] not in rejected else None) == want
-        if want is None:
-            assert_same_decode(resumed, full, skip=WORK_COUNTERS)
-        else:
-            assert_same_decode(resumed.table(want), full.table(want))
-            assert resumed.iterations == max(checks, hooked.iterations)
+        assert_list_decode(resumed, full, first, want, skip=WORK_COUNTERS)
+
+    def test_a_lockstep_record_resumes_a_list_decode(self):
+        """A record without per-table sweep counts (every lockstep
+        record, and every record written before list decodes kept
+        them) has every live table at the record's sweep.  A list
+        decode resumes it from there, not from sweep 0."""
+        observed = _mixed_batch(73, 4, 12, 0.06)
+        channel = ChannelModel.symmetric(0.06)
+        full = decode_schedule(observed, 256, channel)
+        with pytest.raises(DeadlineExceededError) as err:
+            decode_schedule(observed, 256, channel, deadline=CountdownDeadline(3))
+        state = err.value.decode_state
+        assert "sweeps" not in state.sched
+
+        def refuse(index: int, table: np.ndarray) -> bool:
+            return False
+
+        # Cut again at its first poll, the resumed list decode writes
+        # back the record it resumed.
+        with pytest.raises(DeadlineExceededError) as again:
+            decode_schedule(
+                observed, 256, channel, state=state, accept=refuse,
+                deadline=CountdownDeadline(0),
+            )
+        assert again.value.decode_state.to_dict() == state.to_dict()
+        resumed = decode_schedule(observed, 256, channel, state=state, accept=refuse)
+        assert_same_decode(resumed, full, skip=WORK_COUNTERS)
+        accept, asked = _recording_hook(full, set())
+        taken = decode_schedule(observed, 256, channel, state=state, accept=accept)
+        assert asked == [_first_accepted(full, set())]
+        assert_same_decode(taken.table(asked[0]), full.table(asked[0]))
+
+    def test_a_list_decode_records_each_started_tables_sweeps(self):
+        """Cut while tables wait for the window, a list decode records
+        the sweeps of each table it started; resumed with or without
+        the hook, every table settles as in the lockstep decode."""
+        observed = _mixed_batch(73, 4, 12, 0.06)
+        channel = ChannelModel.symmetric(0.06)
+        full = decode_schedule(observed, 256, channel)
+
+        def refuse(index: int, table: np.ndarray) -> bool:
+            return False
+
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: 2):
+            with pytest.raises(DeadlineExceededError) as err:
+                decode_schedule(
+                    observed, 256, channel, accept=refuse, deadline=CountdownDeadline(5)
+                )
+        state = err.value.decode_state
+        sweeps = state.sched["sweeps"]
+        # Tables 0 and 1 froze at sweep 4, and the window then started
+        # tables 2 to 5.
+        assert sweeps == [4, 4, 1, 1, 1, 1]
+        for hook in (refuse, None):
+            resumed = decode_schedule(observed, 256, channel, state=state, accept=hook)
+            assert_same_decode(resumed, full, skip=("iterations", *WORK_COUNTERS))
 
 
 class TestDecodeStateShape:
@@ -679,6 +736,24 @@ class TestDecodeStateShape:
         record = _SweepSchedule(16, self.N_CHECKS).to_dict()
         raw = base64.b64decode(record[key])
         record[key] = base64.b64encode(raw[:size].ljust(size, b"\0")).decode()
+        with pytest.raises(ValueError):
+            _SweepSchedule.from_dict(record, 16, self.N_CHECKS)
+
+    @pytest.mark.parametrize(
+        "sweeps", ["2", None, [2.0], [-1], [True], [[2]], [2] * 17, [2] * 3],
+    )
+    def test_misshapen_sweep_counts_raise(self, sweeps):
+        """A list decode's per-table sweep counts: one non-negative int
+        per started table, and every frozen table started (here tables
+        0 to 3 froze)."""
+        from repro.attack.decode import _SweepSchedule
+
+        sched = _SweepSchedule(16, self.N_CHECKS)
+        sched.frozen[:4] = True
+        sched.sweeps = np.full(5, 2)
+        record = sched.to_dict()
+        assert _SweepSchedule.from_dict(record, 16, self.N_CHECKS).sweeps.tolist() == [2] * 5
+        record["sweeps"] = sweeps
         with pytest.raises(ValueError):
             _SweepSchedule.from_dict(record, 16, self.N_CHECKS)
 

@@ -336,19 +336,32 @@ class TestV6DecodeMigration:
 
     def test_decode_block_without_the_counters_still_renders(self, tmp_path):
         """Reports written before ``gated``/``claimed`` were folded in
-        lack both; they load and render without inventing zeros.  Older
-        reports may also carry the retired ``workers`` key."""
+        lack both, and those written before cut tables were counted
+        lack ``cut``; they load and render without inventing zeros.
+        Older reports may also carry the retired ``workers`` key."""
         for extra in ({}, {"workers": 2}):
             report = self.decoded_report(**extra)
             path = tmp_path / "older.json"
             save_report_json(report, path)
             loaded = load_report_json(path)
             assert "gated" not in loaded["robustness"]["decode"]
+            assert "cut" not in loaded["robustness"]["decode"]
             assert migrate_report_dict(loaded) == loaded
             text = report_to_markdown(report)
-            assert "of 65 tables (869 sweeps)" in text
+            assert "decoded stage: 8 converged / 57 abstained of 65 tables (869 sweeps)" in text
             assert "gated" not in text and "claimed" not in text
             assert "workers" not in text
+
+    def test_markdown_counts_the_tables_a_list_decode_cut(self, tmp_path):
+        """A list decode ends before most of its combos settle, and
+        the line says so: converged + abstained + cut == tables."""
+        report = self.decoded_report(converged=3, abstained=4, cut=41, tables=48)
+        text = report_to_markdown(report)
+        assert "decoded stage: 3 converged / 4 abstained / 41 cut of 48 tables" in text
+        path = tmp_path / "cut.json"
+        save_report_json(report, path)
+        decode = load_report_json(path)["robustness"]["decode"]
+        assert decode["converged"] + decode["abstained"] + decode["cut"] == decode["tables"]
 
 
 class TestV7ServiceMigration:

@@ -23,12 +23,13 @@ Beyond "no traceback", the properties that make a resume trustworthy:
 import copy
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.attack.aes_search import RecoveredAesKey, ScheduleHit
-from repro.attack.decode import DecodeState
+from repro.attack.decode import ChannelModel, DecodeState, _SweepSchedule, decode_schedule
 from repro.dram.image import MemoryImage
 from repro.resilience.checkpoint import (
     CheckpointJournal,
@@ -38,7 +39,12 @@ from repro.resilience.checkpoint import (
     line_crc,
     verify_journal_file,
 )
-from repro.resilience.errors import CheckpointCorruptError, DumpFormatError, ReproError
+from repro.resilience.errors import (
+    CheckpointCorruptError,
+    DeadlineExceededError,
+    DumpFormatError,
+    ReproError,
+)
 from repro.service.client import job_status, submit_job, wait_for_admission
 from repro.service.jobstore import (
     ADMITTED,
@@ -51,6 +57,14 @@ from repro.service.jobstore import (
     replay_jobs,
 )
 from repro.service.server import JobEngine
+from repro.util import cpus as util_cpus
+
+from ..attack.test_decode import (
+    WORK_COUNTERS,
+    CountdownDeadline,
+    _mixed_batch,
+    assert_same_decode,
+)
 
 HEADER = JournalHeader(
     dump_len=4096,
@@ -350,10 +364,15 @@ class TestWalFuzz:
 def test_decode_sidecar_damage_starts_empty_or_loads_the_original(tmp_path):
     path = tmp_path / "scan.jsonl.decode"
     store = DecodeStateStore(path)
+    # Entry b carries a list decode's scheduling record, per-table
+    # sweep counts included.
+    sched = _SweepSchedule(2, 2)
+    sched.sweeps = np.array([7, 2])
     for name, iteration in (("a", 3), ("b", 7)):
         messages = np.arange(16, dtype=np.float64).reshape(1, 2, 2, 4) / iteration
         store.save(name, DecodeState(iteration=iteration, messages=messages,
-                                     digest=f"ctx-{name}").to_dict())
+                                     digest=f"ctx-{name}",
+                                     sched=sched.to_dict() if name == "b" else None).to_dict())
     originals = [store.load("a"), store.load("b")]
     raw = path.read_bytes()
     blob = json.loads(raw)
@@ -379,6 +398,41 @@ def test_decode_sidecar_damage_starts_empty_or_loads_the_original(tmp_path):
                 assert state is not None, label
             else:
                 assert label.startswith("entry a") and name == "a" and state is None, label
+
+
+def test_decode_sidecar_sweep_counts_of_the_wrong_shape_restart(tmp_path):
+    """A list decode records the sweeps of each table it started.  A
+    sidecar entry whose counts are of the wrong shape, its CRC valid,
+    restarts the decode from sweep 0: the straight run, work counters
+    included.  The entry as written resumes it."""
+    observed = _mixed_batch(61, 2, 1, 0.06)
+    channel = ChannelModel.symmetric(0.06)
+
+    def refuse(index, table):
+        return False
+
+    def decode(**kwargs):
+        with mock.patch.object(util_cpus, "usable_cpus", lambda: 1):
+            return decode_schedule(observed, 256, channel, accept=refuse, **kwargs)
+
+    straight = decode()
+    with pytest.raises(DeadlineExceededError) as err:
+        decode(deadline=CountdownDeadline(3))
+    record = err.value.decode_state.to_dict()
+    assert len(record["sched"]["sweeps"]) < observed.shape[0]
+    store = DecodeStateStore(tmp_path / "scan.jsonl.decode")
+    store.save("resumes", record)
+    resumed = decode(state=DecodeState.from_dict(store.load("resumes")))
+    assert_same_decode(resumed, straight, skip=WORK_COUNTERS)
+    assert resumed.checks_updated < straight.checks_updated
+    for sweeps in ("3", None, [3.0], [-1], [True], [[3]], [3] * 4):
+        bad = copy.deepcopy(record)
+        bad["sched"]["sweeps"] = sweeps
+        store.save("bad", bad)
+        state = DecodeState.from_dict(store.load("bad"))
+        with pytest.raises(ValueError):
+            _SweepSchedule.from_dict(state.sched, 3, 208)
+        assert_same_decode(decode(state=state), straight)
 
 
 # ------------------------------------------------------------------ the dump
