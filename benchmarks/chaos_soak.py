@@ -2,18 +2,18 @@
 
 The watchdog-runtime tentpole claims the attack pipeline is *crash-only*:
 whatever combination of worker crashes, kills, hangs, data corruption,
-signals, deadlines, and resource denial lands mid-scan, a run either
+signals, deadlines, and pool breakdowns lands mid-scan, a run either
 
 * **completes** with recovered keys byte-identical to a clean run, or
 * **stops resumable** — journalled shards on disk, a resume run finishes
   the scan and converges to the same byte-identical keys.
 
 ``python -m benchmarks.chaos_soak`` soaks that claim: each iteration
-composes a deterministic fault stack (rotating through eight scenarios so
+composes a deterministic fault stack (rotating through seven scenarios so
 every mode is exercised several times), runs the real
 :func:`~repro.attack.parallel.resilient_recover_keys` path against it,
-and checks the invariants plus a shared-memory leak sweep.  The result is
-``ROBUST_chaos.json`` (schema ``robust-chaos/v1``), validated by
+and checks the invariants.  The result is
+``ROBUST_chaos.json`` (schema ``robust-chaos/v2``), validated by
 :func:`validate_chaos_record` before it is written so schema drift fails
 the soak instead of poisoning downstream tooling.  ``--quick`` runs one
 scenario rotation for CI smoke.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import tempfile
@@ -35,16 +34,16 @@ from repro.attack.parallel import resilient_recover_keys
 from repro.attack.sweep import synthetic_dump
 from repro.resilience.checkpoint import count_shard_records
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.resilience.resources import ResourcePolicy
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import GracefulShutdown
 from repro.resilience.watchdog import WatchdogConfig
 
-#: Schema tag for downstream consumers of the JSON artifact.
-CHAOS_SCHEMA = "robust-chaos/v1"
+#: Schema tag for downstream consumers of the JSON artifact.  v2 records
+#: each iteration's ``executor`` where v1 recorded a publication backend.
+CHAOS_SCHEMA = "robust-chaos/v2"
 
 #: One full rotation covers every failure mode; the default soak runs
-#: seven rotations (56 iterations — comfortably past the 50-iteration
+#: eight rotations (56 iterations — comfortably past the 50-iteration
 #: acceptance floor).
 SCENARIOS = (
     "crash-retry",
@@ -52,7 +51,6 @@ SCENARIOS = (
     "hang-watchdog",
     "signal-drain",
     "deadline-expiry",
-    "shm-denied",
     "serial-degraded",
     "kitchen-sink",
 )
@@ -72,7 +70,7 @@ _ITERATION_FIELDS = {
     "scenario": str,
     "fault_kinds": list,
     "workers": int,
-    "backend": str,
+    "executor": str,
     "complete_first_pass": bool,
     "interrupted": bool,
     "deadline_expired": bool,
@@ -97,19 +95,12 @@ _ACCEPTANCE_BOOLS = (
 )
 
 
-def _policy() -> RetryPolicy:
-    return RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05)
+def _policy(**overrides) -> RetryPolicy:
+    return RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, **overrides)
 
 
 def _keys_hex(report) -> list[str]:
     return sorted(r.master_key.hex() for r in report.recovered)
-
-
-def _shm_entries() -> set[str]:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover — host without tmpfs
-        return set()
 
 
 class _JournalWatcher:
@@ -144,7 +135,7 @@ class _JournalWatcher:
 
 
 def _build_scenario(
-    scenario: str, rng: random.Random, offsets: list[int], tmp: Path, baseline_seconds: float
+    scenario: str, rng: random.Random, offsets: list[int], baseline_seconds: float
 ) -> dict:
     """Compose one iteration's fault stack.
 
@@ -157,7 +148,7 @@ def _build_scenario(
     faults: list[tuple[int, FaultSpec]] = []
     spec = {
         "workers": 2,
-        "resource_policy": None,
+        "retry_policy": _policy(),
         "watchdog": None,
         "deadline": None,
         "signal": False,
@@ -181,14 +172,14 @@ def _build_scenario(
         spec["signal"] = True
     elif scenario == "deadline-expiry":
         spec["deadline"] = rng.uniform(*DEADLINE_FRACTION) * baseline_seconds
-    elif scenario == "shm-denied":
-        spec["resource_policy"] = ResourcePolicy(allow_shm=False, file_directory=str(tmp))
-        add(rng.choice(offsets), "crash")
     elif scenario == "serial-degraded":
-        spec["resource_policy"] = ResourcePolicy(allow_shm=False, allow_file=False)
-        add(rng.choice(empty), "corrupt", corrupt_bits=64)
+        # A pool allowed no rebuild: the kill's broken pool degrades the
+        # rest of the scan to in-process serial execution.
+        spec["retry_policy"] = _policy(max_pool_rebuilds=0)
+        killed = rng.choice(offsets)
+        add(killed, "kill")
+        add(rng.choice([o for o in empty if o != killed]), "corrupt", corrupt_bits=64)
     elif scenario == "kitchen-sink":
-        spec["resource_policy"] = ResourcePolicy(allow_shm=False, file_directory=str(tmp))
         spec["watchdog"] = WatchdogConfig(stall_timeout_s=2.0, poll_interval_s=0.1)
         add(offsets[0], "poison", corrupt_bits=16)
         add(offsets[1], "hang", hang_seconds=60.0)
@@ -206,10 +197,9 @@ def soak_iteration(
 ) -> dict:
     """Run one composed-fault iteration and check the crash-only bar."""
     journal = tmp / f"iter{iteration:03d}.checkpoint.jsonl"
-    spec = _build_scenario(scenario, rng, offsets, tmp, baseline_seconds)
+    spec = _build_scenario(scenario, rng, offsets, baseline_seconds)
     plan = spec["fault_plan"]
     violations: list[str] = []
-    shm_before = _shm_entries()
     start = time.perf_counter()
 
     stop = GracefulShutdown() if spec["signal"] else None
@@ -219,14 +209,13 @@ def soak_iteration(
             dump,
             workers=spec["workers"],
             n_shards=N_SHARDS,
-            retry_policy=_policy(),
+            retry_policy=spec["retry_policy"],
             checkpoint=journal,
             resume=True,
             fault_plan=fault_plan,
             deadline=spec["deadline"],
             stop=active_stop,
             watchdog=spec["watchdog"],
-            resource_policy=spec["resource_policy"],
         )
 
     try:
@@ -241,7 +230,7 @@ def soak_iteration(
             "scenario": scenario,
             "fault_kinds": sorted({s.kind for _, s in (plan.faults if plan else ())}),
             "workers": spec["workers"],
-            "backend": "unknown",
+            "executor": "unknown",
             "complete_first_pass": False,
             "interrupted": False,
             "deadline_expired": False,
@@ -260,6 +249,8 @@ def soak_iteration(
         violations.append(
             f"transient faults quarantined shards {report.quarantined_offsets}"
         )
+    if scenario == "serial-degraded" and not report.ledger.degraded_to_serial:
+        violations.append("the broken pool did not degrade the scan to serial")
 
     resume_ran = False
     resumed_shards = report.resumed_shards
@@ -286,16 +277,12 @@ def soak_iteration(
         if not keys_identical:
             violations.append("resume run diverged from the clean baseline")
 
-    leaked = _shm_entries() - shm_before
-    if leaked:
-        violations.append(f"leaked shared-memory segments: {sorted(leaked)}")
-
     return {
         "iteration": iteration,
         "scenario": scenario,
         "fault_kinds": sorted({s.kind for _, s in (plan.faults if plan else ())}),
         "workers": spec["workers"],
-        "backend": report.resource_backend,
+        "executor": report.executor,
         "complete_first_pass": report.complete,
         "interrupted": report.interrupted,
         "deadline_expired": report.deadline_expired,
@@ -322,9 +309,7 @@ def _acceptance(iterations: list[dict]) -> dict:
         "watchdog_fired": any(it["stall_kills"] > 0 for it in iterations),
         "drain_exercised": any(it["interrupted"] for it in iterations),
         "deadline_exercised": any(it["deadline_expired"] for it in iterations),
-        "degradation_exercised": any(
-            it["degraded_to_serial"] or it["backend"] == "file" for it in iterations
-        ),
+        "degradation_exercised": any(it["degraded_to_serial"] for it in iterations),
         "all_byte_identical": all(it["keys_byte_identical"] for it in iterations),
     }
 
@@ -373,7 +358,7 @@ def chaos_soak(iterations: int = DEFAULT_ITERATIONS, seed: int = 5, on_progress=
 
 
 def validate_chaos_record(record: dict) -> list[str]:
-    """Schema check for a ``robust-chaos/v1`` record; returns problems."""
+    """Schema check for a ``robust-chaos/v2`` record; returns problems."""
     errors: list[str] = []
     if record.get("schema") != CHAOS_SCHEMA:
         errors.append(f"schema is {record.get('schema')!r}, want {CHAOS_SCHEMA!r}")
@@ -426,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
                  else f"resumed({entry['resumed_shards']})")
         print(
             f"[{entry['iteration'] + 1:3d}] {entry['scenario']:<16} "
-            f"{phase:<12} backend={entry['backend']:<6} "
+            f"{phase:<12} executor={entry['executor']:<7} "
             f"stalls={entry['stall_kills']} {entry['seconds']:5.1f}s {status}",
             flush=True,
         )

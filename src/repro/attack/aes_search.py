@@ -313,9 +313,9 @@ class KeyFingerprintCache:
     re-fingerprinting ~4k keys × 32 offsets per shard.  Serial and
     thread-pool scans share the orchestrator's one cache (thread pools
     :meth:`precompute` it before fan-out); each process-pool worker
-    builds its own from the key matrix it attaches: tens of
+    fills the empty copy it inherits when its pool forks: tens of
     milliseconds for 4096 keys, no slower than shipping it a copy, and
-    the orchestrator never holds one.
+    the orchestrator never builds one for them.
     """
 
     def __init__(self, keys: list[bytes] | np.ndarray, key_bits: int = 256) -> None:

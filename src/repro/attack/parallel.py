@@ -28,32 +28,37 @@ worker pool).
 Worker pools
 ------------
 
-The scan kernels are numpy bulk operations that release the GIL, so
-shards run on a thread pool sharing the orchestrator's address space:
-no process spin-up, no pickling, no shared-memory segments — the dump,
-the key matrix and one precomputed
-:class:`~repro.attack.aes_search.KeyFingerprintCache` are shared by
-reference.  The pool follows from the run: only a process can be
-killed from outside, so a stall watchdog or a fault plan scripting
-process-level (``kill``/``hang``) faults selects a process pool
-instead.  :attr:`ScanReport.executor` records which pool ran.
+Each call builds one run state (:class:`_ScanRun`): the dump, the mined
+key matrix and its CRC, one
+:class:`~repro.attack.aes_search.KeyFingerprintCache`, and the watchdog's
+heartbeat board with its slot map.  It is registered under a run token
+for the length of the call, and every pool gets the same worker,
+``partial(_scan_shard_task, token)``.  The pool follows from the run:
+the scan kernels are numpy bulk operations that release the GIL, so
+shards run on a thread pool that reads the registry entry in the
+orchestrator's address space, with the fingerprint cache built once
+before fan-out.  Only a process can be killed from outside, so a stall
+watchdog or a fault plan scripting process-level (``kill``/``hang``)
+faults selects a process pool instead.  Its workers are forked after
+the run is registered — a pool the resilient executor rebuilds after a
+crash or hang too — so each reads the copy of the run state it
+inherited: nothing is published, attached or copied, and each worker
+fills its own copy of the fingerprint cache on first use.
+:attr:`ScanReport.executor` records which pool ran.  A run drops its
+entry when it ends, so concurrent scans in one process (the job
+service runs several) never read each other's state.
 
 Shards are *views*: :func:`shard_image` slices the dump with
 ``memoryview``, so a shard owns ``(base_offset, length)`` — never a
-copy of the bytes.  For process pools the dump and the mined key matrix
-are published once into POSIX shared memory
-(:class:`repro.dram.image.SharedDumpBuffer`, degrading to an mmap
-tempfile and then to serial); every worker process attaches both in
-its pool initializer (:func:`_init_scan_worker`) and builds its own
-fingerprint cache from the attached keys.  A shard task then pickles to
-``(length, fault_plan)`` plus an integer offset — well under a kilobyte
+copy of the bytes.  A shard task pickles to ``(length, fault_plan)``
+plus an integer offset and the run token — well under a kilobyte
 regardless of dump size — and a retried or rescheduled shard re-ships
-nothing.  When the resilient executor rebuilds a broken pool, the fresh
-processes re-run the initializer and re-attach automatically.
+nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -82,22 +87,8 @@ from repro.resilience.executor import (
     ShardOutcome,
 )
 from repro.resilience.faults import FaultPlan
-from repro.resilience.resources import (
-    BACKEND_SERIAL,
-    PublishedBuffer,
-    ResourcePolicy,
-    publish_bytes,
-    resolve_ref,
-)
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.watchdog import (
-    HeartbeatBoard,
-    HeartbeatMonitor,
-    WatchdogConfig,
-    attach_worker_heartbeat,
-    beat,
-    detach_worker_heartbeat,
-)
+from repro.resilience.watchdog import HeartbeatBoard, HeartbeatMonitor, WatchdogConfig
 from repro.util.blocks import BLOCK_SIZE
 
 
@@ -205,111 +196,65 @@ def merge_recovered(
     return [by_global_base[base] for base in sorted(by_global_base)]
 
 
-#: Per-process scan state installed by :func:`_init_scan_worker` in
-#: process-pool workers: the attached dump buffer, the key matrix, and
-#: the key-side fingerprint cache every shard task in that process
-#: reuses.  Serial and thread-pool scans bind their own state to the
-#: run instead, so concurrent scans in one process stay apart.
-_WORKER_STATE: dict = {}
+@dataclass
+class _ScanRun:
+    """One scan's state: everything its shard tasks read."""
+
+    dump: bytes | bytearray | memoryview
+    keys: np.ndarray
+    key_bits: int
+    #: CRC32 of ``keys`` as the orchestrator built them; every shard
+    #: task re-checks its copy against it.
+    keys_crc: int
+    key_cache: KeyFingerprintCache
+    board: HeartbeatBoard | None = None
+    #: Shard offset → heartbeat board slot (empty without a board).
+    slots: dict[int, int] = field(default_factory=dict)
+
+    def beat(self, shard_offset: int) -> None:
+        """Publish one progress beat for a shard (no-op without a board)."""
+        slot = self.slots.get(shard_offset)
+        if slot is not None:
+            self.board.beat(slot)
 
 
-def _release_worker_state() -> None:
-    """Drop this process's scan state and close any attached segments.
-
-    The state (dump view, keys array) must be dropped *before* the
-    segments close — a mapping cannot be torn down while views into it
-    are still exported.
-    """
-    holders = _WORKER_STATE.pop("holders", ())
-    _WORKER_STATE.clear()
-    for holder in holders:
-        if holder is not None:
-            holder.close()
-    detach_worker_heartbeat()
-
-
-def _init_scan_worker(
-    dump_ref: tuple,
-    keys_ref: tuple,
-    key_bits: int,
-    keys_crc: int | None = None,
-    heartbeat_ref: tuple | None = None,
-    heartbeat_slots: dict[int, int] | None = None,
-) -> None:
-    """Attach dump + key matrix once per worker process (pool initializer).
-
-    Runs in every process of a fresh pool — including the processes of
-    a pool the resilient executor rebuilt after a crash or hang, so
-    re-attachment across pool generations needs no extra bookkeeping.
-    The key-side fingerprint cache is created here, from the attached
-    keys; its tables fill in on first use and serve every shard task
-    (and every retry) this process ever executes.
-
-    ``keys_crc`` is the CRC32 of the key matrix as the orchestrator
-    published it; every shard task re-checks its view against it, so a
-    segment that was torn, remapped, or otherwise corrupted between
-    publication and use surfaces as a structured
-    :class:`~repro.resilience.errors.SharedSegmentCorruptError` instead
-    of silently descrambling the dump with garbage keys.
-
-    ``heartbeat_ref``/``heartbeat_slots`` (optional) attach this process
-    to the watchdog's beat board so shard tasks publish liveness.
-    """
-    _release_worker_state()
-    dump_holder, dump_view = resolve_ref(dump_ref)
-    keys_holder, keys_view = resolve_ref(keys_ref)
-    keys = np.frombuffer(keys_view, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    _WORKER_STATE.update(
-        dump=dump_view,
-        keys=keys,
-        key_bits=key_bits,
-        keys_crc=keys_crc,
-        key_cache=KeyFingerprintCache(keys, key_bits),
-        holders=(dump_holder, keys_holder),
-    )
-    if heartbeat_ref is not None:
-        attach_worker_heartbeat(heartbeat_ref, heartbeat_slots or {})
+#: Every live scan's :class:`_ScanRun`, by run token.  Serial and thread
+#: workers read it in the orchestrator; process workers read the copy
+#: they inherited when their pool forked.
+_RUNS: dict[int, _ScanRun] = {}
+_RUN_TOKENS = itertools.count()
 
 
 def _scan_shard_task(
+    token: int,
     payload: tuple[int, FaultPlan | None],
     shard_offset: int,
     attempt: int,
     in_subprocess: bool,
-    state: dict | None = None,
 ) -> list[RecoveredAesKey]:
-    """Worker: search one shard of the pre-attached dump.
+    """Worker: search one shard of run ``token``'s dump.
 
-    The payload is ``(length, fault_plan)`` — with the dump and keys
-    attached, a shard is just a window ``[shard_offset, shard_offset +
-    length)`` over the shared buffer.  ``state`` is the run's own scan
-    state (serial and thread pools bind it); process-pool workers leave
-    it unset and read what :func:`_init_scan_worker` installed.
+    The payload is ``(length, fault_plan)`` — a shard is just a window
+    ``[shard_offset, shard_offset + length)`` over the run's dump.
     Retries re-enter here with a bumped ``attempt`` and re-ship nothing.
     """
     length, fault_plan = payload
-    if state is None:
-        state = _WORKER_STATE
-    if "dump" not in state:
-        raise RuntimeError("scan worker used before _init_scan_worker ran")
+    run = _RUNS[token]
     # First beat arms the watchdog's stall clock for this shard: from
     # here on, silence past stall_timeout_s means a genuine wedge.
-    beat(shard_offset)
-    keys = state["keys"]
+    run.beat(shard_offset)
+    keys = run.keys
     if fault_plan is not None:
-        # A scripted "poison" fault damages this worker's view of the
-        # key matrix — exactly what a torn shared-memory segment looks
-        # like — without touching what sibling workers see.
+        # A scripted "poison" fault damages this worker's copy of the
+        # key matrix without touching what sibling workers see.
         keys = fault_plan.poison_keys(shard_offset, attempt, keys)
-    expected_crc = state.get("keys_crc")
-    if expected_crc is not None:
-        actual_crc = zlib.crc32(np.ascontiguousarray(keys).tobytes()) & 0xFFFFFFFF
-        if actual_crc != expected_crc:
-            raise SharedSegmentCorruptError("keys", expected_crc, actual_crc)
-    shard_view = memoryview(state["dump"])[shard_offset : shard_offset + length]
+    actual_crc = zlib.crc32(np.ascontiguousarray(keys).tobytes()) & 0xFFFFFFFF
+    if actual_crc != run.keys_crc:
+        raise SharedSegmentCorruptError("keys", run.keys_crc, actual_crc)
+    shard_view = memoryview(run.dump)[shard_offset : shard_offset + length]
     if fault_plan is not None:
         # Fault injection mutates its copy of the shard, never the
-        # shared buffer every sibling is scanning.
+        # dump every sibling is scanning.
         image = MemoryImage(
             fault_plan.apply(
                 shard_offset, attempt, bytes(shard_view), in_subprocess=in_subprocess
@@ -317,14 +262,13 @@ def _scan_shard_task(
         )
     else:
         image = MemoryImage(shard_view)
-    # A poisoned matrix that slipped past the CRC (no checksum was
-    # published) must also invalidate the fingerprint cache — it was
-    # built from the clean keys.
-    cache = state["key_cache"] if keys is state["keys"] else None
-    search = AesKeySearch(keys, key_bits=state["key_bits"], key_cache=cache)
-    search.on_progress = lambda: beat(shard_offset)
+    # A poisoned matrix that slipped past the CRC must not reuse the
+    # fingerprint cache built from the clean keys.
+    cache = run.key_cache if keys is run.keys else None
+    search = AesKeySearch(keys, key_bits=run.key_bits, key_cache=cache)
+    search.on_progress = lambda: run.beat(shard_offset)
     results = search.recover_keys(image)
-    beat(shard_offset)
+    run.beat(shard_offset)
     return results
 
 
@@ -350,10 +294,6 @@ class ScanReport:
     #: Where the journal actually lives — differs from the requested
     #: path after an ENOSPC rotation to the fallback directory.
     checkpoint_path: str | None = None
-    #: Which degradation backend published the dump/keys for workers
-    #: ("shm", "file", "serial", or "buffer" when nothing was published:
-    #: serial and thread scans).
-    resource_backend: str = "buffer"
     #: How shard jobs actually ran: ``"serial"`` (one worker,
     #: in-process), ``"thread"`` (shared-address-space pool for the
     #: GIL-releasing fused kernels), or ``"process"`` (isolated,
@@ -411,7 +351,6 @@ def resilient_recover_keys(
     deadline: "Deadline | float | None" = None,
     stop=None,
     watchdog: WatchdogConfig | None = None,
-    resource_policy: ResourcePolicy | None = None,
     checkpoint_fallback_dir: str | Path | None = None,
     scan_limit_bytes: int | None = DEFAULT_SCAN_LIMIT_BYTES,
 ) -> ScanReport:
@@ -432,9 +371,8 @@ def resilient_recover_keys(
     :class:`~repro.resilience.shutdown.GracefulShutdown`) drains
     in-flight shards to the journal on the first signal.  ``watchdog``
     enables heartbeat stall detection (and kills stalled workers).
-    ``resource_policy`` controls the shm → mmap-tempfile → serial
-    publication chain; ``checkpoint_fallback_dir`` is where the journal
-    rotates when its primary path stops accepting writes.
+    ``checkpoint_fallback_dir`` is where the journal rotates when its
+    primary path stops accepting writes.
 
     With ``workers > 1`` shards run on threads, unless the run needs
     killable workers — a ``watchdog``, or a ``fault_plan`` scripting
@@ -516,49 +454,33 @@ def resilient_recover_keys(
         notify = on_event or (lambda message: None)
         # The key matrix is only materialised when there is work left to
         # run — a fully-resumed scan (every shard already journalled)
-        # skips both the matrix build and the shared-memory publication.
+        # skips it.
         keys_mat = keys_matrix(candidates)
-        keys_crc = zlib.crc32(keys_mat.tobytes()) & 0xFFFFFFFF
-        published: list[PublishedBuffer] = []
-        board: HeartbeatBoard | None = None
+        run = _ScanRun(
+            dump=dump.data,
+            keys=keys_mat,
+            key_bits=key_bits,
+            keys_crc=zlib.crc32(keys_mat.tobytes()) & 0xFFFFFFFF,
+            key_cache=KeyFingerprintCache(keys_mat, key_bits),
+        )
+        report.executor = "serial" if workers == 1 else pool_kind
         monitor: HeartbeatMonitor | None = None
-        effective_workers = workers
-        if workers > 1 and pool_kind == "process":
-            # Publish dump + keys once; workers attach by name in their
-            # pool initializer.  Shard payloads carry only (length,
-            # fault_plan), so nothing scales with dump size.  The
-            # publication itself degrades shm → mmap tempfile → serial.
-            dump_pub = publish_bytes(dump.data, resource_policy, on_event=notify)
-            published.append(dump_pub)
-            keys_pub = publish_bytes(keys_mat.tobytes(), resource_policy, on_event=notify)
-            published.append(keys_pub)
-            if BACKEND_SERIAL in (dump_pub.backend, keys_pub.backend):
-                # No cross-process backend available at all: nothing
-                # can be shared, so nothing can be parallel.
-                notify("no shared-buffer backend available; running serially")
-                effective_workers = 1
-                report.ledger.degraded_to_serial = True
-                report.resource_backend = BACKEND_SERIAL
-            else:
-                report.resource_backend = dump_pub.backend
-        heartbeat_ref = None
-        heartbeat_slots: dict[int, int] = {}
-        if watchdog is not None and effective_workers > 1:
-            board = HeartbeatBoard.create(len(jobs), resource_policy)
-            if board is None:
+        if watchdog is not None and workers > 1:
+            # Made before the pool forks, so every worker beats into it.
+            run.board = HeartbeatBoard.create(len(jobs))
+            if run.board is None:
                 notify("heartbeat board unavailable; stall watchdog disabled")
             else:
-                heartbeat_ref = board.ref
-                heartbeat_slots = {
-                    offset: slot for slot, offset in enumerate(sorted(jobs))
-                }
-                monitor = HeartbeatMonitor(board, heartbeat_slots, watchdog)
-        report.executor = "serial" if effective_workers == 1 else pool_kind
-        # Serial and thread scans share this address space with any other
-        # scan the process runs (the job service runs several at once),
-        # so their state is bound to this run, not to module state.
-        in_process = report.executor != "process"
-        state: dict = {}
+                run.slots = {offset: slot for slot, offset in enumerate(sorted(jobs))}
+                monitor = HeartbeatMonitor(run.board, run.slots, watchdog)
+        if report.executor == "thread":
+            # The key-side join tables are a pure function of the keys
+            # and the scan geometry: build them once before fan-out, so
+            # thread workers share pure reads.  Process workers each
+            # fill the copy they inherit (docs/performance.md §2).
+            run.key_cache.precompute()
+        token = next(_RUN_TOKENS)
+        _RUNS[token] = run
         try:
             # Journal the instant each shard completes — a scan killed
             # mid-run must find every finished shard on disk when it
@@ -595,61 +517,21 @@ def resilient_recover_keys(
                     else:
                         report.checkpoint_path = str(journal.path)
 
-            if in_process:
-                key_cache = KeyFingerprintCache(keys_mat, key_bits)
-                if effective_workers > 1:
-                    # The key-side join tables are a pure function of
-                    # the keys and the scan geometry: build them once
-                    # before fan-out, so thread workers share pure reads.
-                    key_cache.precompute()
-                state.update(
-                    dump=dump.data,
-                    keys=keys_mat,
-                    key_bits=key_bits,
-                    keys_crc=keys_crc,
-                    key_cache=key_cache,
-                )
-                worker = partial(_scan_shard_task, state=state)
-                initializer, initargs = None, ()
-            else:
-                worker, initializer = _scan_shard_task, _init_scan_worker
-                initargs = (
-                    dump_pub.ref, keys_pub.ref, key_bits, keys_crc,
-                    heartbeat_ref, heartbeat_slots,
-                )
             runner = ResilientShardRunner(
-                worker,
+                partial(_scan_shard_task, token),
                 policy=policy,
-                workers=effective_workers,
+                workers=workers,
                 on_event=on_event,
                 on_result=on_result,
-                initializer=initializer,
-                initargs=initargs,
                 pool_kind=pool_kind,
             )
             run_ledger = runner.run(jobs, deadline=deadline, stop=stop, watchdog=monitor)
         finally:
-            # Drop the dump and key references before the segments go —
-            # this run's own, or those of a process pool that degraded
-            # to serial here — so no hung thread or failed task's
-            # traceback keeps the dump's buffer exported past the run.
-            if in_process:
-                state.clear()
-            else:
-                _release_worker_state()
-            for buffer in published:
-                buffer.unlink()
-            if board is not None:
-                board.unlink()
-        report.ledger.pool_rebuilds = run_ledger.pool_rebuilds
-        report.ledger.degraded_to_serial = (
-            report.ledger.degraded_to_serial or run_ledger.degraded_to_serial
-        )
-        report.ledger.stall_kills = run_ledger.stall_kills
-        report.ledger.interrupted = run_ledger.interrupted
-        report.ledger.deadline_expired = run_ledger.deadline_expired
-        report.ledger.stop_cause = run_ledger.stop_cause
-        report.ledger.outcomes.update(run_ledger.outcomes)
+            del _RUNS[token]
+            if run.board is not None:
+                run.board.close()
+        run_ledger.outcomes = {**report.ledger.outcomes, **run_ledger.outcomes}
+        report.ledger = run_ledger
 
     per_shard = [
         (outcome.shard_offset, outcome.result)

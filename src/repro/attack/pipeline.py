@@ -101,9 +101,8 @@ class AttackReport:
     unscanned_shards: list[int] = field(default_factory=list)
     #: Workers killed by the heartbeat watchdog for stalled beats.
     stall_kills: int = 0
-    #: Degradation-chain bookkeeping: which backend published shared
-    #: buffers, where the journal ended up, and whether journaling died.
-    resource_backend: str = ""
+    #: Journal bookkeeping: where the journal ended up, and whether
+    #: journaling died.
     checkpoint_path: str | None = None
     checkpoint_error: str | None = None
     #: How shard jobs ran ("serial", "thread", or "process"; "" for
@@ -259,7 +258,6 @@ class Ddr4ColdBootAttack:
         on_event=None,
         deadline=None,
         stop=None,
-        resource_policy=None,
         checkpoint_fallback_dir=None,
     ) -> AttackReport:
         """Execute the fixed-budget attack as a fault-tolerant sharded scan.
@@ -306,7 +304,6 @@ class Ddr4ColdBootAttack:
             deadline=deadline,
             stop=stop,
             watchdog=watchdog,
-            resource_policy=resource_policy,
             checkpoint_fallback_dir=checkpoint_fallback_dir,
             scan_limit_bytes=config.key_scan_limit_bytes,
         )
@@ -331,7 +328,6 @@ class Ddr4ColdBootAttack:
         report.expiry_cause = scan.expiry_cause
         report.unscanned_shards = scan.unscanned_offsets
         report.stall_kills = scan.ledger.stall_kills
-        report.resource_backend = scan.resource_backend
         report.checkpoint_path = scan.checkpoint_path
         report.checkpoint_error = scan.checkpoint_error
         report.executor = scan.executor

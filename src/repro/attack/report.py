@@ -29,8 +29,18 @@ from repro.attack.pipeline import AttackReport
 #: and abstained counts, per-base abstain evidence, interrupt flag);
 #: v7 added the ``service`` block (``None`` outside ``repro serve``:
 #: job id, attempts, admission latency, terminal state — how the job
-#: engine ran this report's scan).
-REPORT_SCHEMA_VERSION = 7
+#: engine ran this report's scan); v8 dropped the ``resilience``
+#: block's resource backend: worker processes inherit the dump by fork,
+#: nothing is published for them, so it could only read "buffer".
+REPORT_SCHEMA_VERSION = 8
+
+#: The ``resilience`` block's fields (what :func:`report_to_dict`
+#: writes); migrating a report older than v8 keeps only these.
+RESILIENCE_FIELDS = (
+    "n_shards", "quarantined_shards", "resumed_shards", "degraded_to_serial",
+    "complete_scan", "unscanned_shards", "stall_kills", "executor",
+    "checkpoint_path", "checkpoint_error",
+)
 
 
 def report_to_dict(report: AttackReport, include_keys: bool = True) -> dict:
@@ -71,7 +81,6 @@ def report_to_dict(report: AttackReport, include_keys: bool = True) -> dict:
             "complete_scan": report.complete_scan,
             "unscanned_shards": list(report.unscanned_shards),
             "stall_kills": report.stall_kills,
-            "resource_backend": report.resource_backend,
             "executor": report.executor,
             "checkpoint_path": report.checkpoint_path,
             "checkpoint_error": report.checkpoint_error,
@@ -109,13 +118,14 @@ def save_report_json(report: AttackReport, path: str | Path, include_keys: bool 
 
 
 def migrate_report_dict(data: dict) -> dict:
-    """Upgrade an older report dict to the current schema, losslessly.
+    """Upgrade an older report dict to the current schema.
 
     Reports are archived artifacts — a forensics pipeline that stored a
     v2/v3 report must still be able to feed it to v4 tooling.  Every
-    field that exists in the input is preserved verbatim; fields the
-    newer schema added are filled with their "nothing happened"
-    defaults (no deadline, no interrupt, no degradation).  Migration is
+    field that exists in the input is preserved verbatim, except the
+    resource backend v8 dropped from ``resilience``; fields the newer
+    schema added are filled with their "nothing happened" defaults (no
+    deadline, no interrupt, no degradation).  Migration is
     idempotent: migrating an already-current dict returns an equal
     dict, so load → migrate → save round-trips.
 
@@ -165,7 +175,6 @@ def migrate_report_dict(data: dict) -> dict:
         resilience = migrated.setdefault("resilience", {})
         resilience.setdefault("unscanned_shards", [])
         resilience.setdefault("stall_kills", 0)
-        resilience.setdefault("resource_backend", "")
         resilience.setdefault("checkpoint_path", None)
         resilience.setdefault("checkpoint_error", None)
     if version < 5:
@@ -176,20 +185,26 @@ def migrate_report_dict(data: dict) -> dict:
         robustness.setdefault("decode", None)
     if version < 7:
         migrated.setdefault("service", None)
+    if version < 8 and isinstance(migrated.get("resilience"), dict):
+        migrated["resilience"] = {
+            name: value
+            for name, value in migrated["resilience"].items()
+            if name in RESILIENCE_FIELDS
+        }
     migrated["schema_version"] = REPORT_SCHEMA_VERSION
     return migrated
 
 
 #: Fields excluded from :func:`canonical_report_bytes` — everything
 #: that legitimately differs between two runs of the *same* scan
-#: (wall-clock timing, executor/backend selection, resume accounting,
+#: (wall-clock timing, executor selection, resume accounting,
 #: and the service block's attempt/latency bookkeeping).  What remains
 #: is the attack's findings, which the crash-safety guarantees pin
 #: byte-for-byte across kill/resume.
 VOLATILE_REPORT_FIELDS = ("timings", "timing", "service")
 VOLATILE_RESILIENCE_FIELDS = (
     "resumed_shards", "degraded_to_serial", "stall_kills",
-    "resource_backend", "executor", "checkpoint_path", "checkpoint_error",
+    "executor", "checkpoint_path", "checkpoint_error",
 )
 
 
@@ -200,7 +215,7 @@ def canonical_report_bytes(data: dict) -> bytes:
     resumed from its journals — must produce the same *findings*:
     recovered keys with all their evidence, candidate statistics,
     quarantine decisions.  This strips the fields that are allowed to
-    differ (wall-clock timings, pool/backend selection, resume and
+    differ (wall-clock timings, pool selection, resume and
     service bookkeeping — see :data:`VOLATILE_REPORT_FIELDS`) and
     serialises the rest with sorted keys, so "byte-identical" is a
     simple bytes comparison.  The input is not modified.

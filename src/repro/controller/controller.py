@@ -267,10 +267,10 @@ class MemoryController:
     def read_into(self, physical_address: int, out) -> None:
         """Descramble a range directly into a writable buffer, zero-copy.
 
-        ``out`` may be any writable buffer (bytearray, shared-memory
-        memoryview, numpy array); its length sets the read size.  This is
-        the streaming path :meth:`~repro.victim.machine.Machine.
-        bare_metal_dump` uses to fill preallocated dump buffers.
+        ``out`` may be any writable buffer (bytearray, memoryview, numpy
+        array); its length sets the read size.  This is the streaming
+        path :meth:`~repro.victim.machine.Machine.bare_metal_dump` uses
+        to fill its dump buffer.
         """
         if physical_address < 0:
             raise ValueError("address must be non-negative")

@@ -8,21 +8,20 @@ consumes these.
 Zero-copy backing
 -----------------
 
-``data`` is any buffer-protocol object — ``bytes``, a ``memoryview``
-over another image's buffer, an ``mmap`` of a dump file
-(:meth:`MemoryImage.load_mapped`), or a view into POSIX shared memory
-(:class:`SharedDumpBuffer`).  Nothing downstream copies it:
-:meth:`blocks_matrix` and the attack's shard views all alias the same
-physical pages, which is what lets a multi-gigabyte scan ship shards to
-worker processes as ``(offset, length)`` pairs instead of pickled
-bytes.
+``data`` is any buffer-protocol object — ``bytes``, a ``bytearray``
+a dump was streamed into, a ``memoryview`` over another image's buffer,
+or an ``mmap`` of a dump file (:meth:`MemoryImage.load_mapped`).
+Nothing downstream copies it: :meth:`blocks_matrix` and the attack's
+shard views all alias the same physical pages, which is what lets a
+multi-gigabyte scan hand shards to workers as ``(offset, length)``
+pairs instead of pickled bytes — worker processes are forked, so they
+already hold the dump.
 """
 
 from __future__ import annotations
 
 import mmap
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,29 +146,6 @@ class MemoryImage:
         return cls(memoryview(mapped)[:usable], base_address)
 
     @classmethod
-    @contextmanager
-    def attach_shared(cls, name: str, length: int, base_address: int = 0):
-        """Attach a published shared-memory dump for the ``with`` body.
-
-        Yields a zero-copy :class:`MemoryImage` over the named segment
-        and guarantees the mapping is dropped on every exit path — the
-        attach-side discipline that keeps a crashed or interrupted
-        worker from pinning (or, via the resource tracker, tearing
-        down) a segment its siblings still scan.
-        """
-        buffer = SharedDumpBuffer.attach(name, length)
-        image = buffer.image(base_address)
-        try:
-            yield image
-        finally:
-            # Release the image's view first: a mapping with exported
-            # pointers cannot be closed, and a swallowed BufferError
-            # here would leak the mapping until garbage collection.
-            if isinstance(image.data, memoryview):
-                image.data.release()
-            buffer.close()
-
-    @classmethod
     def load_tolerant(cls, path: str | Path, base_address: int = 0) -> "MemoryImage":
         """Read a possibly-damaged dump, degrading instead of crashing.
 
@@ -196,222 +172,3 @@ class MemoryImage:
             )
         return cls(data[:usable], base_address)
 
-
-@dataclass
-class SharedDumpBuffer:
-    """A dump (or key matrix) published once in POSIX shared memory.
-
-    The parent copies the bytes into a ``multiprocessing.shared_memory``
-    segment exactly once; every worker process attaches by name and
-    reads the same physical pages.  Shard dispatch then ships only
-    ``(offset, length)`` — no dump bytes cross the pickle boundary, and
-    a retried or rescheduled shard costs nothing to re-send.
-
-    Lifecycle: the creating side calls :meth:`unlink` when the scan is
-    over (``close`` merely drops this process's mapping).  Attached
-    sides just :meth:`close`; they are unregistered from the resource
-    tracker so a worker exiting does not tear the segment down under
-    its siblings.
-    """
-
-    name: str
-    length: int
-    _shm: object = field(repr=False)
-    _owner: bool = field(default=False, repr=False)
-
-    @classmethod
-    def create(cls, data: bytes | bytearray | memoryview) -> "SharedDumpBuffer":
-        """Publish ``data`` into a fresh shared-memory segment (one copy)."""
-        from multiprocessing import shared_memory
-
-        length = len(data)
-        shm = shared_memory.SharedMemory(create=True, size=max(1, length))
-        shm.buf[:length] = bytes(data) if not isinstance(data, bytes) else data
-        return cls(name=shm.name, length=length, _shm=shm, _owner=True)
-
-    @classmethod
-    def allocate(cls, length: int) -> "SharedDumpBuffer":
-        """Create an empty segment for a dump to be streamed into.
-
-        Unlike :meth:`create`, no source buffer exists yet: the dumper
-        writes directly into :attr:`view` (e.g. via
-        ``MemoryController.read_into``), so the dump bytes are produced
-        straight into shared memory with zero intermediate copies.
-        """
-        from multiprocessing import shared_memory
-
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        shm = shared_memory.SharedMemory(create=True, size=max(1, length))
-        return cls(name=shm.name, length=length, _shm=shm, _owner=True)
-
-    @classmethod
-    def attach(cls, name: str, length: int) -> "SharedDumpBuffer":
-        """Attach to a segment created elsewhere (zero copy)."""
-        from multiprocessing import resource_tracker, shared_memory
-
-        # Attaching registers the segment with the resource tracker,
-        # which would "clean up" (unlink!) the segment when any single
-        # worker exits — and with forked workers sharing one tracker,
-        # even a register/unregister pair from sibling workers races.
-        # Only the creator owns the lifecycle, so suppress registration
-        # entirely for the duration of the attach.
-        original_register = resource_tracker.register
-        try:  # pragma: no cover — tracker internals vary across versions
-            resource_tracker.register = lambda *args, **kwargs: None
-        except Exception:
-            pass
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-        if shm.size < length:
-            # A stale or recycled name: mapping fewer bytes than the
-            # publisher promised would hand workers a torn view.  Close
-            # the mapping before raising so the error path cannot leak.
-            shm.close()
-            raise DumpFormatError(
-                f"shared segment {name!r} holds {shm.size} bytes, "
-                f"expected at least {length}"
-            )
-        return cls(name=name, length=length, _shm=shm, _owner=False)
-
-    @property
-    def view(self) -> memoryview:
-        """The published bytes (a writable view; treat as read-only)."""
-        return self._shm.buf[: self.length]  # type: ignore[attr-defined]
-
-    def image(self, base_address: int = 0) -> MemoryImage:
-        """The published dump as a zero-copy :class:`MemoryImage`."""
-        return MemoryImage(self.view, base_address)
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        try:
-            self._shm.close()  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover — already closed
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment; only the creating side should call this."""
-        self.close()
-        if self._owner:
-            try:
-                self._shm.unlink()  # type: ignore[attr-defined]
-            except Exception:  # pragma: no cover — already unlinked
-                pass
-
-    # Context-manager support: ``with SharedDumpBuffer.create(data) as
-    # buf: ...`` guarantees the segment is destroyed (owner) or the
-    # mapping dropped (attached side) on *every* exit path, so an
-    # exception mid-scan cannot leak a /dev/shm segment.
-    def __enter__(self) -> "SharedDumpBuffer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._owner:
-            self.unlink()
-        else:
-            self.close()
-
-
-@dataclass
-class FileBackedDumpBuffer:
-    """An mmap-backed tempfile standing in for POSIX shared memory.
-
-    The degradation fallback when ``/dev/shm`` is unavailable, full
-    (``ENOSPC``), or denied: the publisher writes the bytes to a
-    temporary file once, maps it shared, and workers attach by *path*
-    with the same ``(name, length)`` protocol as
-    :class:`SharedDumpBuffer`.  ``MAP_SHARED`` file mappings propagate
-    writes across processes, so heartbeat boards work over this backend
-    too — only raw throughput differs (page cache vs tmpfs).
-
-    Lifecycle mirrors :class:`SharedDumpBuffer`: the creator
-    :meth:`unlink`\\ s (deletes the file), attached sides just
-    :meth:`close`, and both sides support ``with``.
-    """
-
-    name: str
-    length: int
-    _mmap: object = field(repr=False)
-    _owner: bool = field(default=False, repr=False)
-
-    @classmethod
-    def create(cls, data: bytes | bytearray | memoryview, directory: str | None = None
-               ) -> "FileBackedDumpBuffer":
-        """Publish ``data`` into a fresh mmap-backed tempfile."""
-        buffer = cls.allocate(len(data), directory=directory)
-        buffer.view[: len(data)] = bytes(data) if not isinstance(data, bytes) else data
-        return buffer
-
-    @classmethod
-    def allocate(cls, length: int, directory: str | None = None) -> "FileBackedDumpBuffer":
-        """Create an empty file-backed segment of ``length`` bytes."""
-        import tempfile
-
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        handle = tempfile.NamedTemporaryFile(
-            prefix="repro-dump-", suffix=".mmap", dir=directory, delete=False
-        )
-        try:
-            handle.truncate(max(1, length))
-            mapped = mmap.mmap(handle.fileno(), max(1, length), access=mmap.ACCESS_WRITE)
-        except BaseException:
-            handle.close()
-            Path(handle.name).unlink(missing_ok=True)
-            raise
-        handle.close()
-        return cls(name=handle.name, length=length, _mmap=mapped, _owner=True)
-
-    @classmethod
-    def attach(cls, name: str, length: int) -> "FileBackedDumpBuffer":
-        """Attach to a file-backed segment created elsewhere."""
-        try:
-            with open(name, "rb") as handle:
-                mapped = mmap.mmap(handle.fileno(), max(1, length), access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            raise DumpFormatError(f"cannot attach file-backed segment {name}: {exc}") from exc
-        return cls(name=name, length=length, _mmap=mapped, _owner=False)
-
-    @classmethod
-    def attach_writable(cls, name: str, length: int) -> "FileBackedDumpBuffer":
-        """Attach with a shared *writable* mapping (heartbeat boards)."""
-        try:
-            with open(name, "r+b") as handle:
-                mapped = mmap.mmap(handle.fileno(), max(1, length), access=mmap.ACCESS_WRITE)
-        except (OSError, ValueError) as exc:
-            raise DumpFormatError(f"cannot attach file-backed segment {name}: {exc}") from exc
-        return cls(name=name, length=length, _mmap=mapped, _owner=False)
-
-    @property
-    def view(self) -> memoryview:
-        """The published bytes (writable only on the creating side)."""
-        return memoryview(self._mmap)[: self.length]  # type: ignore[arg-type]
-
-    def image(self, base_address: int = 0) -> MemoryImage:
-        """The published dump as a zero-copy :class:`MemoryImage`."""
-        return MemoryImage(self.view, base_address)
-
-    def close(self) -> None:
-        """Drop this process's mapping (the file itself survives)."""
-        try:
-            self._mmap.close()  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover — already closed
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the backing file; only the creating side should."""
-        self.close()
-        if self._owner:
-            Path(self.name).unlink(missing_ok=True)
-
-    def __enter__(self) -> "FileBackedDumpBuffer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._owner:
-            self.unlink()
-        else:
-            self.close()

@@ -10,9 +10,8 @@ a seeded fault-injection harness (:mod:`repro.resilience.faults`)
 that proves the other four actually work, and the deadline-aware
 watchdog runtime: monotonic deadlines
 (:mod:`repro.resilience.deadline`), heartbeat stall detection
-(:mod:`repro.resilience.watchdog`), cooperative signal handling
-(:mod:`repro.resilience.shutdown`), and the shm → file → serial
-resource-degradation chain (:mod:`repro.resilience.resources`).
+(:mod:`repro.resilience.watchdog`), and cooperative signal handling
+(:mod:`repro.resilience.shutdown`).
 """
 
 from repro.resilience.checkpoint import (
@@ -57,15 +56,6 @@ from repro.resilience.faults import (
     FaultSpec,
     InjectedFault,
 )
-from repro.resilience.resources import (
-    BACKEND_FILE,
-    BACKEND_SERIAL,
-    BACKEND_SHM,
-    PublishedBuffer,
-    ResourcePolicy,
-    publish_bytes,
-    resolve_ref,
-)
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import (
     EXIT_DEADLINE_EXPIRED,
@@ -80,9 +70,6 @@ from repro.resilience.watchdog import (
 )
 
 __all__ = [
-    "BACKEND_FILE",
-    "BACKEND_SERIAL",
-    "BACKEND_SHM",
     "EXIT_DEADLINE_EXPIRED",
     "EXIT_INTERRUPTED",
     "EXIT_JOB_FAILED",
@@ -110,10 +97,8 @@ __all__ = [
     "InvalidJobIdError",
     "JobStoreCorruptError",
     "JournalHeader",
-    "PublishedBuffer",
     "ReproError",
     "ResilientShardRunner",
-    "ResourcePolicy",
     "RetryPolicy",
     "RunLedger",
     "ShardLayoutError",
@@ -126,8 +111,6 @@ __all__ = [
     "clamp_sleep",
     "deserialize_recovered",
     "dump_fingerprint",
-    "publish_bytes",
-    "resolve_ref",
     "serialize_recovered",
     "verify_journal_file",
 ]

@@ -163,10 +163,10 @@ class UnknownJobError(ReproError, KeyError):
 
 
 class SharedSegmentCorruptError(ReproError, RuntimeError):
-    """A worker's view of a published shared-memory segment failed its
-    integrity check (the key matrix it attached is not the one the
-    orchestrator wrote).  Retrying re-reads the segment; persistent
-    corruption exhausts the retry budget and quarantines the shard."""
+    """A worker's copy of the scan's key matrix failed its integrity
+    check (its CRC is not the one the orchestrator took when it built
+    the matrix).  Retrying re-checks the copy; persistent corruption
+    exhausts the retry budget and quarantines the shard."""
 
     def __init__(self, segment: str, expected_crc: int, actual_crc: int) -> None:
         self.segment = segment
@@ -176,6 +176,11 @@ class SharedSegmentCorruptError(ReproError, RuntimeError):
             f"shared segment {segment!r} failed integrity check "
             f"(crc {actual_crc:#010x}, expected {expected_crc:#010x})"
         )
+
+    def __reduce__(self):
+        # Raised in process workers: the parent must be able to unpickle
+        # it, or the pool reports itself broken instead of the failure.
+        return type(self), (self.segment, self.expected_crc, self.actual_crc)
 
 
 class DecodeAbstainError(ReproError, RuntimeError):

@@ -19,13 +19,14 @@ executor replaces it with submit-based futures and explicit policy:
   the scan completes without it.
 
 The worker callable receives ``(payload, shard_offset, attempt,
-in_subprocess)`` and must be picklable (a module-level function); the
-final flag tells fault-injecting workers whether process-level faults
-(kill, hang) are safe to fire.
+in_subprocess)`` and must be picklable (a module-level function, or a
+``partial`` of one); the final flag tells fault-injecting workers
+whether process-level faults (kill, hang) are safe to fire.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -49,12 +50,19 @@ from repro.resilience.retry import RetryPolicy
 #: Worker-pool flavours the runner can drive.  ``"process"`` is the
 #: chaos-tolerant default: workers are killable, a hung shard only
 #: poisons its own process, and fault injection may fire process-level
-#: faults.  ``"thread"`` trades that isolation for zero spin-up,
-#: pickling, and shared-memory cost — the right choice for numpy
-#: kernels that release the GIL (the fused scan path), where every
-#: worker can simply share the orchestrator's dump, key matrix, and
-#: fingerprint cache by reference.
+#: faults.  Process workers are forked, so they inherit whatever the
+#: orchestrator set up before the run — the scan's dump, key matrix
+#: and heartbeat board — and nothing is published or attached.
+#: ``"thread"`` trades that isolation for zero spin-up and pickling
+#: cost — the right choice for numpy kernels that release the GIL (the
+#: fused scan path), where every worker shares the orchestrator's dump,
+#: key matrix, and one prebuilt fingerprint cache by reference.
 POOL_KINDS = ("process", "thread")
+
+#: Process workers are forked whatever the platform default: a worker
+#: reaches its run's state by inheritance (see :data:`POOL_KINDS`),
+#: which a ``spawn`` or ``forkserver`` worker would not have.
+_PROCESS_CONTEXT = multiprocessing.get_context("fork")
 
 #: How long a pool teardown waits for each killed worker to exit.
 _KILL_JOIN_S = 5.0
@@ -157,25 +165,16 @@ class ResilientShardRunner:
     shard completes — this is the checkpoint journal's hook, so it must
     run *before* the next shard is awaited, not after the whole run.
 
-    ``initializer(*initargs)`` (optional) runs once in every worker
-    process when a pool is (re)built — the shared-memory attach hook:
-    workers map the dump and key matrix once per process, and because a
-    rebuilt pool spawns fresh processes, re-attachment after a crash or
-    hang is automatic.  Serial and degraded execution call the same
-    initializer in-process (once) so the worker callable sees one
-    protocol everywhere.
-
-    ``pool_kind`` selects the worker pool (:data:`POOL_KINDS`).  Thread
-    pools run the initializer once, in the orchestrator thread, before
-    the first generation — worker state is module-global, so running it
-    per thread would race in-flight shard tasks against a sibling
-    thread's re-initialisation.  Thread workers are told
-    ``in_subprocess=False`` (a process-level injected fault would take
-    the orchestrator down with it), and a thread that genuinely hangs
-    cannot be killed — its shard is still charged a timeout and retried
-    on a fresh pool, but the zombie thread lingers until process exit.
-    Process pools remain the executor for chaos tolerance; threads are
-    for kernels that release the GIL.
+    ``pool_kind`` selects the worker pool (:data:`POOL_KINDS`).  Every
+    process pool — a rebuilt one too — is forked from the orchestrator
+    when the run submits to it, so its workers hold whatever state the
+    worker callable reads that existed before :meth:`run`.  Thread
+    workers are told ``in_subprocess=False`` (a process-level injected
+    fault would take the orchestrator down with it), and a thread that
+    genuinely hangs cannot be killed — its shard is still charged a
+    timeout and retried on a fresh pool, but the zombie thread lingers
+    until process exit.  Process pools remain the executor for chaos
+    tolerance; threads are for kernels that release the GIL.
     """
 
     def __init__(
@@ -186,8 +185,6 @@ class ResilientShardRunner:
         on_event: Callable[[str], None] | None = None,
         on_result: Callable[[int, Any], None] | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
         pool_kind: str = "process",
     ) -> None:
         if workers < 1:
@@ -200,16 +197,7 @@ class ResilientShardRunner:
         self.on_event = on_event or (lambda message: None)
         self.on_result = on_result or (lambda offset, result: None)
         self.sleep = sleep
-        self.initializer = initializer
-        self.initargs = initargs
         self.pool_kind = pool_kind
-        self._serial_initialized = False
-
-    def _ensure_initialized_inline(self) -> None:
-        """Run the initializer once in this process (serial/thread mode)."""
-        if self.initializer is not None and not self._serial_initialized:
-            self.initializer(*self.initargs)
-            self._serial_initialized = True
 
     # ------------------------------------------------------------------ api
 
@@ -393,7 +381,6 @@ class ResilientShardRunner:
         stop: Any = None,
     ) -> None:
         """In-process execution with retries (no hang protection)."""
-        self._ensure_initialized_inline()
         while True:
             if self._halt_pending({offset: payload}, attempts, errors, ledger, deadline, stop):
                 return
@@ -437,16 +424,9 @@ class ResilientShardRunner:
         in_subprocess = self.pool_kind == "process"
         if in_subprocess:
             pool: Any = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=self.initializer,
-                initargs=self.initargs,
+                max_workers=self.workers, mp_context=_PROCESS_CONTEXT
             )
         else:
-            # Threads share the orchestrator's module state: initialise
-            # it exactly once, here, *before* any shard task can run —
-            # a per-thread initializer would tear down and rebuild the
-            # state under a sibling thread's in-flight task.
-            self._ensure_initialized_inline()
             pool = ThreadPoolExecutor(max_workers=self.workers)
         broken = False
         stalled_pool = False

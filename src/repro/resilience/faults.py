@@ -33,9 +33,8 @@ PERMANENT = 1 << 30
 #: dump), ``"journal"`` corrupts the shard's checkpoint-journal line
 #: after it is written (fired by the orchestrator via
 #: :meth:`FaultPlan.corrupt_journal_record`), and ``"poison"`` corrupts
-#: the worker's copy of the shared-memory key matrix (fired by the
-#: shard task via :meth:`FaultPlan.poison_keys` before its integrity
-#: check).
+#: the worker's copy of the scan's key matrix (fired by the shard task
+#: via :meth:`FaultPlan.poison_keys` before its integrity check).
 FAULT_KINDS = ("crash", "kill", "hang", "corrupt", "bitrot", "journal", "poison")
 
 
@@ -62,8 +61,8 @@ class FaultSpec:
     * ``"journal"`` — the shard computes normally, but the checkpoint
       record written for it is corrupted on disk afterwards (the
       orchestrator fires this one; the worker ignores it);
-    * ``"poison"`` — the worker's private copy of the shared-memory
-      key matrix gets ``corrupt_bits`` flips before its CRC check (the
+    * ``"poison"`` — the worker's private copy of the scan's key
+      matrix gets ``corrupt_bits`` flips before its CRC check (the
       shard task fires this one; ``apply`` ignores it).
 
     ``first_attempts`` bounds the sabotage: the fault fires on attempts
@@ -135,8 +134,8 @@ class FaultPlan:
 
         Returns ``keys`` untouched unless a ``"poison"`` fault is
         scripted for this shard and fires on this attempt; the caller's
-        CRC check against the orchestrator's published matrix is what
-        turns the poison into a structured
+        check against the CRC the orchestrator took of the matrix is
+        what turns the poison into a structured
         :class:`~repro.resilience.errors.SharedSegmentCorruptError`.
         """
         spec = self.spec_for(shard_offset)

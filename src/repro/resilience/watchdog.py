@@ -3,8 +3,9 @@
 The per-shard timeout catches a worker that is *slow*; it cannot
 distinguish slow from *wedged* until the whole budget burns.  The
 watchdog closes that gap: every worker publishes progress beats into a
-shared ``uint64`` array (one slot per shard, allocated through the same
-attach protocol as the dump itself), and a monitor thread inside
+shared ``uint64`` array (one slot per shard, an anonymous shared map
+made before the worker pool forks, so every worker inherits it), and a
+monitor thread inside
 :class:`~repro.resilience.executor.ResilientShardRunner` watches the
 counters.  A shard whose counter stops advancing for
 ``stall_timeout_s`` is genuinely hung — deadlocked, busy-looping,
@@ -25,18 +26,12 @@ After the first beat, silence means a wedge.
 
 from __future__ import annotations
 
+import mmap
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
-
-from repro.resilience.resources import (
-    PublishedBuffer,
-    ResourcePolicy,
-    allocate_slots,
-    resolve_ref,
-)
 
 #: Width of one heartbeat counter (little-endian ``uint64``).
 HEARTBEAT_SLOT_BYTES = 8
@@ -70,45 +65,33 @@ class WatchdogConfig:
 
 
 class HeartbeatBoard:
-    """Owner side of the shared beat array.
+    """The shared beat array: one ``uint64`` counter per slot.
 
-    One ``uint64`` counter per slot, published through the resource
-    degradation chain (shm, then mmap tempfile).  Workers attach by
-    ref via :func:`attach_worker_heartbeat` and bump their shard's
-    counter with :func:`beat`; the monitor reads counters through
-    :meth:`value`.
+    The counters live in an anonymous shared ``mmap``.  Made before a
+    worker pool forks, the map is the same memory in the orchestrator
+    and in every worker: a worker bumps its shard's counter with
+    :meth:`beat` and the monitor reads counters through :meth:`value`.
     """
 
-    def __init__(self, published: PublishedBuffer, n_slots: int) -> None:
-        self._published = published
+    def __init__(self, counters: mmap.mmap, n_slots: int) -> None:
+        self._counters = counters
         self.n_slots = n_slots
 
     @classmethod
-    def create(
-        cls, n_slots: int, policy: ResourcePolicy | None = None
-    ) -> "HeartbeatBoard | None":
-        """Allocate a zeroed board, or ``None`` if no shared backend works."""
+    def create(cls, n_slots: int) -> "HeartbeatBoard | None":
+        """Allocate a zeroed board, or ``None`` if no shared map can be made."""
         if n_slots < 1:
             raise ValueError("need at least one heartbeat slot")
-        published = allocate_slots(n_slots * HEARTBEAT_SLOT_BYTES, policy)
-        if published is None:
+        try:
+            counters = mmap.mmap(-1, n_slots * HEARTBEAT_SLOT_BYTES)
+        except OSError:
             return None
-        return cls(published, n_slots)
-
-    @property
-    def ref(self) -> tuple:
-        """The picklable attach reference workers resolve."""
-        return self._published.ref
-
-    @property
-    def backend(self) -> str:
-        """Which degradation backend holds the board (``shm``/``file``)."""
-        return self._published.backend
+        return cls(counters, n_slots)
 
     def value(self, slot: int) -> int:
         """Current beat counter for ``slot``."""
         return struct.unpack_from(
-            _SLOT_FORMAT, self._published.view, slot * HEARTBEAT_SLOT_BYTES
+            _SLOT_FORMAT, self._counters, slot * HEARTBEAT_SLOT_BYTES
         )[0]
 
     def values(self) -> list[int]:
@@ -116,72 +99,23 @@ class HeartbeatBoard:
         return [self.value(slot) for slot in range(self.n_slots)]
 
     def beat(self, slot: int) -> None:
-        """Owner-side bump (serial execution beats in-process)."""
-        _bump(self._published.view, slot)
+        """Bump ``slot``'s counter by one."""
+        struct.pack_into(
+            _SLOT_FORMAT,
+            self._counters,
+            slot * HEARTBEAT_SLOT_BYTES,
+            (self.value(slot) + 1) & _COUNTER_MASK,
+        )
 
-    def unlink(self) -> None:
-        """Destroy the board's backing segment."""
-        self._published.unlink()
+    def close(self) -> None:
+        """Drop this process's mapping of the board."""
+        self._counters.close()
 
     def __enter__(self) -> "HeartbeatBoard":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.unlink()
-
-
-def _bump(view, slot: int) -> None:
-    offset = slot * HEARTBEAT_SLOT_BYTES
-    value = struct.unpack_from(_SLOT_FORMAT, view, offset)[0]
-    struct.pack_into(_SLOT_FORMAT, view, offset, (value + 1) & _COUNTER_MASK)
-
-
-# --------------------------------------------------------------- worker side
-
-#: Per-process attachment state, populated by the pool initializer.
-_WORKER_HEARTBEAT: dict = {"holder": None, "view": None, "slots": {}}
-
-
-def attach_worker_heartbeat(ref: tuple, slot_of: dict[int, int]) -> None:
-    """Attach this process to a heartbeat board (pool-initializer hook).
-
-    ``slot_of`` maps shard offset → board slot.  Re-attaching (a rebuilt
-    pool re-running the initializer) first drops any prior mapping.
-    """
-    detach_worker_heartbeat()
-    holder, view = resolve_ref(ref, writable=True)
-    _WORKER_HEARTBEAT["holder"] = holder
-    _WORKER_HEARTBEAT["view"] = view
-    _WORKER_HEARTBEAT["slots"] = dict(slot_of)
-
-
-def detach_worker_heartbeat() -> None:
-    """Drop this process's board attachment (idempotent)."""
-    holder = _WORKER_HEARTBEAT.get("holder")
-    if holder is not None:
-        try:
-            holder.close()
-        except Exception:  # pragma: no cover — already closed
-            pass
-    _WORKER_HEARTBEAT["holder"] = None
-    _WORKER_HEARTBEAT["view"] = None
-    _WORKER_HEARTBEAT["slots"] = {}
-
-
-def beat(shard_offset: int) -> None:
-    """Publish one progress beat for ``shard_offset``.
-
-    A no-op when no board is attached (serial execution without a
-    watchdog, or boards disabled by policy) so instrumented workers
-    never need to branch on configuration.
-    """
-    view = _WORKER_HEARTBEAT.get("view")
-    if view is None:
-        return
-    slot = _WORKER_HEARTBEAT["slots"].get(shard_offset)
-    if slot is None:
-        return
-    _bump(view, slot)
+        self.close()
 
 
 # ------------------------------------------------------------- monitor side

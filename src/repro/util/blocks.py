@@ -33,8 +33,7 @@ def as_block_matrix(data: bytes | bytearray | memoryview | np.ndarray) -> np.nda
     Trailing bytes that do not fill a whole block are ignored, matching
     how the attack scans dumps block-by-block.  Any buffer-protocol
     object works — ``bytes``, ``bytearray``, ``memoryview`` (including
-    views over ``mmap`` or ``multiprocessing.shared_memory`` buffers) —
-    and none of them is copied: the matrix aliases the caller's memory.
+    views over ``mmap`` buffers) — and none of them is copied: the matrix aliases the caller's memory.
     """
     if isinstance(data, np.ndarray):
         arr = np.asarray(data, dtype=np.uint8).ravel()

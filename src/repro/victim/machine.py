@@ -236,30 +236,19 @@ class Machine:
         self._require_running().transform_enabled = enabled
 
     def bare_metal_dump(
-        self,
-        base_address: int = 0,
-        length: int | None = None,
-        into=None,
+        self, base_address: int = 0, length: int | None = None
     ) -> MemoryImage:
         """Dump memory via the GRUB-module path (reads through the transform).
 
-        ``into`` is an optional preallocated writable buffer of exactly
-        ``length`` bytes — e.g. ``SharedDumpBuffer.allocate(length).view``
-        — that the dump is streamed into with no intermediate copies,
-        so a shared-memory scan can adopt the dump zero-copy.  Without
-        it a fresh buffer is allocated and wrapped.
+        The dump is streamed into one fresh buffer, with no intermediate
+        copies, and wrapped.
         """
         controller = self._require_running()
         if length is None:
             length = controller.capacity_bytes
-        if into is None:
-            into = bytearray(length)
-        elif memoryview(into).nbytes != length:
-            raise ValueError(
-                f"dump buffer holds {memoryview(into).nbytes} bytes, need {length}"
-            )
-        controller.read_into(base_address, into)
-        return MemoryImage(into, base_address)
+        dump = bytearray(length)
+        controller.read_into(base_address, dump)
+        return MemoryImage(dump, base_address)
 
     # ------------------------------------------------------- victim service
 

@@ -3,12 +3,12 @@
 The sharded scan can run serial (one worker, in-process), on a thread
 pool (the fused kernels release the GIL; dump, keys, and fingerprint
 cache are shared by reference), or on a process pool (isolated,
-killable workers attaching published shared-memory segments and
-building their own fingerprint caches).  The pool follows from the
-run — a stall watchdog selects processes — and all three must produce
-*identical* recoveries, and agree through the quarantine and
-checkpoint-resume paths, which is where an executor could plausibly
-diverge (different retry accounting, different attach protocol).
+killable workers that inherit the run's state by fork and fill their
+own fingerprint caches).  The pool follows from the run — a stall
+watchdog selects processes — and all three must produce *identical*
+recoveries, and agree through the quarantine and checkpoint-resume
+paths, which is where an executor could plausibly diverge (different
+retry accounting, a worker reading another run's state).
 """
 
 import sys
@@ -62,10 +62,6 @@ def test_pool_executors_match_serial_byte_for_byte(dump, serial_scan, executor):
         image, key_bits=256, workers=2, n_shards=N_SHARDS, **POOL_OPTIONS[executor]
     )
     assert scan.executor == executor
-    # Thread workers share the orchestrator's buffers; process workers
-    # attach published segments.
-    if executor == "thread":
-        assert scan.resource_backend == "buffer"
     assert scan.recovered == serial_scan.recovered
 
 
@@ -105,6 +101,53 @@ def test_concurrent_thread_scans_keep_their_own_state():
         assert {r.master_key for r in scan.recovered} == {master[:32], master[32:]}
         assert scan.complete
         assert [o.attempts for o in scan.ledger.outcomes.values()] == [1] * N_SHARDS
+
+
+def test_concurrent_process_scans_keep_their_own_state():
+    """A process-pool scan that degraded to serial keeps its state while
+    a second process-pool scan starts and ends beside it (the job
+    service runs two jobs with kill or hang faults this way): both
+    finish complete, each with its own planted keys.  Scan A's serial
+    phase runs in the orchestrator; B starts once A reports degrading
+    and ends well before A's serial shards do."""
+    dump_a, master_a, _ = synthetic_dump(0.0, n_blocks=4 * 12288, seed=5)
+    dump_b, master_b, _ = synthetic_dump(0.0, seed=6)
+    shards = shard_image(dump_a, 8, overlap_bytes=schedule_bytes(256) + 64)
+    plan = FaultPlan(
+        faults=((shards[0].base_offset, FaultSpec(kind="kill", first_attempts=1)),),
+        seed=5,
+    )
+    degraded = threading.Event()
+    scans: dict = {}
+
+    def on_event(message: str) -> None:
+        if "degrading" in message:
+            degraded.set()
+
+    def scan_a() -> None:
+        scans["a"] = resilient_recover_keys(
+            dump_a, key_bits=256, workers=2, n_shards=8,
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay_s=0.001, max_pool_rebuilds=0, seed=5
+            ),
+            fault_plan=plan, on_event=on_event,
+        )
+
+    thread = threading.Thread(target=scan_a)
+    thread.start()
+    try:
+        assert degraded.wait(timeout=120)
+        scans["b"] = resilient_recover_keys(
+            dump_b, key_bits=256, workers=2, n_shards=2, watchdog=WatchdogConfig()
+        )
+    finally:
+        thread.join(timeout=300)
+    assert not thread.is_alive()
+    assert scans["a"].ledger.degraded_to_serial
+    assert scans["b"].executor == "process"
+    for name, master in (("a", master_a), ("b", master_b)):
+        assert scans[name].complete, scans[name].ledger.summary()
+        assert {r.master_key for r in scans[name].recovered} == {master[:32], master[32:]}
 
 
 def test_auto_prefers_threads_without_isolation_needs(dump):

@@ -105,9 +105,7 @@ class TestOneFixedBudgetPath:
         _, master, single, sharded = decayed_xts
         assert single.recovered_keys == sharded.recovered_keys
         assert single.master_keys == [master[:32], master[32:]]
-        assert (single.n_shards, single.executor, single.resource_backend) == (
-            1, "serial", "buffer"
-        )
+        assert (single.n_shards, single.executor) == (1, "serial")
 
     def test_xts_key_is_the_pair_of_either_report(self, decayed_xts):
         dump, master, single, sharded = decayed_xts

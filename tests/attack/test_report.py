@@ -129,7 +129,6 @@ class TestTimingFields:
             expiry_cause="deadline",
             unscanned_shards=[0x40000, 0x60000],
             stall_kills=1,
-            resource_backend="shm",
             checkpoint_path="/tmp/scan.jsonl",
         )
 
@@ -143,7 +142,6 @@ class TestTimingFields:
         resilience = parsed["resilience"]
         assert resilience["unscanned_shards"] == [0x40000, 0x60000]
         assert resilience["stall_kills"] == 1
-        assert resilience["resource_backend"] == "shm"
         assert resilience["checkpoint_path"] == "/tmp/scan.jsonl"
         assert resilience["complete_scan"] is False
 
@@ -229,7 +227,7 @@ class TestSchemaMigration:
         aged = json.loads(path.read_text())
         aged["schema_version"] = 3
         del aged["timing"]
-        for field in ("unscanned_shards", "stall_kills", "resource_backend",
+        for field in ("unscanned_shards", "stall_kills",
                       "checkpoint_path", "checkpoint_error"):
             del aged["resilience"][field]
         path.write_text(json.dumps(aged))
@@ -436,6 +434,23 @@ class TestV7ServiceMigration:
                                      for r in resumed.recovered_keys}
         assert canonical_report_bytes(migrate_report_dict(aged)) == \
             canonical_report_bytes(report_to_dict(resumed))
+
+
+class TestV8BackendMigration:
+    def test_older_reports_drop_the_resource_backend(self, successful_report):
+        """v8 reports no publication backend; loading a v7 report drops
+        it and keeps every other resilience field."""
+        from repro.attack.report import RESILIENCE_FIELDS
+
+        report, _ = successful_report
+        aged = report_to_dict(report)
+        aged["schema_version"] = 7
+        aged["resilience"]["resource_backend"] = "shm"
+        migrated = migrate_report_dict(aged)
+        assert "resource_backend" not in migrated["resilience"]
+        assert migrated == report_to_dict(report)
+        assert migrate_report_dict(migrated) == migrated
+        assert tuple(migrated["resilience"]) == RESILIENCE_FIELDS
 
 
 class TestCanonicalReportBytes:

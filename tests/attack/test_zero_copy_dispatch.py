@@ -1,17 +1,19 @@
-"""Zero-copy shard dispatch: tiny payloads, shared memory, pool rebuilds.
+"""Zero-copy shard dispatch: tiny payloads, nothing published, pool rebuilds.
 
-The sharded scan publishes the dump and key matrix once (POSIX shared
-memory when a pool is used) and ships each shard as ``(offset, length)``.
-These tests pin the three load-bearing properties:
+The sharded scan registers one run state (dump, key matrix, heartbeat
+board) and ships each shard as ``(offset, length)``; process workers are
+forked and read the run state they inherited.  These tests pin the
+load-bearing properties:
 
 * a shard task's pickled payload stays under 1 KiB no matter how large
   the dump grows;
-* :class:`SharedDumpBuffer` attach/close never tears the segment down
-  under the creator;
+* a process-pool scan publishes nothing: no segment appears under
+  ``/dev/shm`` while it runs;
 * a SIGKILLed worker breaks the pool, and the rebuilt pool's fresh
-  processes re-attach the shared memory and still converge.
+  processes inherit the run and still converge.
 """
 
+import os
 import pickle
 
 import pytest
@@ -19,34 +21,10 @@ import pytest
 from repro.attack.parallel import resilient_recover_keys, shard_image
 from repro.attack.sweep import synthetic_dump
 from repro.crypto.aes import schedule_bytes
-from repro.dram.image import SharedDumpBuffer
 from repro.resilience.executor import ResilientShardRunner
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
-
-
-class TestSharedDumpBuffer:
-    def test_attach_sees_created_bytes(self):
-        payload = bytes(range(256)) * 16
-        owner = SharedDumpBuffer.create(payload)
-        try:
-            attached = SharedDumpBuffer.attach(owner.name, owner.length)
-            assert bytes(attached.view) == payload
-            assert attached.image().block(0) == payload[:64]
-            attached.close()
-        finally:
-            owner.unlink()
-
-    def test_non_owner_unlink_leaves_segment_alive(self):
-        owner = SharedDumpBuffer.create(b"\xa5" * 64)
-        try:
-            attached = SharedDumpBuffer.attach(owner.name, 64)
-            attached.unlink()  # non-owners only close
-            again = SharedDumpBuffer.attach(owner.name, 64)
-            assert bytes(again.view) == b"\xa5" * 64
-            again.close()
-        finally:
-            owner.unlink()
+from repro.resilience.watchdog import WatchdogConfig
 
 
 @pytest.mark.parametrize("n_blocks", [2048, 16384])
@@ -67,13 +45,40 @@ def test_shard_payload_under_1kib_regardless_of_dump_size(monkeypatch, n_blocks)
         assert wire_size < 1024
 
 
-def test_pool_rebuild_reattaches_shared_memory():
+def test_process_scan_creates_nothing_under_dev_shm(monkeypatch):
+    """A 2-worker watchdog scan runs on forked processes that inherit the
+    dump, the keys and the heartbeat board: nothing appears in
+    ``/dev/shm`` when the run starts or before it returns."""
+    before = set(os.listdir("/dev/shm"))
+    seen: list[set[str]] = []
+    original_run = ResilientShardRunner.run
+
+    def spy(self, jobs, **kwargs):
+        seen.append(set(os.listdir("/dev/shm")))
+        try:
+            return original_run(self, jobs, **kwargs)
+        finally:
+            seen.append(set(os.listdir("/dev/shm")))
+
+    monkeypatch.setattr(ResilientShardRunner, "run", spy)
+    dump, master, _ = synthetic_dump(0.0, seed=5)
+    scan = resilient_recover_keys(
+        dump, key_bits=256, workers=2, n_shards=2, watchdog=WatchdogConfig()
+    )
+    assert scan.executor == "process"
+    assert len(seen) == 2
+    assert [listing - before for listing in seen] == [set(), set()]
+    masters = {r.master_key for r in scan.recovered}
+    assert master[:32] in masters and master[32:] in masters
+
+
+def test_rebuilt_pool_workers_inherit_the_run():
     """A killed worker breaks the pool; the rebuilt pool still converges.
 
     The kill lands on the first attempt of shard 0, so the scan must
-    survive one BrokenProcessPool, respawn workers (whose initializer
-    re-attaches the shared dump and key matrix), retry the shard, and
-    recover the planted XTS pair.
+    survive one BrokenProcessPool, fork fresh workers (which inherit the
+    run's dump and key matrix as the first pool's did), retry the shard,
+    and recover the planted XTS pair.
     """
     dump, master, _ = synthetic_dump(0.0, seed=5)
     shards = shard_image(dump, n_shards=4, overlap_bytes=schedule_bytes(256) + 64)

@@ -1,5 +1,7 @@
-"""Crash-safe journal: roundtrip, torn-tail repair, corruption detection."""
+"""Crash-safe journal: roundtrip, torn-tail repair, corruption detection,
+and ENOSPC rotation to the fallback directory."""
 
+import errno
 import json
 
 import pytest
@@ -12,7 +14,7 @@ from repro.resilience.checkpoint import (
     dump_fingerprint,
     serialize_recovered,
 )
-from repro.resilience.errors import CheckpointCorruptError
+from repro.resilience.errors import CheckpointCorruptError, CheckpointStorageError
 
 
 def make_header(**overrides) -> JournalHeader:
@@ -260,3 +262,68 @@ class TestDecodeStateStore:
         store.discard("done")
         assert store.load("done") is None
         assert DecodeStateStore(path).load("done") is None
+
+
+# ---------------------------------------------------------- ENOSPC rotation
+
+
+def _journal(tmp_path, fallback=None):
+    header = JournalHeader(
+        dump_len=64, dump_sha256=dump_fingerprint(b"\0" * 64), key_bits=256,
+        n_shards=1, overlap_bytes=0,
+    )
+    journal, completed = CheckpointJournal.open(
+        tmp_path / "scan.jsonl", header, fallback_directory=fallback
+    )
+    assert completed == {}
+    return journal
+
+
+def _fail_next_appends(monkeypatch, journal, failures: int):
+    """Make the next ``failures`` appends die with ENOSPC."""
+    real_append = CheckpointJournal._append
+    state = {"left": failures}
+
+    def flaky(self, line):
+        if state["left"] > 0:
+            state["left"] -= 1
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_append(self, line)
+
+    monkeypatch.setattr(CheckpointJournal, "_append", flaky)
+
+
+def test_enospc_rotates_to_fallback_and_keeps_journaling(tmp_path, monkeypatch):
+    fallback = tmp_path / "fallback"
+    fallback.mkdir()
+    journal = _journal(tmp_path, fallback=fallback)
+    journal.record(0, [])
+    _fail_next_appends(monkeypatch, journal, failures=1)
+    journal.record(4096, [])  # first append fails, rotation retries
+
+    assert journal.rotated
+    assert journal.rotated_from == tmp_path / "scan.jsonl"
+    assert journal.path == fallback / "scan.jsonl.fallback"
+    # The fallback carries the earlier records plus the retried one.
+    lines = journal.path.read_text().splitlines()
+    assert len(lines) == 3  # header + shard 0 + shard 4096
+    journal.record(8192, [])  # subsequent appends stay on the fallback
+    assert len(journal.path.read_text().splitlines()) == 4
+
+
+def test_enospc_on_both_paths_raises_typed_error(tmp_path, monkeypatch):
+    journal = _journal(tmp_path, fallback=tmp_path / "also-full")
+    (tmp_path / "also-full").mkdir()
+    journal.record(0, [])
+    _fail_next_appends(monkeypatch, journal, failures=2)
+    with pytest.raises(CheckpointStorageError):
+        journal.record(4096, [])
+
+
+def test_rotation_failure_itself_raises_typed_error(tmp_path, monkeypatch):
+    journal = _journal(tmp_path, fallback=tmp_path / "missing-dir")
+    journal.record(0, [])
+    _fail_next_appends(monkeypatch, journal, failures=1)
+    # The fallback directory does not exist, so the rotation copy fails.
+    with pytest.raises(CheckpointStorageError, match="rotation"):
+        journal.record(4096, [])

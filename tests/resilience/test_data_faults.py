@@ -206,15 +206,24 @@ class TestCombinedChaos:
         assert _keys(resumed) == _keys(clean_scan)
 
     def test_multiprocess_poison_converges(self, dump, clean_scan):
-        """The CRC check must also hold on the real shared-memory path."""
+        """The CRC check must also hold in forked process workers, whose
+        integrity error reaches the parent as a retryable failure rather
+        than as a broken pool."""
         image, _ = dump
         offsets = _shard_offsets(clean_scan)
         plan = FaultPlan(
-            faults=((offsets[0], FaultSpec(kind="poison", corrupt_bits=16)),), seed=29
+            faults=(
+                (offsets[0], FaultSpec(kind="poison", corrupt_bits=16)),
+                (offsets[1], FaultSpec(kind="hang", hang_seconds=0.01)),
+            ),
+            seed=29,
         )
         report = resilient_recover_keys(
             image, workers=2, n_shards=N_SHARDS, retry_policy=_policy(), fault_plan=plan
         )
+        assert report.executor == "process"
+        assert report.ledger.pool_rebuilds == 0
+        assert not report.ledger.degraded_to_serial
         assert _keys(report) == _keys(clean_scan)
 
 

@@ -5,25 +5,20 @@ injected clock — no threads, no sleeping.  The acceptance tests run a
 *genuinely* hung worker (an uninstrumented busy loop, no fault-plan
 cooperation) under the real pool executor and assert it is detected,
 killed, resubmitted, and that the run still converges to the right
-answer.
+answer.  Workers beat through the board they inherit when the pool
+forks.
 """
 
+import multiprocessing
 import time
 
 import pytest
 
+from repro.resilience import watchdog
 from repro.resilience.errors import ShardStallError
 from repro.resilience.executor import ResilientShardRunner
-from repro.resilience.resources import ResourcePolicy
 from repro.resilience.retry import RetryPolicy
-from repro.resilience.watchdog import (
-    HeartbeatBoard,
-    HeartbeatMonitor,
-    WatchdogConfig,
-    attach_worker_heartbeat,
-    beat,
-    detach_worker_heartbeat,
-)
+from repro.resilience.watchdog import HeartbeatBoard, HeartbeatMonitor, WatchdogConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -52,9 +47,14 @@ def test_board_counts_beats_per_slot():
         assert board.values() == [0, 2, 1]
 
 
-def test_board_requires_a_shared_backend():
-    policy = ResourcePolicy(allow_shm=False, allow_file=False)
-    assert HeartbeatBoard.create(4, policy) is None
+def test_board_requires_a_shared_backend(monkeypatch):
+    """No shared map, no board: the caller runs without a watchdog."""
+
+    def no_map(*args, **kwargs):
+        raise OSError("mmap refused")
+
+    monkeypatch.setattr(watchdog.mmap, "mmap", no_map)
+    assert HeartbeatBoard.create(4) is None
 
 
 def test_board_rejects_zero_slots():
@@ -62,40 +62,22 @@ def test_board_rejects_zero_slots():
         HeartbeatBoard.create(0)
 
 
-def test_worker_attach_protocol_reaches_the_owner_view():
-    """A worker attached by ref beats into the owner's counters."""
+def _beat_slots(board, slots):
+    for slot in slots:
+        board.beat(slot)
+
+
+def test_forked_worker_beats_reach_the_owner_view():
+    """A forked worker beats into the board it inherited, and the owner
+    reads the counts."""
     with HeartbeatBoard.create(2) as board:
-        try:
-            attach_worker_heartbeat(board.ref, {0x1000: 0, 0x2000: 1})
-            beat(0x2000)
-            beat(0x2000)
-            beat(0x1000)
-            assert board.values() == [1, 2]
-            # Unknown shard offsets are ignored, not an error.
-            beat(0x9999)
-            assert board.values() == [1, 2]
-        finally:
-            detach_worker_heartbeat()
-
-
-def test_beat_without_attachment_is_a_noop():
-    detach_worker_heartbeat()
-    beat(0x1000)  # must not raise
-
-
-def test_file_backend_board_works_cross_policy():
-    """With shm denied, the board degrades to an mmap tempfile."""
-    policy = ResourcePolicy(allow_shm=False)
-    board = HeartbeatBoard.create(1, policy)
-    assert board is not None
-    try:
-        assert board.backend == "file"
-        attach_worker_heartbeat(board.ref, {0: 0})
-        beat(0)
-        assert board.value(0) == 1
-    finally:
-        detach_worker_heartbeat()
-        board.unlink()
+        child = multiprocessing.get_context("fork").Process(
+            target=_beat_slots, args=(board, [1, 1, 0])
+        )
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert board.values() == [1, 2]
 
 
 # ------------------------------------------------------------------ monitor
@@ -119,7 +101,7 @@ def monitor_parts():
     config = WatchdogConfig(stall_timeout_s=5.0, poll_interval_s=0.1)
     monitor = HeartbeatMonitor(board, {0x100: 0, 0x200: 1}, config, clock=clock)
     yield board, monitor, clock
-    board.unlink()
+    board.close()
 
 
 def test_silence_before_the_first_beat_is_not_a_stall(monitor_parts):
@@ -192,7 +174,7 @@ def test_monitor_thread_starts_and_stops():
         assert monitor._thread is None
         monitor.stop()  # idempotent
     finally:
-        board.unlink()
+        board.close()
 
 
 # --------------------------------------------------- executor integration
@@ -211,51 +193,61 @@ def _spin(seconds: float) -> None:
         pass
 
 
+#: The board and slot map the workers below beat, set before the runner
+#: forks its pool, so every worker process inherits them.
+_INHERITED: dict = {}
+
+
+def _beat(shard_offset):
+    _INHERITED["board"].beat(_INHERITED["slot_of"][shard_offset])
+
+
 def _hang_once_worker(payload, shard_offset, attempt, in_subprocess):
-    beat(shard_offset)
+    _beat(shard_offset)
     if shard_offset == 0 and attempt == 1 and in_subprocess:
         _spin(_HANG_BOUND_S)
     return payload * 2
 
 
 def _always_hang_worker(payload, shard_offset, attempt, in_subprocess):
-    beat(shard_offset)
+    _beat(shard_offset)
     if in_subprocess:
         _spin(_HANG_BOUND_S)
     return payload * 2
 
 
-def _watchdog_runner(worker, board, slot_of, config, **kwargs):
-    monitor = HeartbeatMonitor(board, slot_of, config)
-    runner = ResilientShardRunner(
-        worker,
-        workers=2,
-        policy=kwargs.pop("policy"),
-        initializer=attach_worker_heartbeat,
-        initargs=(board.ref, slot_of),
-        **kwargs,
-    )
-    return runner, monitor
+@pytest.fixture()
+def inherited_board():
+    """A board for ``jobs``' shards, which the pool's workers inherit."""
+
+    def make(jobs):
+        slot_of = {offset: slot for slot, offset in enumerate(sorted(jobs))}
+        board = HeartbeatBoard.create(len(jobs))
+        _INHERITED.update(board=board, slot_of=slot_of)
+        return board, slot_of
+
+    yield make
+    board = _INHERITED.pop("board", None)
+    _INHERITED.clear()
+    if board is not None:
+        board.close()
 
 
-def test_hung_worker_is_stall_killed_and_resubmitted():
+def test_hung_worker_is_stall_killed_and_resubmitted(inherited_board):
     """A wedged worker is detected in ~stall_timeout, not ~shard_timeout."""
     jobs = {0: 10, 1: 20, 2: 30}
-    slot_of = {offset: slot for slot, offset in enumerate(sorted(jobs))}
+    board, slot_of = inherited_board(jobs)
     config = WatchdogConfig(stall_timeout_s=0.5, poll_interval_s=0.05)
-    with HeartbeatBoard.create(len(jobs)) as board:
-        runner, monitor = _watchdog_runner(
-            _hang_once_worker,
-            board,
-            slot_of,
-            config,
-            policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.001, shard_timeout_s=_HANG_BOUND_S * 4
-            ),
-        )
-        start = time.monotonic()
-        ledger = runner.run(jobs, watchdog=monitor)
-        elapsed = time.monotonic() - start
+    runner = ResilientShardRunner(
+        _hang_once_worker,
+        workers=2,
+        policy=RetryPolicy(
+            max_attempts=3, base_delay_s=0.001, shard_timeout_s=_HANG_BOUND_S * 4
+        ),
+    )
+    start = time.monotonic()
+    ledger = runner.run(jobs, watchdog=HeartbeatMonitor(board, slot_of, config))
+    elapsed = time.monotonic() - start
 
     assert ledger.stall_kills == 1
     assert ledger.pool_rebuilds == 0  # stall kills are not rebuild budget
@@ -268,28 +260,21 @@ def test_hung_worker_is_stall_killed_and_resubmitted():
     assert elapsed < _HANG_BOUND_S
 
 
-def test_consecutive_stalls_trip_the_circuit_breaker_to_serial():
+def test_consecutive_stalls_trip_the_circuit_breaker_to_serial(inherited_board):
     """A pool that hangs every worker is abandoned for serial execution."""
     jobs = {0: 1, 1: 2}
-    slot_of = {offset: slot for slot, offset in enumerate(sorted(jobs))}
+    board, slot_of = inherited_board(jobs)
     config = WatchdogConfig(stall_timeout_s=0.4, poll_interval_s=0.05, max_stall_kills=2)
     events: list[str] = []
-    with HeartbeatBoard.create(len(jobs)) as board:
-        runner, monitor = _watchdog_runner(
-            _always_hang_worker,
-            board,
-            slot_of,
-            config,
-            policy=RetryPolicy(
-                max_attempts=6, base_delay_s=0.001, shard_timeout_s=_HANG_BOUND_S * 4
-            ),
-            on_event=events.append,
-        )
-        try:
-            ledger = runner.run(jobs, watchdog=monitor)
-        finally:
-            # Serial execution ran the initializer in this process.
-            detach_worker_heartbeat()
+    runner = ResilientShardRunner(
+        _always_hang_worker,
+        workers=2,
+        policy=RetryPolicy(
+            max_attempts=6, base_delay_s=0.001, shard_timeout_s=_HANG_BOUND_S * 4
+        ),
+        on_event=events.append,
+    )
+    ledger = runner.run(jobs, watchdog=HeartbeatMonitor(board, slot_of, config))
 
     assert ledger.stall_kills >= config.max_stall_kills
     assert ledger.degraded_to_serial

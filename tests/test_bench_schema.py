@@ -219,7 +219,7 @@ def test_committed_machine_record_validates():
     assert record["speedup_vs_baseline"]["end_to_end"] >= 10.0
 
 
-# --------------------------------------------------- robust-chaos/v1 schema
+# --------------------------------------------------- robust-chaos/v2 schema
 
 
 from benchmarks.chaos_soak import (  # noqa: E402
@@ -235,7 +235,7 @@ def chaos_iteration(iteration=0, scenario="crash-retry", violations=()):
         "scenario": scenario,
         "fault_kinds": ["crash"],
         "workers": 2,
-        "backend": "shm",
+        "executor": "process",
         "complete_first_pass": True,
         "interrupted": False,
         "deadline_expired": False,
